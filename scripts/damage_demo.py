@@ -54,7 +54,6 @@ def main() -> int:
         family=args.family,
         theta=args.theta,
         n_shuffles=args.n_shuffles,
-        mc_samples=50000,
         seed=args.seed,
         out_dir=str(out / "bundle"),
     )

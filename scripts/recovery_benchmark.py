@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from miinet.estimators import EstimatorConfig, Family
+from miinet.estimators import Family
 from miinet.omii import OmiiConfig, infer_network
 from miinet.synthetic import GeneratorSpec, generate_contemporaneous, random_dag_coupling
 
@@ -23,7 +23,7 @@ def score(n, density, weight, t, noise, theta, n_shuffles, n_seeds):
         spec = GeneratorSpec(n, t, coupling, noise_scale=noise, seed=500 + s)
         x = generate_contemporaneous(spec)
         cfg = OmiiConfig(
-            estimator=EstimatorConfig(Family.GAUSSIAN, seed=100 + s),
+            family=Family.GAUSSIAN,
             theta=theta,
             n_shuffles=n_shuffles,
             seed=200 + s,

@@ -1,9 +1,10 @@
 """Direct-interaction network inference from multivariate sensor time series.
 
-Parametric (Gaussian closed-form / multivariate-Laplace Monte Carlo)
-estimators of entropy, mutual information and conditional mutual
-information drive a greedy discovery/removal procedure with a permutation
-shuffle test, plus spatial pairwise-MI maps and scenario differencing.
+Parametric Gaussian and multivariate-Laplace estimators of entropy, mutual
+information and conditional mutual information, all through one closed
+form in the log-determinant of the covariance, drive a greedy
+discovery/removal procedure with a permutation shuffle test, plus spatial
+pairwise-MI maps and scenario differencing.
 """
 
 __version__ = "0.1.0"
@@ -29,19 +30,13 @@ from .distributions import (
     standard_normal_baseline,
 )
 from .estimators import (
-    EstimatorConfig,
     Family,
-    FittedModel,
     clamp_nonnegative,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
-    fit_model,
     joint_entropy,
-    model_entropy,
-    monte_carlo_entropy,
     mutual_information,
-    mutual_information_estimate,
 )
 from .omii import (
     DegreeDistribution,
@@ -82,9 +77,7 @@ __all__ = [
     "DegreeDistribution",
     "Edge",
     "EmpiricalDistribution",
-    "EstimatorConfig",
     "Family",
-    "FittedModel",
     "GeneratorSpec",
     "InteractionNetwork",
     "MIMapDiff",
@@ -111,17 +104,13 @@ __all__ = [
     "entropy",
     "estimate_stats",
     "fit_error_l1",
-    "fit_model",
     "generate_contemporaneous",
     "generate_var",
     "infer_network",
     "joint_entropy",
     "log_bessel_k",
     "mi_map_diff",
-    "model_entropy",
-    "monte_carlo_entropy",
     "mutual_information",
-    "mutual_information_estimate",
     "neighbor_pairs",
     "network_diff",
     "pairwise_mi_map",

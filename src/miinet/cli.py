@@ -22,7 +22,7 @@ from .distributions import (
     standard_normal_baseline,
 )
 from .errors import MiinetError
-from .estimators import EstimatorConfig, Family
+from .estimators import Family
 from .omii import OmiiConfig, degree_distribution, infer_network
 from .seeding import derive_seed
 from .spatial import mi_map_diff, neighbor_pairs, network_diff, pairwise_mi_map
@@ -47,7 +47,6 @@ class RunConfig:
     family: Family
     theta: float
     n_shuffles: int
-    mc_samples: int
     seed: int
     out_dir: str
 
@@ -56,8 +55,6 @@ class RunConfig:
             raise ValueError("theta must be strictly inside (0, 1)")
         if self.n_shuffles < 1:
             raise ValueError("n-shuffles must be >= 1")
-        if self.mc_samples < 1000:
-            raise ValueError("mc-samples must be >= 1000 for reported results")
         labels = [self.baseline_label] + [label for label, _ in self.scenarios]
         if len(set(labels)) != len(labels):
             raise ValueError("scenario labels must be unique")
@@ -79,7 +76,6 @@ class RunConfig:
             "family": self.family.value,
             "theta": self.theta,
             "n_shuffles": self.n_shuffles,
-            "mc_samples": self.mc_samples,
             "seed": self.seed,
         }
 
@@ -148,17 +144,14 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
         io.write_json(report, scen_dir / "fit_report.json")
         written.append(scen_dir / "fit_report.json")
 
-        est = EstimatorConfig(
-            cfg.family, derive_seed(cfg.seed, "estimator", label), cfg.mc_samples
-        )
-        mi_map = pairwise_mi_map(x, grid, cfg.axis, est, scenario=label)
+        mi_map = pairwise_mi_map(x, grid, cfg.axis, cfg.family, scenario=label)
         io.write_mi_map_csv(mi_map, prov, scen_dir / "pairwise_mi.csv")
         written.append(scen_dir / "pairwise_mi.csv")
         mi_maps[label] = mi_map
 
         sub = _axis_submatrix(x, cfg.axis)
         omii_cfg = OmiiConfig(
-            estimator=est,
+            family=cfg.family,
             theta=cfg.theta,
             n_shuffles=cfg.n_shuffles,
             seed=derive_seed(cfg.seed, "omii", label),
@@ -256,23 +249,18 @@ def _cmd_fit_report(args) -> int:
     return 0
 
 
-def _estimator_from_args(args) -> EstimatorConfig:
-    return EstimatorConfig(Family(args.family), args.seed, args.mc_samples)
-
-
 def _cmd_pairwise_mi(args) -> int:
     x = standardize(io.read_timeseries_csv(args.input))
     grid = io.load_grid_csv(args.grid)
     axis = Axis(args.axis)
-    est = _estimator_from_args(args)
-    mi_map = pairwise_mi_map(x, grid, axis, est, scenario=args.scenario)
+    family = Family(args.family)
+    mi_map = pairwise_mi_map(x, grid, axis, family, scenario=args.scenario)
     config = {
         "verb": "pairwise-mi",
         "input": str(args.input),
         "grid": str(args.grid),
         "axis": axis.value,
-        "family": est.family.value,
-        "mc_samples": est.mc_samples,
+        "family": family.value,
         "seed": args.seed,
     }
     io.write_mi_map_csv(mi_map, io.provenance(config, args.seed), args.out)
@@ -283,9 +271,9 @@ def _cmd_omii(args) -> int:
     x = standardize(io.read_timeseries_csv(args.input))
     axis = Axis(args.axis)
     sub = _axis_submatrix(x, axis)
-    est = _estimator_from_args(args)
+    family = Family(args.family)
     cfg = OmiiConfig(
-        estimator=est,
+        family=family,
         theta=args.theta,
         n_shuffles=args.n_shuffles,
         seed=derive_seed(args.seed, "omii"),
@@ -295,10 +283,9 @@ def _cmd_omii(args) -> int:
         "verb": "omii",
         "input": str(args.input),
         "axis": axis.value,
-        "family": est.family.value,
+        "family": family.value,
         "theta": args.theta,
         "n_shuffles": args.n_shuffles,
-        "mc_samples": est.mc_samples,
         "seed": args.seed,
     }
     prov = io.provenance(config, args.seed)
@@ -343,7 +330,6 @@ def _cmd_pipeline(args) -> int:
         family=Family(args.family),
         theta=args.theta,
         n_shuffles=args.n_shuffles,
-        mc_samples=args.mc_samples,
         seed=args.seed,
         out_dir=args.out,
     )
@@ -360,7 +346,6 @@ def _parse_labeled(token: str) -> tuple[str, str]:
 
 def _add_estimator_args(parser, require_seed=True):
     parser.add_argument("--family", choices=["gaussian", "laplace"], default="laplace")
-    parser.add_argument("--mc-samples", type=int, default=50000)
     parser.add_argument("--seed", type=int, required=require_seed)
 
 

@@ -84,6 +84,10 @@ class EmptyFile(MiinetError):
     """Input file contains no data rows."""
 
 
+class MalformedNetwork(MiinetError):
+    """A network JSON payload lacks a required field."""
+
+
 class NetworkInferenceError(MiinetError):
     """One or more per-target inferences failed; never a silent partial result."""
 

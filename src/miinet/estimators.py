@@ -1,22 +1,28 @@
 """Differential entropy, MI and CMI under fitted Gaussian or Laplace models.
 
-Gaussian-family values are closed form; Laplace-family values are Monte
-Carlo averages of -log f over draws from the fitted multivariate Laplace.
-All values are in nats. Per-call seeds derive from (top seed, subset
-indices, op tag), so results never depend on evaluation order.
+Both families fit a law that is an affine image of one standard law per
+dimension, and differential entropy is affine-equivariant (Cover & Thomas,
+Elements of Information Theory, Thm 8.6.4). The entropy of a channel subset
+with regularized covariance Sigma is therefore
+(d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d), with e_gaussian(d) = 0
+and e_laplace(d) = c_d - (d/2) ln(2 pi e), where c_d is the entropy of the
+standard d-dimensional Laplace. Values are in nats and deterministic.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core import SampleStats, TimeSeriesMatrix, estimate_stats
-from .distributions import MultivariateGaussian, MultivariateLaplace
-from .errors import ConditionSetTooLarge
-from .seeding import derive_seed
+from .distributions import laplace_entropy_constant
+from .errors import ConditionSetTooLarge, SingularCovariance
+
+_LN_2PIE = math.log(2.0 * math.pi * math.e)
 
 
 class Family(str, enum.Enum):
@@ -24,68 +30,31 @@ class Family(str, enum.Enum):
     LAPLACE = "laplace"
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Estimator family, Monte Carlo sample count and top-level seed."""
-
-    family: Family
-    seed: int
-    mc_samples: int = 50000
-
-    def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
-        if self.mc_samples < 1:
-            raise ValueError("mc_samples must be >= 1")
+@functools.cache
+def entropy_offset(family: Family, d: int) -> float:
+    """e_family(d): family entropy minus Gaussian entropy at equal covariance."""
+    if Family(family) is Family.GAUSSIAN or d == 0:
+        return 0.0
+    return laplace_entropy_constant(d) - 0.5 * d * _LN_2PIE
 
 
-@dataclass(frozen=True)
-class FittedModel:
-    """Distribution family plus the sample stats of a channel subset."""
-
-    family: Family
-    stats: SampleStats
-    channel_subset: tuple[int, ...]
-
-
-class EntropyEstimate(NamedTuple):
-    value: float
-    stderr: float
+def cmi_offset(family: Family, k: int) -> float:
+    """delta(k) = 2 e(k+1) - e(k) - e(k+2): family CMI minus Gaussian CMI, |K| = k."""
+    return (
+        2.0 * entropy_offset(family, k + 1)
+        - entropy_offset(family, k)
+        - entropy_offset(family, k + 2)
+    )
 
 
-def monte_carlo_entropy(model, m: int, seed: int) -> EntropyEstimate:
-    """-(1/m) sum log f(X_i) with X_i ~ model, plus its standard error."""
-    draws = model.sample(m, seed)
-    neg_log = -model.logpdf(draws)
-    value = float(neg_log.mean())
-    stderr = float(neg_log.std(ddof=1) / math.sqrt(m)) if m > 1 else float("inf")
-    return EntropyEstimate(value, stderr)
-
-
-def gaussian_entropy(stats: SampleStats) -> float:
-    """Closed form (d/2) ln(2 pi e) + (1/2) ln det Sigma."""
-    return MultivariateGaussian(stats.mean, stats.covariance).entropy
-
-
-def entropy_of_stats(
-    stats: SampleStats, family: Family, mc_samples: int, seed: int
-) -> EntropyEstimate:
-    if Family(family) is Family.GAUSSIAN:
-        return EntropyEstimate(gaussian_entropy(stats), 0.0)
-    model = MultivariateLaplace(stats.mean, stats.covariance)
-    return monte_carlo_entropy(model, mc_samples, seed)
-
-
-def fit_model(
-    x: TimeSeriesMatrix, subset: Sequence[int], cfg: EstimatorConfig
-) -> FittedModel:
-    """Fit the configured family on a channel subset (local covariance)."""
-    canon = _canonical_subset(subset)
-    return FittedModel(cfg.family, estimate_stats(x, canon), canon)
-
-
-def model_entropy(model: FittedModel, cfg: EstimatorConfig) -> EntropyEstimate:
-    seed = derive_seed(cfg.seed, "entropy", model.channel_subset)
-    return entropy_of_stats(model.stats, model.family, cfg.mc_samples, seed)
+def entropy_of_stats(stats: SampleStats, family: Family) -> float:
+    """(d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d), log-det by Cholesky."""
+    try:
+        chol = np.linalg.cholesky(stats.covariance)
+    except np.linalg.LinAlgError:
+        raise SingularCovariance("covariance not positive definite") from None
+    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return 0.5 * stats.dim * _LN_2PIE + 0.5 * log_det + entropy_offset(family, stats.dim)
 
 
 def _canonical_subset(subset: Sequence[int]) -> tuple[int, ...]:
@@ -95,58 +64,47 @@ def _canonical_subset(subset: Sequence[int]) -> tuple[int, ...]:
     return canon
 
 
-def entropy_estimate(
-    x: TimeSeriesMatrix, subset: Sequence[int], cfg: EstimatorConfig
-) -> EntropyEstimate:
+def entropy(x: TimeSeriesMatrix, subset: Sequence[int], family: Family) -> float:
+    """Differential entropy of a channel subset, in nats; 0 for the empty set."""
     canon = _canonical_subset(subset)
     if not canon:
-        return EntropyEstimate(0.0, 0.0)
-    return model_entropy(fit_model(x, canon, cfg), cfg)
-
-
-def entropy(x: TimeSeriesMatrix, subset: Sequence[int], cfg: EstimatorConfig) -> float:
-    """Differential entropy of a channel subset, in nats."""
-    return entropy_estimate(x, subset, cfg).value
+        return 0.0
+    return entropy_of_stats(estimate_stats(x, canon), family)
 
 
 def joint_entropy(
     x: TimeSeriesMatrix,
     subset_a: Sequence[int],
     subset_b: Sequence[int],
-    cfg: EstimatorConfig,
+    family: Family,
 ) -> float:
     """Entropy of the union of two channel subsets."""
-    return entropy(x, set(subset_a) | set(subset_b), cfg)
+    return entropy(x, set(subset_a) | set(subset_b), family)
 
 
 def conditional_entropy(
     x: TimeSeriesMatrix,
     subset: Sequence[int],
     given: Sequence[int],
-    cfg: EstimatorConfig,
+    family: Family,
 ) -> float:
-    """h(S | G) = h(S, G) - h(G), same family and seed stream for both terms."""
+    """h(S | G) = h(S, G) - h(G), same family for both terms."""
     if set(subset) & set(given):
         raise ValueError("subset and conditioning set must be disjoint")
-    return joint_entropy(x, subset, given, cfg) - entropy(x, given, cfg)
+    return joint_entropy(x, subset, given, family) - entropy(x, given, family)
 
 
-class MIEstimate(NamedTuple):
-    value: float
-    stderr: float
-
-
-def conditional_mutual_information_estimate(
+def conditional_mutual_information(
     x: TimeSeriesMatrix,
     i: int,
     j: int,
     cond: Sequence[int],
-    cfg: EstimatorConfig,
-) -> MIEstimate:
+    family: Family,
+) -> float:
     """I(X_i; X_j | X_cond) via h(iK) + h(jK) - h(K) - h(ijK).
 
-    Raw (possibly slightly negative under MC noise) value; clamping to zero
-    happens only at reporting boundaries.
+    Raw (possibly slightly negative in finite samples) value; clamping to
+    zero happens only at reporting boundaries.
     """
     i, j = int(i), int(j)
     cond = _canonical_subset(cond)
@@ -158,37 +116,16 @@ def conditional_mutual_information_estimate(
         raise ConditionSetTooLarge(
             f"|K|+2 = {len(cond) + 2} >= T = {x.n_samples}"
         )
-    h_ik = entropy_estimate(x, (i, *cond), cfg)
-    h_jk = entropy_estimate(x, (j, *cond), cfg)
-    h_k = entropy_estimate(x, cond, cfg)
-    h_ijk = entropy_estimate(x, (i, j, *cond), cfg)
-    value = (h_ik.value + h_jk.value) - h_k.value - h_ijk.value
-    stderr = math.sqrt(
-        h_ik.stderr**2 + h_jk.stderr**2 + h_k.stderr**2 + h_ijk.stderr**2
-    )
-    return MIEstimate(value, stderr)
+    h_ik = entropy(x, (i, *cond), family)
+    h_jk = entropy(x, (j, *cond), family)
+    h_k = entropy(x, cond, family)
+    h_ijk = entropy(x, (i, j, *cond), family)
+    return (h_ik + h_jk) - h_k - h_ijk
 
 
-def conditional_mutual_information(
-    x: TimeSeriesMatrix,
-    i: int,
-    j: int,
-    cond: Sequence[int],
-    cfg: EstimatorConfig,
-) -> float:
-    return conditional_mutual_information_estimate(x, i, j, cond, cfg).value
-
-
-def mutual_information_estimate(
-    x: TimeSeriesMatrix, i: int, j: int, cfg: EstimatorConfig
-) -> MIEstimate:
-    """I(X_i; X_j) = h(X_i) + h(X_j) - h(X_i, X_j); empty-set CMI reproduces
-    this bit-identically under the same seed."""
-    return conditional_mutual_information_estimate(x, i, j, (), cfg)
-
-
-def mutual_information(x: TimeSeriesMatrix, i: int, j: int, cfg: EstimatorConfig) -> float:
-    return mutual_information_estimate(x, i, j, cfg).value
+def mutual_information(x: TimeSeriesMatrix, i: int, j: int, family: Family) -> float:
+    """I(X_i; X_j) = h(X_i) + h(X_j) - h(X_i, X_j), the empty-set CMI bit for bit."""
+    return conditional_mutual_information(x, i, j, (), family)
 
 
 def clamp_nonnegative(value: float) -> float:
@@ -196,13 +133,10 @@ def clamp_nonnegative(value: float) -> float:
     return value if value > 0.0 else 0.0
 
 
-def mutual_information_of_stats(
-    stats: SampleStats, family: Family, mc_samples: int, seed: int
-) -> float:
+def mutual_information_of_stats(stats: SampleStats, family: Family) -> float:
     """MI of a bivariate model given exactly specified 2x2 stats."""
     if stats.dim != 2:
         raise ValueError("need 2x2 stats for pairwise MI")
-    h_x = entropy_of_stats(stats.restrict([0]), family, mc_samples, derive_seed(seed, "entropy", (0,)))
-    h_y = entropy_of_stats(stats.restrict([1]), family, mc_samples, derive_seed(seed, "entropy", (1,)))
-    h_xy = entropy_of_stats(stats, family, mc_samples, derive_seed(seed, "entropy", (0, 1)))
-    return (h_x.value + h_y.value) - h_xy.value
+    h_x = entropy_of_stats(stats.restrict([0]), family)
+    h_y = entropy_of_stats(stats.restrict([1]), family)
+    return (h_x + h_y) - entropy_of_stats(stats, family)

@@ -16,10 +16,11 @@ import numpy as np
 
 from . import __version__
 from .core import Axis, ChannelId, TimeSeriesMatrix
-from .errors import DuplicateChannel, EmptyFile, ParseError
+from .errors import DuplicateChannel, EmptyFile, MalformedNetwork, ParseError
 from .omii import DegreeDistribution, Edge, InteractionNetwork
 from .spatial import MIMapDiff, NetworkDiff, PairwiseMIMap, SensorGrid
 
+_MI_MAP_HEADER = "sensor_a,sensor_b,mi,mi_raw"
 _REJECTED_TOKENS = {"nan", "inf", "-inf", "+inf", "infinity", "-infinity", "+infinity"}
 
 
@@ -155,14 +156,29 @@ def network_to_payload(net: InteractionNetwork, prov: dict) -> dict:
     }
 
 
+_EDGE_FIELDS = ("source", "target", "weight", "threshold")
+
+
+def _field(record, key: str, where: str):
+    try:
+        return record[key]
+    except (KeyError, TypeError):
+        raise MalformedNetwork(f"{where} has no {key!r}") from None
+
+
 def network_from_payload(payload: dict) -> InteractionNetwork:
-    nodes = tuple(n["index"] for n in payload["nodes"])
-    names = tuple(n["name"] for n in payload["nodes"])
-    edges = tuple(
-        Edge(e["source"], e["target"], e["weight"], e.get("threshold", 0.0))
-        for e in payload["edges"]
+    """Inverse of network_to_payload; a missing field raises MalformedNetwork."""
+    nodes = _field(payload, "nodes", "network")
+    edges = _field(payload, "edges", "network")
+    return InteractionNetwork(
+        tuple(_field(n, "index", f"node {k}") for k, n in enumerate(nodes)),
+        tuple(_field(n, "name", f"node {k}") for k, n in enumerate(nodes)),
+        tuple(
+            Edge(*(_field(e, key, f"edge {k}") for key in _EDGE_FIELDS))
+            for k, e in enumerate(edges)
+        ),
+        dict(payload.get("metadata", {})),
     )
-    return InteractionNetwork(nodes, names, edges, dict(payload.get("metadata", {})))
 
 
 def write_network_json(net: InteractionNetwork, prov: dict, path) -> None:
@@ -196,14 +212,14 @@ def write_network_dot(
 
 
 def write_mi_map_csv(mi_map: PairwiseMIMap, prov: dict, path) -> None:
-    """Edges with raw and reporting-clamped MI plus Monte Carlo standard error."""
+    """Edges with reporting-clamped and raw MI."""
     lines = _csv_provenance_lines(prov)
     lines.append(f"# axis={mi_map.axis.value}")
     lines.append(f"# scenario={mi_map.scenario}")
-    lines.append("sensor_a,sensor_b,mi,mi_raw,mi_stderr")
-    for (a, b), value, stderr in zip(mi_map.edges, mi_map.values, mi_map.stderrs):
+    lines.append(_MI_MAP_HEADER)
+    for (a, b), value in zip(mi_map.edges, mi_map.values):
         clamped = value if value > 0 else 0.0
-        lines.append(f"{a},{b},{clamped!r},{value!r},{stderr!r}")
+        lines.append(f"{a},{b},{clamped!r},{value!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -211,7 +227,7 @@ def read_mi_map_csv(path) -> PairwiseMIMap:
     path = Path(path)
     axis = None
     scenario = ""
-    edges, values, stderrs = [], [], []
+    edges, values = [], []
     header_seen = False
     for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.strip()
@@ -225,19 +241,18 @@ def read_mi_map_csv(path) -> PairwiseMIMap:
                 scenario = body.split("=", 1)[1]
             continue
         if not header_seen:
-            if line != "sensor_a,sensor_b,mi,mi_raw,mi_stderr":
+            if line != _MI_MAP_HEADER:
                 raise ParseError(line_no, 1, "unexpected MI map header")
             header_seen = True
             continue
         cells = line.split(",")
-        if len(cells) != 5:
-            raise ParseError(line_no, 1, "expected 5 cells")
+        if len(cells) != 4:
+            raise ParseError(line_no, 1, "expected 4 cells")
         edges.append((int(cells[0]), int(cells[1])))
         values.append(float(cells[3]))
-        stderrs.append(float(cells[4]))
     if axis is None or not header_seen:
         raise ParseError(1, 1, "not a pairwise MI map file")
-    return PairwiseMIMap(axis, scenario, tuple(edges), tuple(values), tuple(stderrs))
+    return PairwiseMIMap(axis, scenario, tuple(edges), tuple(values))
 
 
 def write_mi_map_diff_csv(diff: MIMapDiff, prov: dict, path) -> None:

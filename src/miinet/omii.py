@@ -1,8 +1,10 @@
 """oMII engine: greedy discovery, single-pass removal and the shuffle test.
 
 Per-target inference is independent across targets and deterministic:
-shuffle permutations and per-shuffle estimator seeds derive from
-(seed, i, j, K, shuffle index), so serial and parallel runs agree.
+shuffle permutations derive from (seed, i, j, K, shuffle index), so serial
+and parallel runs agree. Both families share one numeric path: a family's
+CMI given |K| = k is the Gaussian CMI plus the constant delta(k), so the
+Gaussian nulls shifted by delta(k) are the family's nulls.
 """
 
 from __future__ import annotations
@@ -13,14 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SampleStats, TimeSeriesMatrix
-from .errors import NetworkInferenceError
-from .estimators import (
-    EstimatorConfig,
-    Family,
-    conditional_mutual_information,
-    entropy_of_stats,
-)
+from .core import TimeSeriesMatrix
+from .errors import MiinetError, NetworkInferenceError
+from .estimators import Family, cmi_offset, conditional_mutual_information
 from .seeding import derive_seed
 
 _SHUFFLE_BLOCK = 128  # permuted-column block size, bounds memory at T x block
@@ -28,14 +25,15 @@ _SHUFFLE_BLOCK = 128  # permuted-column block size, bounds memory at T x block
 
 @dataclass(frozen=True)
 class OmiiConfig:
-    """Shuffle-test level theta, shuffle count, estimator config and seed."""
+    """Estimator family, shuffle-test level theta, shuffle count and seed."""
 
-    estimator: EstimatorConfig
+    family: Family
     theta: float = 0.1
     n_shuffles: int = 100
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "family", Family(self.family))
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must be strictly inside (0, 1)")
         if self.n_shuffles < 1:
@@ -102,10 +100,10 @@ def _permutation(cfg: OmiiConfig, i: int, j: int, cond: tuple[int, ...], ell: in
     return rng.permutation(t)
 
 
-def _gaussian_null_cmis(
+def _null_cmis(
     x: TimeSeriesMatrix, i: int, j: int, cond: tuple[int, ...], cfg: OmiiConfig
 ) -> np.ndarray:
-    """Closed-form CMI for every shuffled copy of channel j, batched."""
+    """Gaussian CMI for every shuffled copy of channel j, batched."""
     data = x.data
     t = data.shape[0]
     k = len(cond)
@@ -144,54 +142,6 @@ def _gaussian_null_cmis(
     return nulls
 
 
-def _laplace_null_cmis(
-    x: TimeSeriesMatrix, i: int, j: int, cond: tuple[int, ...], cfg: OmiiConfig
-) -> np.ndarray:
-    """Monte Carlo CMI per shuffled copy of channel j."""
-    data = x.data
-    t = data.shape[0]
-    col_i = data[:, i]
-    cols_k = data[:, list(cond)]
-    nulls = np.empty(cfg.n_shuffles)
-    for ell in range(cfg.n_shuffles):
-        perm = _permutation(cfg, i, j, cond, ell, t)
-        est_seed = derive_seed(cfg.seed, "shuffle-est", i, j, cond, ell)
-        nulls[ell] = _cmi_from_columns(
-            col_i, data[perm, j], cols_k, cfg.estimator, est_seed
-        )
-    return nulls
-
-
-def _cmi_from_columns(
-    col_i: np.ndarray,
-    col_j: np.ndarray,
-    cols_k: np.ndarray,
-    est: EstimatorConfig,
-    seed: int,
-) -> float:
-    """CMI of raw columns via the 4-term entropy decomposition."""
-    t = col_i.shape[0]
-    stack = np.column_stack([col_i, col_j, cols_k])
-    mean = stack.mean(axis=0)
-    centered = stack - mean
-    cov = centered.T @ centered / (t - 1)
-    cov = (cov + cov.T) / 2.0
-    k = stack.shape[1] - 2
-    idx_ik = [0, *range(2, 2 + k)]
-    idx_jk = [1, *range(2, 2 + k)]
-    idx_k = list(range(2, 2 + k))
-
-    def term(idx: list[int]) -> float:
-        if not idx:
-            return 0.0
-        stats = SampleStats(mean[idx], cov[np.ix_(idx, idx)])
-        return entropy_of_stats(
-            stats, est.family, est.mc_samples, derive_seed(seed, "entropy", tuple(idx))
-        ).value
-
-    return (term(idx_ik) + term(idx_jk)) - term(idx_k) - term([0, 1, *idx_k])
-
-
 def shuffle_test(
     x: TimeSeriesMatrix,
     i: int,
@@ -211,11 +161,8 @@ def shuffle_test(
         raise ValueError("i and j must differ")
     if j in cond or i in cond:
         raise ValueError("i and j must not be in the conditioning set")
-    actual = conditional_mutual_information(x, i, j, cond, cfg.estimator)
-    if cfg.estimator.family is Family.GAUSSIAN:
-        nulls = _gaussian_null_cmis(x, i, j, cond, cfg)
-    else:
-        nulls = _laplace_null_cmis(x, i, j, cond, cfg)
+    actual = conditional_mutual_information(x, i, j, cond, cfg.family)
+    nulls = _null_cmis(x, i, j, cond, cfg) + cmi_offset(cfg.family, len(cond))
     threshold = float(np.sort(nulls)[cfg.threshold_rank - 1])
     return ShuffleTestResult(actual > threshold, actual, threshold)
 
@@ -236,7 +183,7 @@ def discover(x: TimeSeriesMatrix, i: int, cfg: OmiiConfig) -> ParentSet:
         if not candidates:
             break
         cmis = {
-            j: conditional_mutual_information(x, i, j, parents, cfg.estimator)
+            j: conditional_mutual_information(x, i, j, parents, cfg.family)
             for j in candidates
         }
         best = max(candidates, key=lambda j: (cmis[j], -j))
@@ -279,7 +226,7 @@ def infer_network(x: TimeSeriesMatrix, cfg: OmiiConfig, metadata: dict | None = 
     for i in range(x.n_channels):
         try:
             pruned = remove(x, i, discover(x, i, cfg), cfg)
-        except Exception as exc:  # aggregate, never silently partial
+        except MiinetError as exc:  # aggregate, never silently partial
             failures.append((i, exc))
             continue
         for parent, value, thr in zip(
@@ -292,9 +239,7 @@ def infer_network(x: TimeSeriesMatrix, cfg: OmiiConfig, metadata: dict | None = 
         "theta": cfg.theta,
         "n_shuffles": cfg.n_shuffles,
         "seed": cfg.seed,
-        "estimator_family": cfg.estimator.family.value,
-        "estimator_seed": cfg.estimator.seed,
-        "mc_samples": cfg.estimator.mc_samples,
+        "estimator_family": cfg.family.value,
     }
     if metadata:
         meta.update(metadata)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import Axis, TimeSeriesMatrix
 from .errors import EdgeSetMismatch, MissingChannel, NodeSetMismatch
-from .estimators import EstimatorConfig, mutual_information_estimate
+from .estimators import Family, mutual_information
 from .omii import Edge, InteractionNetwork
 
 
@@ -66,11 +66,10 @@ class PairwiseMIMap:
     scenario: str
     edges: tuple[tuple[int, int], ...]
     values: tuple[float, ...]
-    stderrs: tuple[float, ...]
 
     def __post_init__(self):
-        if not (len(self.edges) == len(self.values) == len(self.stderrs)):
-            raise ValueError("edges/values/stderrs length mismatch")
+        if len(self.edges) != len(self.values):
+            raise ValueError("edges/values length mismatch")
         if any(not np.isfinite(v) for v in self.values):
             raise ValueError("MI values must be finite")
         object.__setattr__(self, "axis", Axis(self.axis))
@@ -83,7 +82,7 @@ def pairwise_mi_map(
     x: TimeSeriesMatrix,
     grid: SensorGrid,
     axis: Axis,
-    cfg: EstimatorConfig,
+    family: Family,
     scenario: str = "",
 ) -> PairwiseMIMap:
     """MI between each sensor and its grid neighbors, one value per pair."""
@@ -93,13 +92,8 @@ def pairwise_mi_map(
         if sensor not in columns:
             raise MissingChannel(sensor, axis.value)
     edges = neighbor_pairs(grid)
-    values = []
-    stderrs = []
-    for a, b in edges:
-        est = mutual_information_estimate(x, columns[a], columns[b], cfg)
-        values.append(est.value)
-        stderrs.append(est.stderr)
-    return PairwiseMIMap(axis, scenario, tuple(edges), tuple(values), tuple(stderrs))
+    values = tuple(mutual_information(x, columns[a], columns[b], family) for a, b in edges)
+    return PairwiseMIMap(axis, scenario, tuple(edges), values)
 
 
 @dataclass(frozen=True)

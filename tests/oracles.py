@@ -108,6 +108,16 @@ def laplace_mass_2d_tensor_grid(cov, radius: float = 12.0) -> float:
     return float(np.sum(ww * np.exp(_laplace_logpdf_2d(grid, cov))))
 
 
+def monte_carlo_entropy(model, m: int, seed: int) -> tuple[float, float]:
+    """-(1/m) sum log f(X_i) with X_i ~ model, and its standard error.
+
+    A stochastic cross-check of the package's exact entropies that shares
+    only the model's sampler and density with them.
+    """
+    neg_log = -model.logpdf(model.sample(m, seed))
+    return float(neg_log.mean()), float(neg_log.std(ddof=1) / math.sqrt(m))
+
+
 def univariate_laplace_entropy_unit_variance() -> float:
     """1 + ln(2b) at b = sqrt(2)/2."""
     return 1.0 + math.log(math.sqrt(2.0))

@@ -6,31 +6,33 @@ import pytest
 
 from miinet import (
     MultivariateGaussian,
+    MultivariateLaplace,
     SampleStats,
-    monte_carlo_entropy,
     standardize,
 )
-from miinet.errors import ConditionSetTooLarge
+from miinet.distributions import laplace_entropy_constant
+from miinet.errors import ConditionSetTooLarge, DomainError
 from miinet.estimators import (
-    EstimatorConfig,
     Family,
+    cmi_offset,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
-    entropy_estimate,
     entropy_of_stats,
     joint_entropy,
     mutual_information,
-    mutual_information_estimate,
     mutual_information_of_stats,
 )
+from miinet.omii import OmiiConfig
 from miinet.synthetic import GeneratorSpec, chain_coupling, generate_contemporaneous
 
 import oracles
 from conftest import make_matrix
 
-GAUSS = EstimatorConfig(Family.GAUSSIAN, seed=11)
+GAUSS = Family.GAUSSIAN
+LAPLACE = Family.LAPLACE
 LN_2PIE_HALF = 0.5 * math.log(2.0 * math.pi * math.e)
+LAPLACE_MI_FLOOR = 2.0 * (1.0 + math.log(math.sqrt(2.0))) - laplace_entropy_constant(2)
 
 
 def pair_stats(rho: float) -> SampleStats:
@@ -39,34 +41,56 @@ def pair_stats(rho: float) -> SampleStats:
 
 def test_gaussian_entropy_d1_closed_form():
     stats = SampleStats(np.zeros(1), np.eye(1))
-    est = entropy_of_stats(stats, Family.GAUSSIAN, 1000, 0)
-    assert est.stderr == 0.0
-    assert abs(est.value - LN_2PIE_HALF) < 1e-12
-    assert abs(est.value - 1.41894) < 5e-6
+    est = entropy_of_stats(stats, Family.GAUSSIAN)
+    assert abs(est - LN_2PIE_HALF) < 1e-12
+    assert abs(est - 1.41894) < 5e-6
 
 
 def test_laplace_entropy_d1_monte_carlo_within_3_se():
     stats = SampleStats(np.zeros(1), np.eye(1))
     start = time.perf_counter()
-    est = entropy_of_stats(stats, Family.LAPLACE, 50000, 123)
+    exact = entropy_of_stats(stats, Family.LAPLACE)
     elapsed = time.perf_counter() - start
-    analytic = oracles.univariate_laplace_entropy_unit_variance()
-    assert abs(est.value - analytic) < 3.0 * est.stderr
+    assert exact == oracles.univariate_laplace_entropy_unit_variance()
+    mc, se = oracles.monte_carlo_entropy(MultivariateLaplace([0.0], [[1.0]]), 50000, 123)
+    assert abs(exact - mc) < 3.0 * se
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 32])
+def test_laplace_entropy_constant_within_3_se_of_monte_carlo(d):
+    # d = 1 is checked above; d = 32 exceeds every channel subset of one axis
+    # of the 30-sensor deck; each dimension has its own fixed seed
+    model = MultivariateLaplace(np.zeros(d), np.eye(d))
+    mc, se = oracles.monte_carlo_entropy(model, 50000, 7000 + d)
+    assert abs(laplace_entropy_constant(d) - mc) < 3.0 * se, (d, mc, se)
+
+
+def test_laplace_entropy_constant_d2_vs_radial_oracle():
+    assert abs(laplace_entropy_constant(2) - oracles.laplace_entropy_2d_radial_identity()) < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_laplace_entropy_constant_domain():
+    with pytest.raises(ValueError):
+        laplace_entropy_constant(0)
+    # K_{d/2-1} overflows near the origin for very large d: a typed error, not NaN
+    with pytest.raises(DomainError):
+        laplace_entropy_constant(100)
 
 
 def test_laplace_entropy_d2_vs_tensor_quadrature():
     stats = SampleStats(np.zeros(2), np.eye(2))
-    est = entropy_of_stats(stats, Family.LAPLACE, 1_000_000, 4242)
+    est = entropy_of_stats(stats, Family.LAPLACE)
     h_ref = oracles.laplace_entropy_2d_tensor_grid(np.eye(2))
-    assert abs(est.value - h_ref) < 5e-3
+    assert abs(est - h_ref) < 5e-3
 
 
 def test_joint_entropy_additive_when_independent(rng):
     x = make_matrix(rng.standard_normal((50, 2)))
     # exact stats path: independence -> additivity
     stats = pair_stats(0.0)
-    h_joint = entropy_of_stats(stats, Family.GAUSSIAN, 1000, 0).value
+    h_joint = entropy_of_stats(stats, Family.GAUSSIAN)
     assert abs(h_joint - 2.0 * LN_2PIE_HALF) < 1e-12
     # data path is just the union-subset entropy
     assert joint_entropy(x, [0], [1], GAUSS) == entropy(x, [0, 1], GAUSS)
@@ -74,58 +98,55 @@ def test_joint_entropy_additive_when_independent(rng):
 
 def test_conditional_entropy_closed_form_rho_half():
     stats = pair_stats(0.5)
-    h_xy = entropy_of_stats(stats, Family.GAUSSIAN, 1000, 0).value
-    h_y = entropy_of_stats(stats.restrict([1]), Family.GAUSSIAN, 1000, 0).value
+    h_xy = entropy_of_stats(stats, Family.GAUSSIAN)
+    h_y = entropy_of_stats(stats.restrict([1]), Family.GAUSSIAN)
     expected = 0.5 * math.log(2.0 * math.pi * math.e * 0.75)
     assert abs((h_xy - h_y) - expected) < 1e-12
 
 
 def test_conditional_entropy_chain_rule_laplace(rng):
     x = make_matrix(rng.standard_normal((800, 3)))
-    cfg = EstimatorConfig(Family.LAPLACE, seed=3, mc_samples=5000)
-    h_cond = conditional_entropy(x, [0], [2], cfg)
-    identity_gap = (h_cond + entropy(x, [2], cfg)) - joint_entropy(x, [0], [2], cfg)
+    h_cond = conditional_entropy(x, [0], [2], LAPLACE)
+    identity_gap = (h_cond + entropy(x, [2], LAPLACE)) - joint_entropy(x, [0], [2], LAPLACE)
     assert abs(identity_gap) < 1e-12
 
 
 def test_gaussian_mi_closed_form_grid():
     for rho in (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9):
-        mi = mutual_information_of_stats(pair_stats(rho), Family.GAUSSIAN, 1000, 0)
+        mi = mutual_information_of_stats(pair_stats(rho), Family.GAUSSIAN)
         assert abs(mi - (-0.5 * math.log(1.0 - rho * rho))) < 1e-10
 
 
 def test_gaussian_mi_zero_at_independence():
-    assert mutual_information_of_stats(pair_stats(0.0), Family.GAUSSIAN, 1000, 0) == 0.0
+    assert mutual_information_of_stats(pair_stats(0.0), Family.GAUSSIAN) == 0.0
 
 
 def test_gaussian_mi_rho_point_six():
-    mi = mutual_information_of_stats(pair_stats(0.6), Family.GAUSSIAN, 1000, 0)
+    mi = mutual_information_of_stats(pair_stats(0.6), Family.GAUSSIAN)
     assert abs(mi - 0.22314355131420976) < 1e-12
 
 
-@pytest.mark.slow
 def test_laplace_mi_d2_vs_quadrature():
     # I = h(X) + h(Y) - h(X,Y): marginals are unit-variance univariate Laplace
     cov = np.array([[1.0, 0.5], [0.5, 1.0]])
     h_xy = oracles.laplace_entropy_2d_tensor_grid(cov)
     mi_ref = 2.0 * oracles.univariate_laplace_entropy_unit_variance() - h_xy
-    mi = mutual_information_of_stats(
-        SampleStats(np.zeros(2), cov), Family.LAPLACE, 8_000_000, 2718
-    )
+    stats = SampleStats(np.zeros(2), cov)
+    mi = mutual_information_of_stats(stats, Family.LAPLACE)
     assert abs(mi - mi_ref) < 2e-3
+    # exactly the Gaussian MI plus the independence floor 2 c_1 - c_2
+    assert abs(mi - (mutual_information_of_stats(stats, GAUSS) + LAPLACE_MI_FLOOR)) < 1e-12
 
 
 def test_empty_condition_set_reproduces_mi_bit_identically(rng):
     x = make_matrix(rng.standard_normal((600, 3)))
-    cfg = EstimatorConfig(Family.LAPLACE, seed=77, mc_samples=4000)
-    assert conditional_mutual_information(x, 0, 2, (), cfg) == mutual_information(x, 0, 2, cfg)
+    assert conditional_mutual_information(x, 0, 2, (), LAPLACE) == mutual_information(x, 0, 2, LAPLACE)
 
 
 def test_mi_symmetry_bit_identical(rng):
     x = make_matrix(rng.standard_normal((600, 2)))
-    for family, m in ((Family.GAUSSIAN, 1000), (Family.LAPLACE, 4000)):
-        cfg = EstimatorConfig(family, seed=5, mc_samples=m)
-        assert mutual_information(x, 0, 1, cfg) == mutual_information(x, 1, 0, cfg)
+    for family in Family:
+        assert mutual_information(x, 0, 1, family) == mutual_information(x, 1, 0, family)
 
 
 def test_cmi_matches_partial_correlation_identity():
@@ -169,8 +190,9 @@ def test_mean_gaussian_mi_small_sample_bias_bound():
 def test_mc_machinery_cross_check_gaussian():
     cov = np.array([[1.0, 0.3], [0.3, 1.5]])
     model = MultivariateGaussian([0.0, 0.0], cov)
-    mc = monte_carlo_entropy(model, 200_000, 999)
-    assert abs(mc.value - model.entropy) < 3.0 * mc.stderr
+    mc, se = oracles.monte_carlo_entropy(model, 200_000, 999)
+    assert abs(mc - model.entropy) < 3.0 * se
+    assert entropy_of_stats(SampleStats(np.zeros(2), cov), GAUSS) == model.entropy
 
 
 def test_condition_set_too_large(rng):
@@ -187,23 +209,27 @@ def test_mi_argument_validation(rng):
         conditional_mutual_information(x, 0, 1, (1,), GAUSS)
 
 
-def test_estimator_config_validation():
+def test_family_validation(rng):
+    assert OmiiConfig("gaussian").family is Family.GAUSSIAN
     with pytest.raises(ValueError):
-        EstimatorConfig(Family.LAPLACE, seed=0, mc_samples=0)
-    cfg = EstimatorConfig("gaussian", seed=0)
-    assert cfg.family is Family.GAUSSIAN
+        OmiiConfig("cauchy")
+    x = make_matrix(rng.standard_normal((50, 2)))
+    assert entropy(x, [0], "laplace") == entropy(x, [0], LAPLACE)
+    with pytest.raises(ValueError):
+        entropy(x, [0], "cauchy")
 
 
-def test_laplace_mi_reports_stderr(rng):
-    x = make_matrix(rng.standard_normal((500, 2)))
-    cfg = EstimatorConfig(Family.LAPLACE, seed=8, mc_samples=3000)
-    est = mutual_information_estimate(x, 0, 1, cfg)
-    assert est.stderr > 0.0
-    gauss_est = mutual_information_estimate(x, 0, 1, GAUSS)
-    assert gauss_est.stderr == 0.0
+def test_laplace_cmi_is_gaussian_cmi_plus_offset(rng):
+    x = make_matrix(rng.standard_normal((400, 6)))
+    for cond in ((), (2,), (2, 3), (2, 3, 4, 5)):
+        lap = conditional_mutual_information(x, 0, 1, cond, LAPLACE)
+        gau = conditional_mutual_information(x, 0, 1, cond, GAUSS)
+        assert abs(lap - (gau + cmi_offset(LAPLACE, len(cond)))) < 1e-12
+        assert cmi_offset(GAUSS, len(cond)) == 0.0
+    assert abs(cmi_offset(LAPLACE, 0) - LAPLACE_MI_FLOOR) < 1e-15
 
 
 def test_entropy_estimate_empty_subset_is_zero(rng):
     x = make_matrix(rng.standard_normal((50, 2)))
-    est = entropy_estimate(x, (), GAUSS)
-    assert est.value == 0.0 and est.stderr == 0.0
+    assert entropy(x, (), GAUSS) == 0.0
+    assert entropy(x, (), LAPLACE) == 0.0

@@ -6,7 +6,7 @@ import pytest
 
 from miinet import Axis, neighbor_pairs
 from miinet.cli import RunConfig, build_fit_report, load_generator_spec, main, run_pipeline
-from miinet.errors import DuplicateChannel, EmptyFile, ParseError
+from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, ParseError
 from miinet import io as mio
 from miinet.omii import Edge, InteractionNetwork
 from miinet.synthetic import GeneratorSpec, coupling_from_edges, generate_contemporaneous
@@ -140,17 +140,14 @@ def test_network_json_round_trip(tmp_path):
 def test_mi_map_csv_round_trip(tmp_path):
     from miinet.spatial import PairwiseMIMap
 
-    mi_map = PairwiseMIMap(
-        Axis.LATERAL, "base", ((1, 2), (2, 3)), (0.5, -0.001), (0.01, 0.01)
-    )
+    mi_map = PairwiseMIMap(Axis.LATERAL, "base", ((1, 2), (2, 3)), (0.5, -0.001))
     p = tmp_path / "map.csv"
     mio.write_mi_map_csv(mi_map, mio.provenance({}, 1), p)
     back = mio.read_mi_map_csv(p)
-    assert back.edges == mi_map.edges
-    assert back.values == mi_map.values  # raw values survive the clamped report
+    assert back == mi_map  # raw values survive the clamped report
     text = p.read_text()
     assert text.startswith("# config_hash=")
-    assert "0,-0.001,0.01" in text  # clamped, raw, stderr columns
+    assert text.endswith("sensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n2,3,0.0,-0.001\n")
 
 
 # ------------------------------------------------------------------ CLI
@@ -309,6 +306,38 @@ def test_omii_verb_and_network_diff(tmp_path):
     assert payload["lost"] == [] and payload["gained"] == []
 
 
+@pytest.mark.parametrize("key", ["source", "target", "weight", "threshold"])
+def test_network_payload_missing_edge_field_rejected(key):
+    edge = {"source": 0, "target": 1, "weight": 0.4, "threshold": 0.1}
+    del edge[key]
+    payload = {
+        "nodes": [{"index": 0, "name": "s1_lat"}, {"index": 1, "name": "s2_lat"}],
+        "edges": [{"source": 1, "target": 0, "weight": 0.5, "threshold": 0.1}, edge],
+    }
+    with pytest.raises(MalformedNetwork, match=f"edge 1 has no '{key}'"):
+        mio.network_from_payload(payload)
+
+
+def test_network_diff_verb_rejects_malformed_network(tmp_path, capsys):
+    net = InteractionNetwork((0, 1), ("s1_lat", "s2_lat"), (Edge(0, 1, 0.42, 0.1),), {})
+    good = tmp_path / "good.json"
+    mio.write_network_json(net, mio.provenance({}, 1), good)
+    payload = json.loads(good.read_text())
+    del payload["edges"][0]["threshold"]
+    bad = write(tmp_path / "bad.json", json.dumps(payload))
+    code = main(
+        ["diff", "--kind", "network", "--baseline", str(good), "--comparison", str(bad),
+         "--out", str(tmp_path / "diff.json")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "MalformedNetwork"
+    assert "edge 0" in record["message"] and "threshold" in record["message"]
+    assert not (tmp_path / "diff.json").exists()
+
+
 def test_cli_error_record(tmp_path, capsys):
     code = main(["fit-report", "--input", str(tmp_path / "missing.csv"), "--out", "x.json"])
     assert code == 1
@@ -349,7 +378,6 @@ def run_config(tmp_path, out_name="out", **overrides):
         family="gaussian",
         theta=0.1,
         n_shuffles=25,
-        mc_samples=2000,
         seed=99,
         out_dir=str(tmp_path / out_name),
     )
@@ -401,11 +429,6 @@ def test_pipeline_rejects_degenerate_theta(tmp_path):
         run_config(tmp_path, theta=1.0)
 
 
-def test_pipeline_requires_sane_mc_samples(tmp_path):
-    with pytest.raises(ValueError):
-        run_config(tmp_path, mc_samples=10)
-
-
 def test_pipeline_rejects_duplicate_labels(tmp_path):
     grid, base, dam = pipeline_inputs(tmp_path)
     with pytest.raises(ValueError):
@@ -418,7 +441,6 @@ def test_pipeline_rejects_duplicate_labels(tmp_path):
             family="gaussian",
             theta=0.1,
             n_shuffles=10,
-            mc_samples=2000,
             seed=1,
             out_dir=str(tmp_path / "o"),
         )
@@ -436,7 +458,6 @@ def test_pipeline_missing_file_rejected(tmp_path):
             family="gaussian",
             theta=0.1,
             n_shuffles=10,
-            mc_samples=2000,
             seed=1,
             out_dir=str(tmp_path / "o"),
         )

@@ -5,14 +5,15 @@ from hypothesis import strategies as st
 
 from miinet import Axis, mi_map_diff, neighbor_pairs, network_diff, pairwise_mi_map
 from miinet.errors import EdgeSetMismatch, MissingChannel, NodeSetMismatch
-from miinet.estimators import EstimatorConfig, Family
+from miinet.distributions import laplace_entropy_constant
+from miinet.estimators import Family
 from miinet.omii import Edge, InteractionNetwork
 from miinet.spatial import PairwiseMIMap, SensorGrid
 from miinet.synthetic import GeneratorSpec, coupling_from_edges, generate_contemporaneous
 
 from conftest import make_matrix
 
-GAUSS = EstimatorConfig(Family.GAUSSIAN, seed=21)
+GAUSS = Family.GAUSSIAN
 
 
 def test_neighbor_pairs_six_by_five():
@@ -89,17 +90,19 @@ def test_pairwise_mi_map_missing_channel():
         pairwise_mi_map(grid_coupled_matrix(grid, 0.5, 3), grid, Axis.VERTICAL, GAUSS)
 
 
-def test_pairwise_mi_map_null_edges_within_mc_noise():
-    # independent channels: every edge MI sits inside 3 MC standard errors of
-    # the family's independence floor (~0.0444 nats for multivariate Laplace)
+def test_pairwise_mi_map_laplace_null_edges_at_floor():
+    # independent channels: every Laplace edge MI is the Gaussian MI plus the
+    # family's independence floor 2 c_1 - c_2 (~0.0444 nats), exactly
     grid = SensorGrid.full(2, 2)
     rng = np.random.default_rng(4)
     x = make_matrix(rng.standard_normal((1500, 4)))
-    cfg = EstimatorConfig(Family.LAPLACE, seed=5, mc_samples=4000)
-    mi_map = pairwise_mi_map(x, grid, Axis.LATERAL, cfg)
-    floor = 0.0444
-    for value, stderr in zip(mi_map.values, mi_map.stderrs):
-        assert abs(value - floor) < 3.0 * stderr
+    floor = 2.0 * laplace_entropy_constant(1) - laplace_entropy_constant(2)
+    assert abs(floor - 0.0444109) < 1e-7
+    lap = pairwise_mi_map(x, grid, Axis.LATERAL, Family.LAPLACE)
+    gau = pairwise_mi_map(x, grid, Axis.LATERAL, GAUSS)
+    for value, gauss_value in zip(lap.values, gau.values):
+        assert abs(value - (gauss_value + floor)) < 1e-12
+        assert abs(value - floor) < 3e-3  # Gaussian MI of independent pairs ~ 1/T
 
 
 def test_pairwise_mi_map_planted_maximum():
@@ -163,7 +166,7 @@ def test_mi_map_diff_mismatch_errors():
     b = pairwise_mi_map(x3, other_grid, Axis.LATERAL, GAUSS)
     with pytest.raises(EdgeSetMismatch):
         mi_map_diff(a, b)
-    vert = PairwiseMIMap(Axis.VERTICAL, "", a.edges, a.values, a.stderrs)
+    vert = PairwiseMIMap(Axis.VERTICAL, "", a.edges, a.values)
     with pytest.raises(EdgeSetMismatch):
         mi_map_diff(a, vert)
 
@@ -230,7 +233,7 @@ def test_planted_edge_removal_appears_in_lost():
         cut = coupling_from_edges(3, [(1, 2, 0.7)])
         xb = generate_contemporaneous(GeneratorSpec(3, 6000, full, seed=500 + k))
         xd = generate_contemporaneous(GeneratorSpec(3, 6000, cut, seed=600 + k))
-        cfg = OmiiConfig(estimator=GAUSS, theta=0.01, n_shuffles=200, seed=700 + k)
+        cfg = OmiiConfig(family=GAUSS, theta=0.01, n_shuffles=200, seed=700 + k)
         diff = network_diff(infer_network(xb, cfg), infer_network(xd, cfg))
         lost_pairs = {frozenset((e.source, e.target)) for e in diff.lost}
         hits += frozenset({0, 1}) in lost_pairs

@@ -5,7 +5,7 @@ import pytest
 
 from miinet import standardize
 from miinet.errors import CyclicGraph, UnstableSpec
-from miinet.estimators import EstimatorConfig, Family, mutual_information, mutual_information_estimate
+from miinet.estimators import Family, cmi_offset, mutual_information
 from miinet.synthetic import (
     GeneratorSpec,
     chain_coupling,
@@ -41,13 +41,18 @@ def test_innovation_family_controls_kurtosis():
 def test_var_coupling_raises_mi_above_independent_pair():
     # autocorrelated channels so the lag-1 drive mixes into equal-time correlation
     a = np.array([[0.7, 0.6], [0.0, 0.7]])
-    cfg = EstimatorConfig(Family.LAPLACE, seed=3, mc_samples=200_000)
     coupled = generate_var(GeneratorSpec(2, 20_000, a, seed=5))
     independent = generate_var(GeneratorSpec(2, 20_000, np.diag([0.7, 0.7]), seed=5))
-    est_c = mutual_information_estimate(coupled, 0, 1, cfg)
-    est_i = mutual_information_estimate(independent, 0, 1, cfg)
-    pooled_se = math.hypot(est_c.stderr, est_i.stderr)
-    assert est_c.value - est_i.value >= 10.0 * pooled_se
+    mi_c = mutual_information(coupled, 0, 1, Family.LAPLACE)
+    mi_i = mutual_information(independent, 0, 1, Family.LAPLACE)
+    # stationary covariance of x_t = A^T x_{t-1} + eta_t: S = A^T S A + I
+    s = np.linalg.solve(np.eye(4) - np.kron(a.T, a.T), np.eye(2).ravel()).reshape(2, 2)
+    rho = s[0, 1] / math.sqrt(s[0, 0] * s[1, 1])
+    expected = -0.5 * math.log(1.0 - rho * rho)
+    floor = cmi_offset(Family.LAPLACE, 0)
+    assert abs(mi_i - floor) < 1e-3
+    assert abs((mi_c - floor) - expected) < 0.02
+    assert mi_c - mi_i >= 0.5 * expected
 
 
 def test_var_unstable_spec_rejected():
@@ -58,9 +63,9 @@ def test_var_unstable_spec_rejected():
 def test_contemporaneous_empty_graph_independent():
     spec = GeneratorSpec(3, 50_000, np.zeros((3, 3)), seed=6)
     x = generate_contemporaneous(spec)
-    cfg = EstimatorConfig(Family.GAUSSIAN, seed=0)
-    assert mutual_information(x, 0, 1, cfg) < 3e-4
-    assert mutual_information(x, 1, 2, cfg) < 3e-4
+    family = Family.GAUSSIAN
+    assert mutual_information(x, 0, 1, family) < 3e-4
+    assert mutual_information(x, 1, 2, family) < 3e-4
 
 
 def test_contemporaneous_star_matches_analytic_rho():
@@ -69,9 +74,9 @@ def test_contemporaneous_star_matches_analytic_rho():
     x = generate_contemporaneous(spec)
     rho = weight / math.sqrt(weight**2 + noise**2)
     expected_mi = -0.5 * math.log(1.0 - rho * rho)
-    cfg = EstimatorConfig(Family.GAUSSIAN, seed=0)
+    family = Family.GAUSSIAN
     for leaf in (1, 2, 3, 4):
-        mi = mutual_information(x, 0, leaf, cfg)
+        mi = mutual_information(x, 0, leaf, family)
         assert abs(mi - expected_mi) < 0.01
 
 
