@@ -14,7 +14,6 @@ from .core import (
     ChannelId,
     SampleStats,
     TimeSeriesMatrix,
-    estimate_stats,
     standardize,
 )
 from .distributions import (
@@ -31,7 +30,6 @@ from .distributions import (
 )
 from .estimators import (
     Family,
-    clamp_nonnegative,
     conditional_entropy,
     conditional_mutual_information,
     entropy,
@@ -95,14 +93,12 @@ __all__ = [
     "UnivariateNormal",
     "bessel_k",
     "chain_coupling",
-    "clamp_nonnegative",
     "conditional_entropy",
     "conditional_mutual_information",
     "coupling_from_edges",
     "degree_distribution",
     "discover",
     "entropy",
-    "estimate_stats",
     "fit_error_l1",
     "generate_contemporaneous",
     "generate_var",

@@ -6,7 +6,10 @@ Elements of Information Theory, Thm 8.6.4). The entropy of a channel subset
 with regularized covariance Sigma is therefore
 (d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d), with e_gaussian(d) = 0
 and e_laplace(d) = c_d - (d/2) ln(2 pi e), where c_d is the entropy of the
-standard d-dimensional Laplace. Values are in nats and deterministic.
+standard d-dimensional Laplace. Sigma is always a slice of the matrix's one
+regularized covariance, and every log-det is one Cholesky (`log_det`), so a
+CMI is the Gaussian CMI of a slice (`gaussian_cmi`) plus a constant that
+depends only on the family and |K|. Values are in nats and deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SampleStats, TimeSeriesMatrix, estimate_stats
+from .core import SampleStats, TimeSeriesMatrix
 from .distributions import laplace_entropy_constant
 from .errors import ConditionSetTooLarge, SingularCovariance
 
@@ -47,14 +50,42 @@ def cmi_offset(family: Family, k: int) -> float:
     )
 
 
-def entropy_of_stats(stats: SampleStats, family: Family) -> float:
-    """(d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d), log-det by Cholesky."""
+def log_det(cov: np.ndarray) -> np.ndarray:
+    """ln det of a positive-definite covariance, or of each in a stack, by Cholesky."""
     try:
-        chol = np.linalg.cholesky(stats.covariance)
+        chol = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise SingularCovariance("covariance not positive definite") from None
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return 0.5 * stats.dim * _LN_2PIE + 0.5 * log_det + entropy_offset(family, stats.dim)
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def gaussian_cmi(cov: np.ndarray) -> np.ndarray:
+    """Gaussian I(i; j | K) of a covariance ordered (i, j, *K), or of each in a stack.
+
+    (1/2) [ln det S_iK + ln det S_jK - ln det S_K - ln det S_ijK], nats.
+    """
+    ik = np.r_[0, 2 : cov.shape[-1]]
+    return 0.5 * (
+        (log_det(cov[..., ik[:, None], ik]) + log_det(cov[..., 1:, 1:]))
+        - log_det(cov[..., 2:, 2:])
+        - log_det(cov)
+    )
+
+
+def _entropy_of_covariance(cov: np.ndarray, family: Family) -> float:
+    d = cov.shape[0]
+    return 0.5 * d * _LN_2PIE + 0.5 * float(log_det(cov)) + entropy_offset(family, d)
+
+
+def entropy_of_stats(stats: SampleStats, family: Family) -> float:
+    """(d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d) of exactly given stats."""
+    return _entropy_of_covariance(stats.covariance, family)
+
+
+def _covariance_slice(x: TimeSeriesMatrix, idx: Sequence[int]) -> np.ndarray:
+    if any(i < 0 or i >= x.n_channels for i in idx):
+        raise ValueError(f"channel indices {list(idx)} outside 0..{x.n_channels - 1}")
+    return x.covariance[np.ix_(idx, idx)]
 
 
 def _canonical_subset(subset: Sequence[int]) -> tuple[int, ...]:
@@ -69,7 +100,9 @@ def entropy(x: TimeSeriesMatrix, subset: Sequence[int], family: Family) -> float
     canon = _canonical_subset(subset)
     if not canon:
         return 0.0
-    return entropy_of_stats(estimate_stats(x, canon), family)
+    if x.n_samples <= len(canon):
+        raise ValueError("need more samples than subset dimensions")
+    return _entropy_of_covariance(_covariance_slice(x, canon), family)
 
 
 def joint_entropy(
@@ -101,8 +134,10 @@ def conditional_mutual_information(
     cond: Sequence[int],
     family: Family,
 ) -> float:
-    """I(X_i; X_j | X_cond) via h(iK) + h(jK) - h(K) - h(ijK).
+    """I(X_i; X_j | X_cond) = h(iK) + h(jK) - h(K) - h(ijK).
 
+    The Gaussian CMI of the covariance slice ordered (min(i, j), max(i, j),
+    *sorted K), so swapping i and j gives the same bits, plus delta(|K|).
     Raw (possibly slightly negative in finite samples) value; clamping to
     zero happens only at reporting boundaries.
     """
@@ -116,11 +151,8 @@ def conditional_mutual_information(
         raise ConditionSetTooLarge(
             f"|K|+2 = {len(cond) + 2} >= T = {x.n_samples}"
         )
-    h_ik = entropy(x, (i, *cond), family)
-    h_jk = entropy(x, (j, *cond), family)
-    h_k = entropy(x, cond, family)
-    h_ijk = entropy(x, (i, j, *cond), family)
-    return (h_ik + h_jk) - h_k - h_ijk
+    cov = _covariance_slice(x, (min(i, j), max(i, j), *cond))
+    return float(gaussian_cmi(cov)) + cmi_offset(family, len(cond))
 
 
 def mutual_information(x: TimeSeriesMatrix, i: int, j: int, family: Family) -> float:
@@ -128,15 +160,8 @@ def mutual_information(x: TimeSeriesMatrix, i: int, j: int, family: Family) -> f
     return conditional_mutual_information(x, i, j, (), family)
 
 
-def clamp_nonnegative(value: float) -> float:
-    """Reporting-boundary clamp for MI/CMI values."""
-    return value if value > 0.0 else 0.0
-
-
 def mutual_information_of_stats(stats: SampleStats, family: Family) -> float:
     """MI of a bivariate model given exactly specified 2x2 stats."""
     if stats.dim != 2:
         raise ValueError("need 2x2 stats for pairwise MI")
-    h_x = entropy_of_stats(stats.restrict([0]), family)
-    h_y = entropy_of_stats(stats.restrict([1]), family)
-    return (h_x + h_y) - entropy_of_stats(stats, family)
+    return float(gaussian_cmi(stats.covariance)) + cmi_offset(family, 0)

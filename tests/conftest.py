@@ -23,3 +23,15 @@ def rng():
 @pytest.fixture
 def matrix_factory():
     return make_matrix
+
+
+def duplicated_condition_matrix(seed=5, t=500) -> TimeSeriesMatrix:
+    """Columns i, j, k and k again: j depends on i and k, i on k.
+
+    The full covariance is singular, so every estimate runs on the ridge.
+    """
+    rng = np.random.default_rng(seed)
+    k = rng.standard_normal(t)
+    i = 0.6 * k + rng.standard_normal(t)
+    j = 0.6 * k + 0.4 * i + rng.standard_normal(t)
+    return make_matrix(np.column_stack([i, j, k, k]))

@@ -1,14 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from miinet import Axis, ChannelId, SampleStats, TimeSeriesMatrix, estimate_stats, standardize
+from miinet import Axis, ChannelId, SampleStats, TimeSeriesMatrix, entropy, standardize
 from miinet.core import regularize_covariance
 from miinet.errors import DuplicateChannel, NonFinite, SingularCovariance, ZeroVariance
+from miinet.estimators import Family
 
-from conftest import make_matrix
+from conftest import duplicated_condition_matrix, make_matrix
 
 
 def test_standardize_affine_example():
@@ -79,12 +82,15 @@ def test_channel_names_round_trip():
     assert ChannelId.from_name("s3_lat") == ChannelId(3, Axis.LATERAL)
 
 
+# The test_estimate_stats_* names predate the per-matrix covariance: they now
+# check `TimeSeriesMatrix.covariance`, the one covariance every estimate slices.
+
+
 def test_estimate_stats_single_channel_is_sample_variance(rng):
     col = rng.standard_normal(200)
     x = make_matrix(col[:, None])
-    stats = estimate_stats(x, [0])
-    assert stats.covariance.shape == (1, 1)
-    assert abs(stats.covariance[0, 0] - np.var(col, ddof=1)) < 1e-12
+    assert x.covariance.shape == (1, 1)
+    assert abs(x.covariance[0, 0] - np.var(col, ddof=1)) < 1e-12
 
 
 def test_estimate_stats_identical_columns_ridge_repaired(rng):
@@ -92,24 +98,21 @@ def test_estimate_stats_identical_columns_ridge_repaired(rng):
     x = make_matrix(np.column_stack([col, col]))
     raw_cov = np.cov(x.data.T, ddof=1)
     assert abs(raw_cov[0, 1] - raw_cov[0, 0]) < 1e-12  # off-diagonal = variance
-    stats = estimate_stats(x, [0, 1])
-    assert stats.ridge > 0
-    np.linalg.cholesky(stats.covariance)  # positive definite after repair
+    np.linalg.cholesky(x.covariance)  # positive definite after repair
+    assert np.all(np.diag(x.covariance) > np.var(col, ddof=1))  # the ridge was added
 
 
 def test_estimate_stats_independent_columns_near_identity():
     rng = np.random.default_rng(42)
     x = standardize(make_matrix(rng.standard_normal((100_000, 2))))
-    stats = estimate_stats(x, [0, 1])
-    assert abs(stats.covariance[0, 1]) < 0.02
-    assert abs(stats.covariance[0, 0] - 1.0) < 1e-10
-    assert abs(stats.covariance[1, 1] - 1.0) < 1e-10
+    assert abs(x.covariance[0, 1]) < 0.02
+    assert abs(x.covariance[0, 0] - 1.0) < 1e-10
+    assert abs(x.covariance[1, 1] - 1.0) < 1e-10
 
 
 def test_estimate_stats_diagonal_unity_after_standardize(rng):
     x = standardize(make_matrix(rng.standard_normal((400, 5)) * 7.0 - 2.0))
-    stats = estimate_stats(x, list(range(5)))
-    np.testing.assert_allclose(np.diag(stats.covariance), 1.0, atol=1e-10)
+    np.testing.assert_allclose(np.diag(x.covariance), 1.0, atol=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
@@ -120,23 +123,34 @@ def test_estimate_stats_row_permutation_invariant(seed):
     x = make_matrix(data)
     perm = rng.permutation(60)
     x_perm = make_matrix(data[perm])
-    a = estimate_stats(x, [0, 1, 2])
-    b = estimate_stats(x_perm, [0, 1, 2])
-    np.testing.assert_allclose(a.covariance, b.covariance, atol=1e-12)
-    np.testing.assert_allclose(a.mean, b.mean, atol=1e-12)
+    np.testing.assert_allclose(x.covariance, x_perm.covariance, atol=1e-12)
 
 
 def test_estimate_stats_validation(rng):
     x = make_matrix(rng.standard_normal((10, 3)))
+    gauss = Family.GAUSSIAN
+    assert entropy(x, [], gauss) == 0.0  # the empty set has entropy 0 by definition
     with pytest.raises(ValueError):
-        estimate_stats(x, [])
+        entropy(x, [0, 5], gauss)
     with pytest.raises(ValueError):
-        estimate_stats(x, [0, 5])
+        entropy(x, [-1], gauss)
     with pytest.raises(ValueError):
-        estimate_stats(x, [0, 0])
+        entropy(x, [0, 0], gauss)
     tiny = make_matrix(rng.standard_normal((3, 3)))
     with pytest.raises(ValueError):
-        estimate_stats(tiny, [0, 1, 2])
+        entropy(tiny, [0, 1, 2], gauss)
+
+
+def test_covariance_cached_read_only_and_per_matrix(rng):
+    x = make_matrix(rng.standard_normal((200, 4)))
+    assert x.covariance is x.covariance
+    assert not x.covariance.flags.writeable
+    with pytest.raises(ValueError):
+        x.covariance[0, 0] = 2.0
+    sub = x.select([3, 1])
+    assert sub.covariance is not x.covariance
+    np.testing.assert_allclose(sub.covariance, x.covariance[np.ix_([3, 1], [3, 1])], atol=1e-12)
+    assert standardize(x).covariance is not x.covariance
 
 
 def test_regularize_zero_trace_fails():
@@ -149,6 +163,18 @@ def test_regularize_passthrough_when_pd():
     out, ridge = regularize_covariance(cov)
     assert ridge == 0.0
     np.testing.assert_array_equal(out, cov)
+
+
+def test_regularize_makes_every_slice_factor():
+    # a duplicated column makes the covariance singular; whether Cholesky of the
+    # whole matrix happens to complete is up to rounding, so test every slice
+    x = duplicated_condition_matrix()
+    centered = x.data - x.data.mean(axis=0)
+    out, ridge = regularize_covariance(centered.T @ centered / (x.n_samples - 1))
+    assert ridge > 0.0
+    for size in range(1, 5):
+        for idx in itertools.combinations(range(4), size):
+            np.linalg.cholesky(out[np.ix_(idx, idx)])
 
 
 def test_sample_stats_validation():

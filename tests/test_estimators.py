@@ -27,7 +27,7 @@ from miinet.omii import OmiiConfig
 from miinet.synthetic import GeneratorSpec, chain_coupling, generate_contemporaneous
 
 import oracles
-from conftest import make_matrix
+from conftest import duplicated_condition_matrix, make_matrix
 
 GAUSS = Family.GAUSSIAN
 LAPLACE = Family.LAPLACE
@@ -233,3 +233,19 @@ def test_entropy_estimate_empty_subset_is_zero(rng):
     x = make_matrix(rng.standard_normal((50, 2)))
     assert entropy(x, (), GAUSS) == 0.0
     assert entropy(x, (), LAPLACE) == 0.0
+
+
+def test_cmi_with_duplicated_condition_channel_equals_single():
+    # K = {k, copy of k} carries no more than {k}: one ridge serves every slice
+    x = duplicated_condition_matrix()
+    single = conditional_mutual_information(x, 0, 1, (2,), GAUSS)
+    double = conditional_mutual_information(x, 0, 1, (2, 3), GAUSS)
+    assert single > 0.05
+    assert abs(double - single) < 1e-5
+
+
+def test_cmi_rejects_out_of_range_channels(rng):
+    x = make_matrix(rng.standard_normal((100, 3)))
+    for i, j, cond in ((0, 3, ()), (-1, 1, ()), (0, 1, (5,))):
+        with pytest.raises(ValueError):
+            conditional_mutual_information(x, i, j, cond, GAUSS)

@@ -8,9 +8,9 @@ from miinet import (
     remove,
     shuffle_test,
 )
-from miinet import omii
+from miinet import core, omii
 from miinet.errors import NetworkInferenceError, SingularCovariance
-from miinet.estimators import Family, cmi_offset
+from miinet.estimators import Family, cmi_offset, conditional_mutual_information
 from miinet.omii import InteractionNetwork, OmiiConfig, ParentSet, Edge
 from miinet.synthetic import (
     GeneratorSpec,
@@ -20,7 +20,7 @@ from miinet.synthetic import (
     star_coupling,
 )
 
-from conftest import make_matrix
+from conftest import duplicated_condition_matrix, make_matrix
 
 GAUSS = Family.GAUSSIAN
 
@@ -305,3 +305,52 @@ def test_parent_set_validation():
         ParentSet(0, (1, 1), (0.1, 0.1), (0.05, 0.05))
     with pytest.raises(ValueError):
         ParentSet(0, (1,), (), ())
+
+
+def test_duplicated_condition_channel_nulls_finite():
+    x = duplicated_condition_matrix()
+    cfg = OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=8)
+    assert np.all(np.isfinite(omii._null_cmis(x, 0, 1, (2, 3), cfg)))
+    res = shuffle_test(x, 0, 1, (2, 3), cfg)
+    assert np.isfinite(res.threshold)
+    assert res.passed  # j depends on i given k
+
+
+def identity_permutation(cfg, i, j, cond, ell, t):
+    return np.arange(t)
+
+
+def test_unshuffled_nulls_equal_actual_cmi(monkeypatch):
+    monkeypatch.setattr(omii, "_permutation", identity_permutation)
+    x = generate_contemporaneous(GeneratorSpec(5, 800, chain_coupling(5, 0.5), seed=29))
+    cfg = OmiiConfig(GAUSS, n_shuffles=3, seed=1)
+    for cond in ((), (2,), (2, 4)):
+        for i, j in ((1, 3), (3, 1)):
+            actual = conditional_mutual_information(x, i, j, cond, GAUSS)
+            nulls = omii._null_cmis(x, i, j, cond, cfg)
+            assert np.max(np.abs(nulls - actual)) < 1e-12, (i, j, cond)
+
+
+def test_unshuffled_nulls_equal_actual_cmi_on_ridge(monkeypatch):
+    monkeypatch.setattr(omii, "_permutation", identity_permutation)
+    x = duplicated_condition_matrix()
+    cfg = OmiiConfig(GAUSS, n_shuffles=3, seed=1)
+    actual = conditional_mutual_information(x, 0, 1, (2, 3), GAUSS)
+    nulls = omii._null_cmis(x, 0, 1, (2, 3), cfg)
+    assert np.all(np.isfinite(nulls))
+    assert np.max(np.abs(nulls - actual)) < 1e-5
+
+
+def test_infer_network_regularizes_covariance_once(monkeypatch):
+    calls = []
+    original = core.regularize_covariance
+
+    def counting(cov):
+        calls.append(cov.shape)
+        return original(cov)
+
+    monkeypatch.setattr(core, "regularize_covariance", counting)
+    x = generate_contemporaneous(GeneratorSpec(6, 2000, star_coupling(6, 0.6), seed=31))
+    net = infer_network(x, OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=37))
+    assert net.edges
+    assert calls == [(6, 6)]
