@@ -123,15 +123,9 @@ def _k_continued_fraction(mu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return k_mu, k_mu1
 
 
-def bessel_k(order: float, x, scaled: bool = False):
-    """Modified Bessel function of the second kind K_order(x).
-
-    Vectorized over x (scalar order). With scaled=True returns e^x K_order(x),
-    which never underflows for large arguments. K_{-v} = K_v.
-    """
-    x_arr = np.asarray(x, dtype=np.float64)
-    scalar_input = x_arr.ndim == 0
-    x_arr = np.atleast_1d(x_arr)
+def _bessel_k_parts(order: float, x, scaled: bool):
+    """(m, e) with K_order(x) = m * 2**e, or e^x K_order(x) if scaled; at least 1-d."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(~np.isfinite(x_arr)) or np.any(x_arr <= 0.0):
         raise DomainError("bessel_k requires finite x > 0")
     nu = abs(float(order))
@@ -158,18 +152,39 @@ def bessel_k(order: float, x, scaled: bool = False):
         k_mu[~small] = a
         k_mu1[~small] = b
 
-    # upward recurrence K_{j+1} = K_{j-1} + (2j/x) K_j to reach order nu = mu + n
+    # upward recurrence K_{j+1} = K_{j-1} + (2j/x) K_j to reach order nu = mu + n; only
+    # where a step would overflow, K_{j-1} and K_j first shed K_j's power of two (exact)
     lower, upper = k_mu, k_mu1
+    exponent = np.zeros(x_arr.shape, dtype=np.int64)
     for j in range(1, n):
-        lower, upper = upper, lower + (2.0 * (mu + j) / x_arr) * upper
-    result = lower if n == 0 else upper
-    return float(result[0]) if scalar_input else result
+        step = 2.0 * (mu + j) / x_arr
+        with np.errstate(over="ignore"):
+            nxt = lower + step * upper
+        over = np.isinf(nxt)
+        shift = np.frexp(upper[over])[1]
+        upper[over] = np.ldexp(upper[over], -shift)
+        nxt[over] = np.ldexp(lower[over], -shift) + step[over] * upper[over]
+        exponent[over] += shift
+        lower, upper = upper, nxt
+    return (lower if n == 0 else upper), exponent
+
+
+def bessel_k(order: float, x, scaled: bool = False):
+    """Modified Bessel function of the second kind K_order(x).
+
+    Vectorized over x (scalar order). With scaled=True returns e^x K_order(x),
+    which never underflows for large arguments. K_{-v} = K_v.
+    """
+    result = np.ldexp(*_bessel_k_parts(order, x, scaled))
+    return float(result[0]) if np.ndim(x) == 0 else result
 
 
 def log_bessel_k(order: float, x):
-    """log K_order(x), via the scaled evaluation (safe for large x)."""
+    """log K_order(x), via the scaled evaluation (safe for large x) and its
+    power-of-two exponent (safe for large orders at small x)."""
     x_arr = np.asarray(x, dtype=np.float64)
-    return np.log(bessel_k(order, x_arr, scaled=True)) - x_arr
+    m, e = _bessel_k_parts(order, x_arr, scaled=True)
+    return (np.log(m) + e * math.log(2.0)).reshape(x_arr.shape) - x_arr
 
 
 @dataclass(frozen=True)
@@ -287,11 +302,6 @@ class MultivariateLaplace(_EllipticalBase):
         super().__init__(mean, covariance)
         self.lam = math.exp(0.5 * self.log_det)
 
-    def quadratic_form(self, x):
-        x, single = self._check_points(x)
-        q = self.lam * self._quad_form(x)
-        return float(q[0]) if single else q
-
     def logpdf(self, x):
         x, single = self._check_points(x)
         d = self.dim
@@ -304,13 +314,13 @@ class MultivariateLaplace(_EllipticalBase):
                 u <= 0.0,
                 base + 0.5 * math.log(math.pi) - math.log(2.0),
                 base + 0.25 * np.log(np.maximum(u, 1e-300) / 2.0)
-                + _safe_log_k(nu, np.sqrt(2.0 * np.maximum(u, 1e-300))),
+                + log_bessel_k(nu, np.sqrt(2.0 * np.maximum(u, 1e-300))),
             )
         else:
             q = np.maximum(self.lam * u, self.Q_CLAMP)
             u_eff = q / self.lam
             s = np.sqrt(2.0 * u_eff)
-            out = base - (nu / 2.0) * np.log(u_eff / 2.0) + _safe_log_k(nu, s)
+            out = base - (nu / 2.0) * np.log(u_eff / 2.0) + log_bessel_k(nu, s)
         return float(out[0]) if single else out
 
     def pdf(self, x):
@@ -324,12 +334,6 @@ class MultivariateLaplace(_EllipticalBase):
         w = rng.exponential(1.0, size=m)
         z = rng.standard_normal((m, self.dim))
         return self.mean + np.sqrt(w)[:, None] * (z @ self._chol.T)
-
-
-def _safe_log_k(nu: float, s: np.ndarray) -> np.ndarray:
-    """log K_nu(s) elementwise for strictly positive s."""
-    s = np.maximum(s, 1e-300)
-    return log_bessel_k(nu, s)
 
 
 def laplace_entropy_constant(d: int) -> float:

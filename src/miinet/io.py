@@ -71,8 +71,7 @@ def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([ch.name for ch in x.channels])
-        for row in x.data:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerows(x.data.tolist())
 
 
 def load_grid_csv(path) -> SensorGrid:

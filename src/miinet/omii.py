@@ -1,8 +1,9 @@
 """oMII engine: greedy discovery, single-pass removal and the shuffle test.
 
-Per-target inference is independent across targets and deterministic:
-shuffle permutations derive from (seed, i, j, K, shuffle index), so serial
-and parallel runs agree. Both families share one numeric path: a family's
+Per-target inference is independent across targets and deterministic: all
+shuffle tests draw their nulls from one bank of permutations fixed by
+(seed, Ns, T), so serial and parallel runs agree, and each test is still an
+exact permutation test. Both families share one numeric path: a family's
 CMI given |K| = k is the Gaussian CMI plus the constant delta(k), so the
 Gaussian nulls shifted by delta(k) are the family's nulls. The actual CMI
 and every null are `gaussian_cmi` of the same slice of the matrix's one
@@ -12,6 +13,7 @@ cross-covariances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,8 +24,6 @@ from .core import TimeSeriesMatrix
 from .errors import MiinetError, NetworkInferenceError
 from .estimators import Family, cmi_offset, conditional_mutual_information, gaussian_cmi
 from .seeding import derive_seed
-
-_SHUFFLE_BLOCK = 128  # permuted-column block size, bounds memory at T x block
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,13 @@ class InteractionNetwork:
         return {frozenset((e.source, e.target)) for e in self.edges}
 
 
-def _permutation(cfg: OmiiConfig, i: int, j: int, cond: tuple[int, ...], ell: int, t: int):
-    rng = np.random.default_rng(derive_seed(cfg.seed, "shuffle-perm", i, j, cond, ell))
-    return rng.permutation(t)
+@functools.lru_cache(maxsize=1)
+def _permutations(seed: int, n_shuffles: int, t: int) -> np.ndarray:
+    """The run's read-only (Ns, T) bank of permutations of 0..T-1."""
+    rng = np.random.default_rng(derive_seed(seed, "shuffle-perm"))
+    perms = np.stack([rng.permutation(t) for _ in range(n_shuffles)])
+    perms.flags.writeable = False
+    return perms
 
 
 def _null_cmis(
@@ -120,16 +124,12 @@ def _null_cmis(
     y = data[:, (i, *cond)] - data[:, (i, *cond)].mean(axis=0)
     cj = data[:, j] - data[:, j].mean()
 
-    nulls = np.empty(cfg.n_shuffles)
-    for start in range(0, cfg.n_shuffles, _SHUFFLE_BLOCK):
-        block = range(start, min(start + _SHUFFLE_BLOCK, cfg.n_shuffles))
-        perms = np.stack([_permutation(cfg, i, j, cond, ell, t) for ell in block])
-        cross = cj[perms] @ y / (t - 1)  # (B, 1+k): cov(j', i), cov(j', K)
-        stack = np.repeat(sigma[None], len(block), axis=0)
-        stack[:, 1, others] = cross
-        stack[:, others, 1] = cross
-        nulls[start : start + len(block)] = gaussian_cmi(stack)
-    return nulls
+    perms = _permutations(cfg.seed, cfg.n_shuffles, t)
+    cross = cj[perms] @ y / (t - 1)  # (Ns, 1+k): cov(j', i), cov(j', K)
+    stack = np.repeat(sigma[None], cfg.n_shuffles, axis=0)
+    stack[:, 1, others] = cross
+    stack[:, others, 1] = cross
+    return gaussian_cmi(stack)
 
 
 def shuffle_test(

@@ -89,6 +89,16 @@ def test_scaled_and_log_variants():
     assert np.isfinite(log_bessel_k(1.0, 5000.0))
 
 
+@pytest.mark.parametrize("nu", [30, 49])
+@pytest.mark.parametrize("x", [1e-6, 1e-5])
+def test_log_bessel_k_large_order_small_argument(nu, x):
+    # K_49(x) exceeds the largest float here, K_30(x) does not; the small-argument
+    # form lgamma(nu) - ln 2 + nu ln(2/x) has relative error x^2 / (4 (nu - 1))
+    small = math.lgamma(nu) - math.log(2.0) + nu * math.log(2.0 / x)
+    ours = log_bessel_k(nu, x)
+    assert abs(ours / small - 1.0) < x * x / (4.0 * (nu - 1.0)) + 1e-14, (ours, small)
+
+
 # ------------------------------------------------- multivariate Laplace
 
 def test_mvlaplace_d1_reduces_to_unit_variance_laplace():

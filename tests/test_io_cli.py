@@ -91,6 +91,17 @@ def test_timeseries_round_trip(tmp_path):
     np.testing.assert_array_equal(back.data, x.data)
 
 
+def test_timeseries_csv_cells_are_float_repr(tmp_path):
+    values = [[-0.0, 5e-324, 1e-5], [1e16, 1e300, 0.1]]
+    x = make_matrix(values)
+    p = tmp_path / "edge.csv"
+    mio.write_timeseries_csv(x, p)
+    names = ",".join(ch.name for ch in x.channels)
+    rows = "".join(",".join(repr(v) for v in row) + "\r\n" for row in values)
+    assert p.read_bytes() == f"{names}\r\n{rows}".encode()
+    np.testing.assert_array_equal(mio.read_timeseries_csv(p).data, x.data)
+
+
 # ------------------------------------------------------------------ grid
 
 def test_bundled_grid():

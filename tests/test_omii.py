@@ -63,11 +63,14 @@ def test_shuffle_test_argument_validation():
 
 
 def test_shuffle_test_deterministic():
+    # seed A, then B, then A: the cached permutation bank of B must not leak into A
     x = independent_matrix(2, n=3)
-    cfg = OmiiConfig(family=GAUSS, theta=0.1, n_shuffles=50, seed=9)
-    a = shuffle_test(x, 0, 1, (2,), cfg)
-    b = shuffle_test(x, 0, 1, (2,), cfg)
-    assert a == b
+    cfg_a = OmiiConfig(family=GAUSS, theta=0.1, n_shuffles=50, seed=9)
+    cfg_b = OmiiConfig(family=GAUSS, theta=0.1, n_shuffles=50, seed=10)
+    a = shuffle_test(x, 0, 1, (2,), cfg_a)
+    b = shuffle_test(x, 0, 1, (2,), cfg_b)
+    assert shuffle_test(x, 0, 1, (2,), cfg_a) == a
+    assert b.threshold != a.threshold
 
 
 def test_shuffle_calibration_quick():
@@ -316,12 +319,12 @@ def test_duplicated_condition_channel_nulls_finite():
     assert res.passed  # j depends on i given k
 
 
-def identity_permutation(cfg, i, j, cond, ell, t):
-    return np.arange(t)
+def identity_permutation(seed, n_shuffles, t):
+    return np.tile(np.arange(t), (n_shuffles, 1))
 
 
 def test_unshuffled_nulls_equal_actual_cmi(monkeypatch):
-    monkeypatch.setattr(omii, "_permutation", identity_permutation)
+    monkeypatch.setattr(omii, "_permutations", identity_permutation)
     x = generate_contemporaneous(GeneratorSpec(5, 800, chain_coupling(5, 0.5), seed=29))
     cfg = OmiiConfig(GAUSS, n_shuffles=3, seed=1)
     for cond in ((), (2,), (2, 4)):
@@ -332,7 +335,7 @@ def test_unshuffled_nulls_equal_actual_cmi(monkeypatch):
 
 
 def test_unshuffled_nulls_equal_actual_cmi_on_ridge(monkeypatch):
-    monkeypatch.setattr(omii, "_permutation", identity_permutation)
+    monkeypatch.setattr(omii, "_permutations", identity_permutation)
     x = duplicated_condition_matrix()
     cfg = OmiiConfig(GAUSS, n_shuffles=3, seed=1)
     actual = conditional_mutual_information(x, 0, 1, (2, 3), GAUSS)
@@ -354,3 +357,14 @@ def test_infer_network_regularizes_covariance_once(monkeypatch):
     net = infer_network(x, OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=37))
     assert net.edges
     assert calls == [(6, 6)]
+
+
+def test_infer_network_draws_one_permutation_bank():
+    x = generate_contemporaneous(GeneratorSpec(6, 2000, star_coupling(6, 0.6), seed=31))
+    omii._permutations.cache_clear()
+    infer_network(x, OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=37))
+    assert omii._permutations.cache_info().misses == 1
+    bank = omii._permutations(37, 50, 2000)
+    assert bank.shape == (50, 2000)
+    assert not bank.flags.writeable
+    assert np.array_equal(np.sort(bank, axis=1), np.tile(np.arange(2000), (50, 1)))
