@@ -1,8 +1,8 @@
 """Direct-interaction network inference from multivariate sensor time series.
 
 Parametric Gaussian and multivariate-Laplace estimators of entropy, mutual
-information and conditional mutual information, all through one closed
-form in the log-determinant of the covariance, drive a greedy
+information and conditional mutual information, all closed forms in one
+regularized covariance (log-determinants, partial correlations), drive a greedy
 discovery/removal procedure with a permutation shuffle test, plus spatial
 pairwise-MI maps and scenario differencing.
 """

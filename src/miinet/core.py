@@ -3,7 +3,7 @@
 All containers are immutable after construction; every operation here is a
 pure function, safe to call from any number of concurrent workers. A matrix
 computes its regularized covariance once, on first use, and every entropy,
-MI, CMI and shuffle null is a log-det of a slice of it.
+MI, CMI and shuffle null is computed from slices of it.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ with regularized covariance Sigma is therefore
 (d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d), with e_gaussian(d) = 0
 and e_laplace(d) = c_d - (d/2) ln(2 pi e), where c_d is the entropy of the
 standard d-dimensional Laplace. Sigma is always a slice of the matrix's one
-regularized covariance, and every log-det is one Cholesky (`log_det`), so a
-CMI is the Gaussian CMI of a slice (`gaussian_cmi`) plus a constant that
-depends only on the family and |K|. Values are in nats and deterministic.
+regularized covariance. An entropy is a Cholesky log-det (`log_det`); a CMI
+is the Gaussian CMI of a partial correlation (`gaussian_cmi`) plus a constant
+that depends only on the family and |K|. Values are in nats and deterministic.
 """
 
 from __future__ import annotations
@@ -50,31 +50,38 @@ def cmi_offset(family: Family, k: int) -> float:
     )
 
 
-def log_det(cov: np.ndarray) -> np.ndarray:
-    """ln det of a positive-definite covariance, or of each in a stack, by Cholesky."""
+def _cholesky(cov: np.ndarray) -> np.ndarray:
     try:
-        chol = np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise SingularCovariance("covariance not positive definite") from None
-    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def gaussian_cmi(cov: np.ndarray) -> np.ndarray:
-    """Gaussian I(i; j | K) of a covariance ordered (i, j, *K), or of each in a stack.
+def log_det(cov: np.ndarray) -> float:
+    """ln det of a positive-definite covariance, by Cholesky."""
+    return 2.0 * float(np.log(np.diag(_cholesky(cov))).sum())
 
-    (1/2) [ln det S_iK + ln det S_jK - ln det S_K - ln det S_ijK], nats.
+
+def gaussian_cmi(cov: np.ndarray, cross: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Gaussian I(i; v | K) for every row v of `cross`, from one factorization.
+
+    `cov` is the covariance of (*K, i), i last; row b of `cross` holds the
+    covariances of a channel v_b with (*K, i), and `var[b]` its variance.
+    With L = chol(cov) and w = L^-1 cross^T, K's factor is L's leading block,
+    so var - |w[:k]|^2 is v's residual variance given K and w[k]^2 over it is
+    the squared partial correlation rho^2; the CMI is -1/2 ln(1 - rho^2), nats.
     """
-    ik = np.r_[0, 2 : cov.shape[-1]]
-    return 0.5 * (
-        (log_det(cov[..., ik[:, None], ik]) + log_det(cov[..., 1:, 1:]))
-        - log_det(cov[..., 2:, 2:])
-        - log_det(cov)
-    )
+    w = np.linalg.solve(_cholesky(cov), cross.T)
+    residual = var - np.sum(w[:-1] ** 2, axis=0)
+    rho2 = w[-1] ** 2 / residual
+    if not np.all((residual > 0.0) & (rho2 < 1.0)):
+        raise SingularCovariance("covariance not positive definite")
+    return -0.5 * np.log1p(-rho2)
 
 
 def _entropy_of_covariance(cov: np.ndarray, family: Family) -> float:
     d = cov.shape[0]
-    return 0.5 * d * _LN_2PIE + 0.5 * float(log_det(cov)) + entropy_offset(family, d)
+    return 0.5 * d * _LN_2PIE + 0.5 * log_det(cov) + entropy_offset(family, d)
 
 
 def entropy_of_stats(stats: SampleStats, family: Family) -> float:
@@ -136,10 +143,10 @@ def conditional_mutual_information(
 ) -> float:
     """I(X_i; X_j | X_cond) = h(iK) + h(jK) - h(K) - h(ijK).
 
-    The Gaussian CMI of the covariance slice ordered (min(i, j), max(i, j),
-    *sorted K), so swapping i and j gives the same bits, plus delta(|K|).
-    Raw (possibly slightly negative in finite samples) value; clamping to
-    zero happens only at reporting boundaries.
+    The Gaussian CMI of v = max(i, j) given (*sorted K, min(i, j)), so
+    swapping i and j gives the same bits, plus delta(|K|). Raw (possibly
+    slightly negative in finite samples) value; clamping to zero happens
+    only at reporting boundaries.
     """
     i, j = int(i), int(j)
     cond = _canonical_subset(cond)
@@ -151,8 +158,9 @@ def conditional_mutual_information(
         raise ConditionSetTooLarge(
             f"|K|+2 = {len(cond) + 2} >= T = {x.n_samples}"
         )
-    cov = _covariance_slice(x, (min(i, j), max(i, j), *cond))
-    return float(gaussian_cmi(cov)) + cmi_offset(family, len(cond))
+    cov = _covariance_slice(x, (*cond, min(i, j), max(i, j)))
+    cmi = gaussian_cmi(cov[:-1, :-1], cov[-1:, :-1], cov[-1:, -1])
+    return float(cmi[0]) + cmi_offset(family, len(cond))
 
 
 def mutual_information(x: TimeSeriesMatrix, i: int, j: int, family: Family) -> float:
@@ -164,4 +172,5 @@ def mutual_information_of_stats(stats: SampleStats, family: Family) -> float:
     """MI of a bivariate model given exactly specified 2x2 stats."""
     if stats.dim != 2:
         raise ValueError("need 2x2 stats for pairwise MI")
-    return float(gaussian_cmi(stats.covariance)) + cmi_offset(family, 0)
+    cov = stats.covariance
+    return float(gaussian_cmi(cov[:1, :1], cov[1:, :1], cov[1:, 1])[0]) + cmi_offset(family, 0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -21,13 +22,24 @@ from .omii import DegreeDistribution, Edge, InteractionNetwork
 from .spatial import MIMapDiff, NetworkDiff, PairwiseMIMap, SensorGrid
 
 _MI_MAP_HEADER = "sensor_a,sensor_b,mi,mi_raw"
-_REJECTED_TOKENS = {"nan", "inf", "-inf", "+inf", "infinity", "-infinity", "+infinity"}
+
+
+def _number(cell: str, line_no: int, col: int, parse=float):
+    """One numeric CSV cell; a non-numeric or non-finite one raises ParseError."""
+    try:
+        value = parse(cell)
+        finite = math.isfinite(value)
+    except ValueError:
+        finite = False
+    if not finite:
+        raise ParseError(line_no, col, f"expected a finite {parse.__name__}, got {cell!r}")
+    return value
 
 
 def read_timeseries_csv(path) -> TimeSeriesMatrix:
     """Parse a scenario CSV: header of s<index>_<lat|vert> names, one row per sample."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -49,18 +61,7 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
                 raise ParseError(
                     line_no, 1, f"expected {len(channels)} cells, got {len(row)}"
                 )
-            parsed = []
-            for col, cell in enumerate(row, start=1):
-                token = cell.strip()
-                if token.lower() in _REJECTED_TOKENS:
-                    raise ParseError(line_no, col, f"non-finite cell {token!r}")
-                try:
-                    parsed.append(float(token))
-                except ValueError:
-                    raise ParseError(
-                        line_no, col, f"non-numeric cell {token!r}"
-                    ) from None
-            rows.append(parsed)
+            rows.append([_number(cell, line_no, col) for col, cell in enumerate(row, start=1)])
     if not rows:
         raise EmptyFile(f"{path} has a header but no data rows")
     return TimeSeriesMatrix(np.asarray(rows), tuple(channels))
@@ -77,7 +78,7 @@ def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
 def load_grid_csv(path) -> SensorGrid:
     """Grid layout file: header sensor_index,row,col then one sensor per row."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -91,10 +92,7 @@ def load_grid_csv(path) -> SensorGrid:
                 continue
             if len(row) != 3:
                 raise ParseError(line_no, 1, "expected 3 cells")
-            try:
-                sensor, r, c = (int(cell) for cell in row)
-            except ValueError:
-                raise ParseError(line_no, 1, f"non-integer cell in {row}") from None
+            sensor, r, c = (_number(cell, line_no, col, int) for col, cell in enumerate(row, start=1))
             if sensor in positions:
                 raise ParseError(line_no, 1, f"sensor {sensor} listed twice")
             positions[sensor] = (r, c)
@@ -247,8 +245,8 @@ def read_mi_map_csv(path) -> PairwiseMIMap:
         cells = line.split(",")
         if len(cells) != 4:
             raise ParseError(line_no, 1, "expected 4 cells")
-        edges.append((int(cells[0]), int(cells[1])))
-        values.append(float(cells[3]))
+        edges.append(tuple(_number(cells[k], line_no, k + 1, int) for k in (0, 1)))
+        values.append(_number(cells[3], line_no, 4))
     if axis is None or not header_seen:
         raise ParseError(1, 1, "not a pairwise MI map file")
     return PairwiseMIMap(axis, scenario, tuple(edges), tuple(values))

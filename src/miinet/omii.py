@@ -5,10 +5,10 @@ shuffle tests draw their nulls from one bank of permutations fixed by
 (seed, Ns, T), so serial and parallel runs agree, and each test is still an
 exact permutation test. Both families share one numeric path: a family's
 CMI given |K| = k is the Gaussian CMI plus the constant delta(k), so the
-Gaussian nulls shifted by delta(k) are the family's nulls. The actual CMI
-and every null are `gaussian_cmi` of the same slice of the matrix's one
-regularized covariance; a null only swaps in the shuffled column's
-cross-covariances.
+Gaussian nulls shifted by delta(k) are the family's nulls. Every CMI is a
+partial correlation given K from the matrix's one regularized covariance
+(`gaussian_cmi`): one call scores all candidates of a discovery round, and
+one call gives a shuffle test's nulls, the Ns shuffled copies of j.
 """
 
 from __future__ import annotations
@@ -110,26 +110,18 @@ def _permutations(seed: int, n_shuffles: int, t: int) -> np.ndarray:
 def _null_cmis(
     x: TimeSeriesMatrix, i: int, j: int, cond: tuple[int, ...], cfg: OmiiConfig
 ) -> np.ndarray:
-    """Gaussian CMI for every shuffled copy of channel j, batched.
+    """Gaussian CMI for every shuffled copy of channel j, in one kernel call.
 
-    Each null is `gaussian_cmi` of the covariance slice over (i, j, *K) with
-    j's row and column replaced by the shuffled column's cross-covariances;
-    the diagonal keeps the matrix's ridge, as in the actual CMI.
+    The partners are the shuffled copies of j: their cross-covariances with
+    (*K, i) come from the data, and their variance is j's ridged diagonal
+    entry, so the nulls read the same regularized covariance as the actual CMI.
     """
-    order = (i, j, *cond)
-    sigma = x.covariance[np.ix_(order, order)]
-    others = [0, *range(2, len(order))]  # positions of i and K in the slice
-    data = x.data
-    t = data.shape[0]
-    y = data[:, (i, *cond)] - data[:, (i, *cond)].mean(axis=0)
-    cj = data[:, j] - data[:, j].mean()
-
+    order = (*cond, i)
+    t = x.n_samples
+    centered = x.data[:, (*order, j)] - x.data[:, (*order, j)].mean(axis=0)
     perms = _permutations(cfg.seed, cfg.n_shuffles, t)
-    cross = cj[perms] @ y / (t - 1)  # (Ns, 1+k): cov(j', i), cov(j', K)
-    stack = np.repeat(sigma[None], cfg.n_shuffles, axis=0)
-    stack[:, 1, others] = cross
-    stack[:, others, 1] = cross
-    return gaussian_cmi(stack)
+    cross = centered[perms, -1] @ centered[:, :-1] / (t - 1)  # (Ns, k+1)
+    return gaussian_cmi(x.covariance[np.ix_(order, order)], cross, x.covariance[j, j])
 
 
 def shuffle_test(
@@ -161,21 +153,21 @@ def discover(x: TimeSeriesMatrix, i: int, cfg: OmiiConfig) -> ParentSet:
     i = int(i)
     if x.n_channels < 2:
         raise ValueError("need at least 2 channels")
+    cov = x.covariance
+    candidates = [j for j in range(x.n_channels) if j != i]
     parents: list[int] = []
     values: list[float] = []
     thresholds: list[float] = []
-    while True:
-        candidates = [j for j in range(x.n_channels) if j != i and j not in parents]
-        if not candidates:
-            break
-        cmis = {
-            j: conditional_mutual_information(x, i, j, parents, cfg.family)
-            for j in candidates
-        }
-        best = max(candidates, key=lambda j: (cmis[j], -j))
+    while candidates:
+        order = (*sorted(parents), i)
+        cmis = gaussian_cmi(
+            cov[np.ix_(order, order)], cov[np.ix_(candidates, order)], cov.diagonal()[candidates]
+        )
+        best = candidates[int(np.argmax(cmis))]
         result = shuffle_test(x, i, best, parents, cfg)
         if not result.passed:
             break
+        candidates.remove(best)
         parents.append(best)
         values.append(result.cmi)
         thresholds.append(result.threshold)

@@ -118,6 +118,26 @@ def monte_carlo_entropy(model, m: int, seed: int) -> tuple[float, float]:
     return float(neg_log.mean()), float(neg_log.std(ddof=1) / math.sqrt(m))
 
 
+def gaussian_cmi_four_log_dets(cov) -> float:
+    """Gaussian I(i; j | K) of a covariance ordered (i, j, *K), from four log-dets.
+
+    (1/2) [ln det S_iK + ln det S_jK - ln det S_K - ln det S_ijK], each by
+    numpy's LU-based slogdet rather than the package's Cholesky kernel.
+    """
+    cov = np.asarray(cov, dtype=np.float64)
+    n = cov.shape[0]
+
+    def log_det(idx):
+        sign, value = np.linalg.slogdet(cov[np.ix_(idx, idx)])
+        assert sign > 0
+        return value
+
+    rest = list(range(2, n))
+    return 0.5 * (
+        log_det([0, *rest]) + log_det([1, *rest]) - log_det(rest) - log_det(list(range(n)))
+    )
+
+
 def univariate_laplace_entropy_unit_variance() -> float:
     """1 + ln(2b) at b = sqrt(2)/2."""
     return 1.0 + math.log(math.sqrt(2.0))

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miinet import (
     MultivariateGaussian,
@@ -11,7 +13,7 @@ from miinet import (
     standardize,
 )
 from miinet.distributions import laplace_entropy_constant
-from miinet.errors import ConditionSetTooLarge
+from miinet.errors import ConditionSetTooLarge, SingularCovariance
 from miinet.estimators import (
     Family,
     cmi_offset,
@@ -19,6 +21,7 @@ from miinet.estimators import (
     conditional_mutual_information,
     entropy,
     entropy_of_stats,
+    gaussian_cmi,
     joint_entropy,
     mutual_information,
     mutual_information_of_stats,
@@ -248,3 +251,48 @@ def test_cmi_rejects_out_of_range_channels(rng):
     for i, j, cond in ((0, 3, ()), (-1, 1, ()), (0, 1, (5,))):
         with pytest.raises(ValueError):
             conditional_mutual_information(x, i, j, cond, GAUSS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 5))
+def test_cmi_kernel_matches_four_log_det_oracle(seed, k):
+    rng = np.random.default_rng(seed)
+    n = k + 5
+    mixing = np.eye(n) + rng.uniform(-1.0, 1.0, (n, n)) / math.sqrt(n)
+    x = make_matrix(rng.standard_normal((200, n)) @ mixing)
+    cov = x.covariance
+    i, j, *rest = (int(c) for c in rng.permutation(n))
+    cond, others = rest[:k], rest[k:]
+
+    def oracle(a, b):
+        order = [a, b, *cond]
+        return oracles.gaussian_cmi_four_log_dets(cov[np.ix_(order, order)])
+
+    for a, b in ((i, j), (j, i)):
+        assert abs(conditional_mutual_information(x, a, b, cond, GAUSS) - oracle(a, b)) < 1e-12
+        given_set, partners = [*cond, a], [b, *others]
+        batch = gaussian_cmi(
+            cov[np.ix_(given_set, given_set)],
+            cov[np.ix_(partners, given_set)],
+            cov.diagonal()[partners],
+        )
+        assert batch.shape == (len(partners),)
+        for v, value in zip(partners, batch):
+            assert abs(value - oracle(a, v)) < 1e-12, (a, v, cond)
+
+
+def test_gaussian_cmi_rejects_rho_squared_at_or_above_one():
+    with pytest.raises(SingularCovariance):
+        mutual_information_of_stats(pair_stats(1.0), GAUSS)
+    # given K with unit variance and i independent of K: rho^2 = 1 exactly in
+    # a batch with a valid row, rho^2 = 4, and a negative residual variance
+    for cross, var in (
+        ([[0.0, 0.5], [0.0, 1.0]], [1.0, 1.0]),
+        ([[0.0, 2.0]], [1.0]),
+        ([[2.0, 0.0]], [1.0]),
+    ):
+        with pytest.raises(SingularCovariance):
+            gaussian_cmi(np.eye(2), np.array(cross), np.array(var))
+    assert gaussian_cmi(np.eye(2), np.array([[0.0, 0.6]]), np.array([1.0]))[0] == pytest.approx(
+        -0.5 * math.log(1.0 - 0.36), abs=1e-15
+    )

@@ -102,6 +102,14 @@ def test_timeseries_csv_cells_are_float_repr(tmp_path):
     np.testing.assert_array_equal(mio.read_timeseries_csv(p).data, x.data)
 
 
+def test_ingest_accepts_utf8_bom_and_crlf(tmp_path):
+    p = tmp_path / "excel.csv"
+    p.write_bytes("\ufeffs1_lat,s2_lat\r\n1.0,2.0\r\n3.0,4.5\r\n".encode("utf-8"))
+    x = mio.read_timeseries_csv(p)
+    assert [ch.name for ch in x.channels] == ["s1_lat", "s2_lat"]
+    np.testing.assert_array_equal(x.data, [[1.0, 2.0], [3.0, 4.5]])
+
+
 # ------------------------------------------------------------------ grid
 
 def test_bundled_grid():
@@ -117,6 +125,18 @@ def test_grid_csv_errors(tmp_path):
         mio.load_grid_csv(write(tmp_path / "g2.csv", "sensor_index,row,col\n1,0,0\n1,1,1\n"))
     with pytest.raises(EmptyFile):
         mio.load_grid_csv(write(tmp_path / "g3.csv", "sensor_index,row,col\n"))
+
+
+def test_grid_csv_accepts_utf8_bom_and_crlf(tmp_path):
+    p = tmp_path / "grid.csv"
+    p.write_bytes("\ufeffsensor_index,row,col\r\n1,0,0\r\n2,0,1\r\n".encode("utf-8"))
+    assert mio.load_grid_csv(p).positions == {1: (0, 0), 2: (0, 1)}
+
+
+def test_grid_csv_non_integer_cell_position(tmp_path):
+    with pytest.raises(ParseError) as err:
+        mio.load_grid_csv(write(tmp_path / "g.csv", "sensor_index,row,col\n1,0,0\n2,x,1\n"))
+    assert (err.value.line, err.value.col) == (3, 2)
 
 
 # ----------------------------------------------------------- fit report
@@ -159,6 +179,21 @@ def test_mi_map_csv_round_trip(tmp_path):
     text = p.read_text()
     assert text.startswith("# config_hash=")
     assert text.endswith("sensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n2,3,0.0,-0.001\n")
+
+
+MI_MAP_HEAD = "# axis=lateral\n# scenario=base\nsensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "row, col",
+    [("x,3,0.1,0.1", 1), ("2,3.5,0.1,0.1", 2), ("2,3,0.1,abc", 4), ("2,3,0.1,nan", 4),
+     ("2,3,0.1,inf", 4), ("2,3,0.1,1e999", 4)],
+)
+def test_mi_map_csv_bad_cell_position(tmp_path, row, col):
+    p = write(tmp_path / "map.csv", MI_MAP_HEAD + row + "\n")
+    with pytest.raises(ParseError) as err:
+        mio.read_mi_map_csv(p)
+    assert (err.value.line, err.value.col) == (5, col)
 
 
 # ------------------------------------------------------------------ CLI
@@ -347,6 +382,21 @@ def test_network_diff_verb_rejects_malformed_network(tmp_path, capsys):
     assert record["error"] == "MalformedNetwork"
     assert "edge 0" in record["message"] and "threshold" in record["message"]
     assert not (tmp_path / "diff.json").exists()
+
+
+@pytest.mark.parametrize("row, col", [("x,3,0.1,0.1", 1), ("2,3,0.1,nan", 4)])
+def test_mi_map_diff_verb_reports_parse_position(tmp_path, capsys, row, col):
+    good = write(tmp_path / "good.csv", MI_MAP_HEAD)
+    bad = write(tmp_path / "bad.csv", MI_MAP_HEAD + row + "\n")
+    code = main(
+        ["diff", "--kind", "mi-map", "--baseline", str(good), "--comparison", str(bad),
+         "--out", str(tmp_path / "diff.csv")]
+    )
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith(f"line 5, column {col}:")
+    assert not (tmp_path / "diff.csv").exists()
 
 
 def test_cli_error_record(tmp_path, capsys):

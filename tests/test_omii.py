@@ -368,3 +368,37 @@ def test_infer_network_draws_one_permutation_bank():
     assert bank.shape == (50, 2000)
     assert not bank.flags.writeable
     assert np.array_equal(np.sort(bank, axis=1), np.tile(np.arange(2000), (50, 1)))
+
+
+def test_discover_admits_lower_index_of_identical_candidates():
+    # integer samples with T = 1024 make every covariance entry exact, so the
+    # two copies of z score bit-identical CMIs and the argmax tie goes low
+    rng = np.random.default_rng(41)
+    z = rng.integers(-4, 5, 1024).astype(float)
+    target = z + rng.integers(-1, 2, 1024)
+    noise = rng.integers(-4, 5, 1024).astype(float)
+    x = make_matrix(np.column_stack([z, target, z, noise]))
+    found = discover(x, 1, OmiiConfig(GAUSS, n_shuffles=50, seed=3))
+    assert found.parents[0] == 0
+    assert 2 not in found.parents
+
+
+def test_discover_calls_the_kernel_once_per_round(monkeypatch):
+    partners = []
+    kernel = omii.gaussian_cmi
+
+    def counting(cov, cross, var):
+        partners.append(cross.shape[0])
+        return kernel(cov, cross, var)
+
+    verdicts = iter([True, True, False])
+
+    def scripted_test(x, i, j, cond, cfg):
+        return omii.ShuffleTestResult(next(verdicts), 0.5, 0.1)
+
+    monkeypatch.setattr(omii, "gaussian_cmi", counting)
+    monkeypatch.setattr(omii, "shuffle_test", scripted_test)
+    x = generate_contemporaneous(GeneratorSpec(6, 500, star_coupling(6, 0.6), seed=43))
+    found = discover(x, 0, OmiiConfig(GAUSS, seed=1))
+    assert len(found.parents) == 2
+    assert partners == [5, 4, 3]  # three rounds, each scoring every remaining candidate
