@@ -12,14 +12,11 @@ __version__ = "0.1.0"
 from .core import (
     Axis,
     ChannelId,
-    SampleStats,
     TimeSeriesMatrix,
     standardize,
 )
 from .distributions import (
     EmpiricalDistribution,
-    MultivariateGaussian,
-    MultivariateLaplace,
     UnivariateLaplace,
     UnivariateNormal,
     bessel_k,
@@ -30,10 +27,8 @@ from .distributions import (
 )
 from .estimators import (
     Family,
-    conditional_entropy,
     conditional_mutual_information,
     entropy,
-    joint_entropy,
     mutual_information,
 )
 from .omii import (
@@ -79,13 +74,10 @@ __all__ = [
     "GeneratorSpec",
     "InteractionNetwork",
     "MIMapDiff",
-    "MultivariateGaussian",
-    "MultivariateLaplace",
     "NetworkDiff",
     "OmiiConfig",
     "PairwiseMIMap",
     "ParentSet",
-    "SampleStats",
     "SensorGrid",
     "ShuffleTestResult",
     "TimeSeriesMatrix",
@@ -93,7 +85,6 @@ __all__ = [
     "UnivariateNormal",
     "bessel_k",
     "chain_coupling",
-    "conditional_entropy",
     "conditional_mutual_information",
     "coupling_from_edges",
     "degree_distribution",
@@ -103,7 +94,6 @@ __all__ = [
     "generate_contemporaneous",
     "generate_var",
     "infer_network",
-    "joint_entropy",
     "log_bessel_k",
     "mi_map_diff",
     "mutual_information",

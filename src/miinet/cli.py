@@ -51,10 +51,7 @@ class RunConfig:
     out_dir: str
 
     def __post_init__(self):
-        if not (0.0 < self.theta < 1.0):
-            raise ValueError("theta must be strictly inside (0, 1)")
-        if self.n_shuffles < 1:
-            raise ValueError("n-shuffles must be >= 1")
+        omii_cfg = OmiiConfig(self.family, self.theta, self.n_shuffles)
         labels = [self.baseline_label] + [label for label, _ in self.scenarios]
         if len(set(labels)) != len(labels):
             raise ValueError("scenario labels must be unique")
@@ -65,7 +62,7 @@ class RunConfig:
             if not Path(path).is_file():
                 raise FileNotFoundError(f"input file {path} does not exist")
         object.__setattr__(self, "axis", Axis(self.axis))
-        object.__setattr__(self, "family", Family(self.family))
+        object.__setattr__(self, "family", omii_cfg.family)
 
     def as_dict(self) -> dict:
         return {
@@ -115,26 +112,29 @@ def _axis_submatrix(x: TimeSeriesMatrix, axis: Axis) -> TimeSeriesMatrix:
 
 
 def run_pipeline(cfg: RunConfig) -> list[Path]:
-    """fit report -> pairwise MI -> oMII per scenario, then diffs vs baseline."""
+    """fit report -> pairwise MI -> oMII per scenario, then diffs vs baseline.
+
+    Every input is read and checked before the first write, so a bad
+    scenario leaves no partial bundle.
+    """
+    grid = io.load_grid_csv(cfg.grid_path)
+    all_scenarios = [(cfg.baseline_label, cfg.baseline_path), *cfg.scenarios]
+    matrices = [standardize(io.read_timeseries_csv(path)) for _, path in all_scenarios]
+    baseline_channels = set(matrices[0].channels)
+    for (label, _), x in zip(all_scenarios, matrices):
+        if set(x.channels) != baseline_channels:
+            raise MiinetError(
+                f"scenario {label!r} has a different channel set than the baseline"
+            )
+
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_dict = cfg.as_dict()
     prov = io.provenance(config_dict, cfg.seed)
     written: list[Path] = []
-
-    grid = io.load_grid_csv(cfg.grid_path)
-    all_scenarios = [(cfg.baseline_label, cfg.baseline_path), *cfg.scenarios]
     mi_maps = {}
     networks = {}
-    baseline_channels = None
-    for label, path in all_scenarios:
-        x = standardize(io.read_timeseries_csv(path))
-        if baseline_channels is None:
-            baseline_channels = set(x.channels)
-        elif set(x.channels) != baseline_channels:
-            raise MiinetError(
-                f"scenario {label!r} has a different channel set than the baseline"
-            )
+    for (label, _), x in zip(all_scenarios, matrices):
         scen_dir = out_dir / label
         scen_dir.mkdir(parents=True, exist_ok=True)
 
@@ -344,9 +344,9 @@ def _parse_labeled(token: str) -> tuple[str, str]:
     return label, path
 
 
-def _add_estimator_args(parser, require_seed=True):
+def _add_estimator_args(parser):
     parser.add_argument("--family", choices=["gaussian", "laplace"], default="laplace")
-    parser.add_argument("--seed", type=int, required=require_seed)
+    parser.add_argument("--seed", type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -133,38 +133,6 @@ class TimeSeriesMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SampleStats:
-    """Mean and covariance of a model given exactly, not estimated from data."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        cov = np.asarray(self.covariance, dtype=np.float64)
-        if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
-            raise ValueError("mean must be length-N, covariance N x N")
-        if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
-            raise ValueError("covariance must be symmetric to 1e-12")
-        if np.any(np.diag(cov) < 0):
-            raise ValueError("covariance diagonal must be nonnegative")
-        mean = mean.copy()
-        cov = cov.copy()
-        mean.flags.writeable = False
-        cov.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def restrict(self, indices: Sequence[int]) -> "SampleStats":
-        idx = list(indices)
-        return SampleStats(self.mean[idx], self.covariance[np.ix_(idx, idx)])
-
-
 def standardize(raw: TimeSeriesMatrix) -> TimeSeriesMatrix:
     """Map every column to zero mean and unit variance (T-1 denominator)."""
     data = raw.data

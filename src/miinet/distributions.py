@@ -1,14 +1,15 @@
-"""Gaussian/Laplace densities, sampling, Bessel-K and fit diagnostics.
+"""Univariate baselines, the standard Laplace density, Bessel-K and fit diagnostics.
 
-The multivariate Laplace family used throughout is the elliptical
+The multivariate Laplace family fitted throughout is the elliptical
 scale-mixture x = mu + sqrt(W) * A z with W ~ Exponential(1),
-z ~ N(0, I) and A A^T = Sigma, so Cov(x) = Sigma. Its density involves
-the modified Bessel function of the second kind, implemented here from
-scratch (small-x series, large-x continued fraction) so that the test
-oracles (integral representation, half-integer closed forms) remain
-independent checks. The entropy of the standard (Sigma = I) law, which
-fixes the entropy of every fitted Laplace, comes from a radial quadrature
-of that density.
+z ~ N(0, I) and A A^T = Sigma, so Cov(x) = Sigma. Every fitted Laplace is an
+affine image of the standard (Sigma = I) law, so only that law's density is
+needed: a function of the radius |x| through the modified Bessel function of
+the second kind, implemented here from scratch (small-x series, large-x
+continued fraction) so that the test oracles (integral representation,
+half-integer closed forms) remain independent checks. Its entropy c_d, which
+fixes the entropy of every fitted Laplace, comes from a radial quadrature of
+that density.
 """
 
 from __future__ import annotations
@@ -19,12 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    EmptyHistogram,
-    SingularCovariance,
-)
+from .errors import DomainError, EmptyHistogram
 
 _EULER_GAMMA = 0.5772156649015329
 # Taylor coefficients of 1/Gamma(1+z) = 1 + c1 z + c2 z^2 + c3 z^3 + ...
@@ -227,11 +223,6 @@ class UnivariateLaplace:
     def variance(self) -> float:
         return 2.0 * self.b**2
 
-    @property
-    def entropy(self) -> float:
-        """Differential entropy in nats: 1 + ln(2b)."""
-        return 1.0 + math.log(2.0 * self.b)
-
 
 UnivariateModel = Union[UnivariateNormal, UnivariateLaplace]
 
@@ -245,95 +236,21 @@ def standard_laplace_baseline() -> UnivariateLaplace:
     return UnivariateLaplace(0.0, math.sqrt(2.0) / 2.0)
 
 
-class _EllipticalBase:
-    """Shared mean/covariance plumbing for the two multivariate families."""
-
-    def __init__(self, mean, covariance):
-        mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-        covariance = np.atleast_2d(np.asarray(covariance, dtype=np.float64))
-        d = mean.size
-        if covariance.shape != (d, d):
-            raise DimensionMismatch(
-                f"covariance shape {covariance.shape} does not match dimension {d}"
-            )
-        if not np.allclose(covariance, covariance.T, atol=1e-12, rtol=0.0):
-            raise ValueError("covariance must be symmetric")
-        try:
-            chol = np.linalg.cholesky(covariance)
-        except np.linalg.LinAlgError:
-            raise SingularCovariance("covariance not positive definite") from None
-        self.mean = mean
-        self.covariance = covariance
-        self.dim = d
-        self._chol = chol
-        self._precision = np.linalg.inv(covariance)
-        self.log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-
-    def _quad_form(self, x: np.ndarray) -> np.ndarray:
-        """(x-mu)^T Sigma^{-1} (x-mu) row-wise for an (m, d) array."""
-        dx = x - self.mean
-        return np.einsum("ij,jk,ik->i", dx, self._precision, dx)
-
-    def _check_points(self, x) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        x = np.atleast_2d(x)
-        if x.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"points have dimension {x.shape[1]}, model has {self.dim}"
-            )
-        return x, single
+# The density is finite only for r > 0; clamping r^2 at 1e-12 keeps sums of
+# log f over quadrature nodes finite.
+_Q_CLAMP = 1e-12
 
 
-class MultivariateLaplace(_EllipticalBase):
-    """Multivariate Laplace with mean vector and covariance matrix.
+def standard_laplace_logpdf(r, d: int):
+    """ln f at radius r = |x| of the d-dimensional Laplace with Sigma = I, d >= 2.
 
-    lam = sqrt(det Sigma); the quadratic form q(x) = lam (x-mu)^T Sigma^{-1}
-    (x-mu) enters the density through K_{d/2-1}(sqrt(2 q / lam)). The density
-    is normalized to unit mass (checked numerically in the test suite) and is
-    exactly the law of mu + sqrt(W) A z, W ~ Exp(1), z ~ N(0,I), A A^T = Sigma.
+    f(x) = 2 (2 pi)^(-d/2) (q/2)^(-nu/2) K_nu(sqrt(2 q)) with q = |x|^2 and
+    nu = d/2 - 1: the law of sqrt(W) z, W ~ Exponential(1), z ~ N(0, I).
     """
-
-    # q(x) = 0 is a measure-zero event where K_{d/2-1} diverges for d >= 2;
-    # clamping keeps averages of log f over draws or quadrature nodes finite.
-    Q_CLAMP = 1e-12
-
-    def __init__(self, mean, covariance):
-        super().__init__(mean, covariance)
-        self.lam = math.exp(0.5 * self.log_det)
-
-    def logpdf(self, x):
-        x, single = self._check_points(x)
-        d = self.dim
-        nu = d / 2.0 - 1.0
-        u = self._quad_form(x)
-        base = math.log(2.0) - (d / 2.0) * math.log(2.0 * math.pi) - 0.5 * self.log_det
-        if d == 1:
-            # exact finite limit at x = mu; exact half-integer Bessel elsewhere
-            out = np.where(
-                u <= 0.0,
-                base + 0.5 * math.log(math.pi) - math.log(2.0),
-                base + 0.25 * np.log(np.maximum(u, 1e-300) / 2.0)
-                + log_bessel_k(nu, np.sqrt(2.0 * np.maximum(u, 1e-300))),
-            )
-        else:
-            q = np.maximum(self.lam * u, self.Q_CLAMP)
-            u_eff = q / self.lam
-            s = np.sqrt(2.0 * u_eff)
-            out = base - (nu / 2.0) * np.log(u_eff / 2.0) + log_bessel_k(nu, s)
-        return float(out[0]) if single else out
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
-    def sample(self, m: int, seed: int) -> np.ndarray:
-        """m draws via the exponential scale mixture; deterministic per seed."""
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        rng = np.random.default_rng(seed)
-        w = rng.exponential(1.0, size=m)
-        z = rng.standard_normal((m, self.dim))
-        return self.mean + np.sqrt(w)[:, None] * (z @ self._chol.T)
+    nu = d / 2.0 - 1.0
+    q = np.maximum(np.asarray(r, dtype=np.float64) ** 2, _Q_CLAMP)
+    base = math.log(2.0) - (d / 2.0) * math.log(2.0 * math.pi)
+    return base - (nu / 2.0) * np.log(q / 2.0) + log_bessel_k(nu, np.sqrt(2.0 * q))
 
 
 def laplace_entropy_constant(d: int) -> float:
@@ -343,49 +260,20 @@ def laplace_entropy_constant(d: int) -> float:
     c_d + 1/2 ln det Sigma. c_1 = 1 + ln sqrt(2) in closed form. For d >= 2,
     c_d = -int p(r) ln f(r) dr over the radius r = |x|, with the radial
     density p(r) = S_{d-1} r^(d-1) f(r), by the trapezoidal rule in ln r from
-    r = sqrt(Q_CLAMP), below which the density is clamped, to 50 + 2d.
+    r = 1e-6, below which the density is clamped, to 50 + 2d.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     if d == 1:
         return 1.0 + math.log(math.sqrt(2.0))
-    t = np.arange(
-        0.5 * math.log(MultivariateLaplace.Q_CLAMP), math.log(50.0 + 2.0 * d), _RADIAL_STEP
-    )
-    points = np.zeros((t.size, d))
-    points[:, 0] = np.exp(t)
-    log_f = MultivariateLaplace(np.zeros(d), np.eye(d)).logpdf(points)
+    t = np.arange(0.5 * math.log(_Q_CLAMP), math.log(50.0 + 2.0 * d), _RADIAL_STEP)
+    log_f = standard_laplace_logpdf(np.exp(t), d)
     log_sphere = math.log(2.0) + (d / 2.0) * math.log(math.pi) - math.lgamma(d / 2.0)
     r_times_p = np.exp(log_sphere + d * t + log_f)  # dr = r d(ln r)
     value = -float(np.sum(r_times_p * log_f)) * _RADIAL_STEP
     if not math.isfinite(value):
         raise DomainError(f"Laplace entropy constant overflows at d = {d}")
     return value
-
-
-class MultivariateGaussian(_EllipticalBase):
-    """Multivariate normal density, sampler and closed-form entropy."""
-
-    def logpdf(self, x):
-        x, single = self._check_points(x)
-        u = self._quad_form(x)
-        out = -0.5 * (self.dim * math.log(2.0 * math.pi) + self.log_det + u)
-        return float(out[0]) if single else out
-
-    def pdf(self, x):
-        return np.exp(self.logpdf(x))
-
-    def sample(self, m: int, seed: int) -> np.ndarray:
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal((m, self.dim))
-        return self.mean + z @ self._chol.T
-
-    @property
-    def entropy(self) -> float:
-        """Closed form (d/2) ln(2 pi e) + (1/2) ln det Sigma, in nats."""
-        return 0.5 * self.dim * math.log(2.0 * math.pi * math.e) + 0.5 * self.log_det
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,6 @@ class DomainError(MiinetError):
     """Argument outside the mathematical domain of a special function."""
 
 
-class DimensionMismatch(MiinetError):
-    """Vector/model dimensions disagree."""
-
-
 class EmptyHistogram(MiinetError):
     """An empirical distribution with no mass was supplied."""
 

@@ -6,10 +6,12 @@ Elements of Information Theory, Thm 8.6.4). The entropy of a channel subset
 with regularized covariance Sigma is therefore
 (d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d), with e_gaussian(d) = 0
 and e_laplace(d) = c_d - (d/2) ln(2 pi e), where c_d is the entropy of the
-standard d-dimensional Laplace. Sigma is always a slice of the matrix's one
-regularized covariance. An entropy is a Cholesky log-det (`log_det`); a CMI
-is the Gaussian CMI of a partial correlation (`gaussian_cmi`) plus a constant
-that depends only on the family and |K|. Values are in nats and deterministic.
+standard d-dimensional Laplace. The covariance-level estimators take Sigma
+itself: `entropy_of_covariance` is a Cholesky log-det (`log_det`) plus that
+constant, and `cmi_of_covariance` is the Gaussian CMI of a partial
+correlation (`gaussian_cmi`) plus a constant that depends only on the family
+and |K|. The matrix-level estimators pass them slices of the matrix's one
+regularized covariance. Values are in nats and deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SampleStats, TimeSeriesMatrix
+from .core import TimeSeriesMatrix
 from .distributions import laplace_entropy_constant
 from .errors import ConditionSetTooLarge, SingularCovariance
 
@@ -79,14 +81,18 @@ def gaussian_cmi(cov: np.ndarray, cross: np.ndarray, var: np.ndarray) -> np.ndar
     return -0.5 * np.log1p(-rho2)
 
 
-def _entropy_of_covariance(cov: np.ndarray, family: Family) -> float:
+def entropy_of_covariance(cov: np.ndarray, family: Family) -> float:
+    """(d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d) of a d x d covariance."""
+    cov = np.asarray(cov, dtype=np.float64)
     d = cov.shape[0]
     return 0.5 * d * _LN_2PIE + 0.5 * log_det(cov) + entropy_offset(family, d)
 
 
-def entropy_of_stats(stats: SampleStats, family: Family) -> float:
-    """(d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d) of exactly given stats."""
-    return _entropy_of_covariance(stats.covariance, family)
+def cmi_of_covariance(cov: np.ndarray, family: Family) -> float:
+    """I(i; j | K) of a covariance ordered (*K, i, j): the Gaussian CMI plus delta(|K|)."""
+    cov = np.asarray(cov, dtype=np.float64)
+    cmi = gaussian_cmi(cov[:-1, :-1], cov[-1:, :-1], cov[-1:, -1])
+    return float(cmi[0]) + cmi_offset(family, cov.shape[0] - 2)
 
 
 def _covariance_slice(x: TimeSeriesMatrix, idx: Sequence[int]) -> np.ndarray:
@@ -109,29 +115,7 @@ def entropy(x: TimeSeriesMatrix, subset: Sequence[int], family: Family) -> float
         return 0.0
     if x.n_samples <= len(canon):
         raise ValueError("need more samples than subset dimensions")
-    return _entropy_of_covariance(_covariance_slice(x, canon), family)
-
-
-def joint_entropy(
-    x: TimeSeriesMatrix,
-    subset_a: Sequence[int],
-    subset_b: Sequence[int],
-    family: Family,
-) -> float:
-    """Entropy of the union of two channel subsets."""
-    return entropy(x, set(subset_a) | set(subset_b), family)
-
-
-def conditional_entropy(
-    x: TimeSeriesMatrix,
-    subset: Sequence[int],
-    given: Sequence[int],
-    family: Family,
-) -> float:
-    """h(S | G) = h(S, G) - h(G), same family for both terms."""
-    if set(subset) & set(given):
-        raise ValueError("subset and conditioning set must be disjoint")
-    return joint_entropy(x, subset, given, family) - entropy(x, given, family)
+    return entropy_of_covariance(_covariance_slice(x, canon), family)
 
 
 def conditional_mutual_information(
@@ -158,19 +142,9 @@ def conditional_mutual_information(
         raise ConditionSetTooLarge(
             f"|K|+2 = {len(cond) + 2} >= T = {x.n_samples}"
         )
-    cov = _covariance_slice(x, (*cond, min(i, j), max(i, j)))
-    cmi = gaussian_cmi(cov[:-1, :-1], cov[-1:, :-1], cov[-1:, -1])
-    return float(cmi[0]) + cmi_offset(family, len(cond))
+    return cmi_of_covariance(_covariance_slice(x, (*cond, min(i, j), max(i, j))), family)
 
 
 def mutual_information(x: TimeSeriesMatrix, i: int, j: int, family: Family) -> float:
     """I(X_i; X_j) = h(X_i) + h(X_j) - h(X_i, X_j), the empty-set CMI bit for bit."""
     return conditional_mutual_information(x, i, j, (), family)
-
-
-def mutual_information_of_stats(stats: SampleStats, family: Family) -> float:
-    """MI of a bivariate model given exactly specified 2x2 stats."""
-    if stats.dim != 2:
-        raise ValueError("need 2x2 stats for pairwise MI")
-    cov = stats.covariance
-    return float(gaussian_cmi(cov[:1, :1], cov[1:, :1], cov[1:, 1])[0]) + cmi_offset(family, 0)

@@ -246,7 +246,10 @@ def read_mi_map_csv(path) -> PairwiseMIMap:
         if len(cells) != 4:
             raise ParseError(line_no, 1, "expected 4 cells")
         edges.append(tuple(_number(cells[k], line_no, k + 1, int) for k in (0, 1)))
-        values.append(_number(cells[3], line_no, 4))
+        clamped, raw_mi = (_number(cells[k], line_no, k + 1) for k in (2, 3))
+        if clamped != max(raw_mi, 0.0):
+            raise ParseError(line_no, 3, f"mi {clamped!r} is not max(mi_raw, 0)")
+        values.append(raw_mi)
     if axis is None or not header_seen:
         raise ParseError(1, 1, "not a pairwise MI map file")
     return PairwiseMIMap(axis, scenario, tuple(edges), tuple(values))

@@ -1,8 +1,8 @@
 """Independent numerical oracles used by the tests.
 
-These deliberately avoid the package's own special-function and density
-code: Bessel values come from quadrature of the integral representation,
-entropies from scipy-backed quadrature, so each check stays a dual route.
+Bessel values come from quadrature of the integral representation and
+entropies from scipy-backed quadrature, so each check stays a dual route; only
+the Laplace Monte Carlo entropy scores its own draws with the package's density.
 """
 
 import math
@@ -10,6 +10,9 @@ import math
 import numpy as np
 import scipy.special as sp
 from scipy.integrate import quad
+from scipy.stats import multivariate_normal
+
+from miinet.distributions import standard_laplace_logpdf
 
 
 def bessel_k_quadrature(order: float, x: float) -> float:
@@ -108,14 +111,33 @@ def laplace_mass_2d_tensor_grid(cov, radius: float = 12.0) -> float:
     return float(np.sum(ww * np.exp(_laplace_logpdf_2d(grid, cov))))
 
 
-def monte_carlo_entropy(model, m: int, seed: int) -> tuple[float, float]:
-    """-(1/m) sum log f(X_i) with X_i ~ model, and its standard error.
+def _mean_and_se(neg_log) -> tuple[float, float]:
+    return float(neg_log.mean()), float(neg_log.std(ddof=1) / math.sqrt(neg_log.size))
 
-    A stochastic cross-check of the package's exact entropies that shares
-    only the model's sampler and density with them.
+
+def laplace_draws(m: int, d: int, seed: int) -> np.ndarray:
+    """m draws of the standard d-dimensional Laplace sqrt(W) z, W ~ Exp(1), z ~ N(0, I)."""
+    rng = np.random.default_rng(seed)
+    w = rng.exponential(1.0, size=m)
+    return np.sqrt(w)[:, None] * rng.standard_normal((m, d))
+
+
+def laplace_monte_carlo_entropy(d: int, m: int, seed: int) -> tuple[float, float]:
+    """-(1/m) sum ln f(X_i) over `laplace_draws`, and its standard error.
+
+    A stochastic cross-check of the package's exact c_d that shares only the
+    Sigma = I density with it (the closed form -|x|/b - ln 2b, b = 1/sqrt 2, at d = 1).
     """
-    neg_log = -model.logpdf(model.sample(m, seed))
-    return float(neg_log.mean()), float(neg_log.std(ddof=1) / math.sqrt(m))
+    r = np.linalg.norm(laplace_draws(m, d, seed), axis=1)
+    b = math.sqrt(2.0) / 2.0
+    log_f = -r / b - math.log(2.0 * b) if d == 1 else standard_laplace_logpdf(r, d)
+    return _mean_and_se(-log_f)
+
+
+def gaussian_monte_carlo_entropy(cov, m: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo entropy of N(0, cov) by scipy's sampler and density, with its SE."""
+    model = multivariate_normal(np.zeros(len(cov)), cov)
+    return _mean_and_se(-model.logpdf(model.rvs(m, random_state=seed)))
 
 
 def gaussian_cmi_four_log_dets(cov) -> float:

@@ -14,7 +14,6 @@ import pytest
 
 from miinet import (
     Axis,
-    SampleStats,
     bessel_k,
     degree_distribution,
     discover,
@@ -26,7 +25,7 @@ from miinet import (
 from miinet.cli import RunConfig, main, run_pipeline
 from miinet.distributions import EmpiricalDistribution, fit_error_l1
 from miinet.distributions import standard_laplace_baseline, standard_normal_baseline
-from miinet.estimators import Family, entropy_of_stats, mutual_information_of_stats
+from miinet.estimators import Family, cmi_of_covariance, entropy_of_covariance
 from miinet.io import load_bundled_grid
 from miinet.omii import OmiiConfig
 from miinet.spatial import mi_map_diff, pairwise_mi_map
@@ -60,12 +59,12 @@ def criterion(num: int, text: str):
 
 def test_c01_analytic_entropy_oracles():
     with criterion(1, "analytic entropy oracles (Gaussian and Laplace closed forms)"):
-        gauss = entropy_of_stats(SampleStats(np.zeros(1), np.eye(1)), Family.GAUSSIAN)
+        gauss = entropy_of_covariance(np.eye(1), Family.GAUSSIAN)
         assert gauss == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-14)
         assert gauss == pytest.approx(1.41894, abs=5e-6)
 
         start = time.perf_counter()
-        lap = entropy_of_stats(SampleStats(np.zeros(1), np.eye(1)), Family.LAPLACE)
+        lap = entropy_of_covariance(np.eye(1), Family.LAPLACE)
         elapsed = time.perf_counter() - start
         analytic = 1.0 + math.log(math.sqrt(2.0))
         assert analytic == pytest.approx(1.34657, abs=5e-6)
@@ -78,7 +77,7 @@ def test_c02_d2_laplace_entropy_vs_quadrature():
         start = time.perf_counter()
         for cov in (np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]])):
             h_quad = oracles.laplace_entropy_2d_tensor_grid(cov)
-            est = entropy_of_stats(SampleStats(np.zeros(2), cov), Family.LAPLACE)
+            est = entropy_of_covariance(cov, Family.LAPLACE)
             assert abs(est - h_quad) < 2e-3, (cov.tolist(), est, h_quad)
         # the oracle itself is sanity-locked against an independent radial integral
         assert abs(
@@ -91,8 +90,7 @@ def test_c02_d2_laplace_entropy_vs_quadrature():
 def test_c03_gaussian_mi_closed_form():
     with criterion(3, "Gaussian MI reproduces -0.5 ln(1-rho^2) to 1e-10"):
         for rho in (0.0, 0.3, -0.3, 0.6, -0.6, 0.9, -0.9):
-            stats = SampleStats(np.zeros(2), np.array([[1.0, rho], [rho, 1.0]]))
-            mi = mutual_information_of_stats(stats, Family.GAUSSIAN)
+            mi = cmi_of_covariance([[1.0, rho], [rho, 1.0]], Family.GAUSSIAN)
             assert abs(mi - (-0.5 * math.log(1.0 - rho * rho))) < 1e-10
 
 

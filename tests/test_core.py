@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from miinet import Axis, ChannelId, SampleStats, TimeSeriesMatrix, entropy, standardize
+from miinet import Axis, ChannelId, TimeSeriesMatrix, entropy, standardize
 from miinet.core import regularize_covariance
 from miinet.errors import DuplicateChannel, NonFinite, SingularCovariance, ZeroVariance
 from miinet.estimators import Family
@@ -175,13 +175,6 @@ def test_regularize_makes_every_slice_factor():
     for size in range(1, 5):
         for idx in itertools.combinations(range(4), size):
             np.linalg.cholesky(out[np.ix_(idx, idx)])
-
-
-def test_sample_stats_validation():
-    with pytest.raises(ValueError):
-        SampleStats(np.zeros(2), np.array([[1.0, 0.5], [0.4, 1.0]]))  # asymmetric
-    with pytest.raises(ValueError):
-        SampleStats(np.zeros(2), np.array([[-1.0, 0.0], [0.0, 1.0]]))  # negative diag
 
 
 def test_select_channels(rng):

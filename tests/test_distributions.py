@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from miinet import (
     EmpiricalDistribution,
-    MultivariateGaussian,
-    MultivariateLaplace,
     UnivariateLaplace,
     UnivariateNormal,
     bessel_k,
@@ -17,7 +15,11 @@ from miinet import (
     standard_laplace_baseline,
     standard_normal_baseline,
 )
-from miinet.errors import DimensionMismatch, DomainError, EmptyHistogram
+from miinet.distributions import standard_laplace_logpdf
+from miinet.errors import DomainError, EmptyHistogram
+from miinet.estimators import Family, entropy_of_covariance
+
+from conftest import make_matrix
 
 import oracles
 
@@ -101,21 +103,10 @@ def test_log_bessel_k_large_order_small_argument(nu, x):
 
 # ------------------------------------------------- multivariate Laplace
 
-def test_mvlaplace_d1_reduces_to_unit_variance_laplace():
-    model = MultivariateLaplace([0.0], [[1.0]])
-    xs = np.linspace(-6.0, 6.0, 241)  # includes 0 exactly
-    b = math.sqrt(2.0) / 2.0
-    expected = np.exp(-np.abs(xs) / b) / (2.0 * b)
-    ours = model.pdf(xs[:, None])
-    assert np.max(np.abs(ours - expected)) < 1e-10
-    assert abs(model.pdf(np.array([0.0])) - 1.0 / math.sqrt(2.0)) < 1e-12
-
-
 def test_mvlaplace_d2_point_value_vs_independent_evaluation():
     # f(x) at Sigma=I is K_0(sqrt(2 q))/pi with q = x.x; independent evaluation
     # of the density formula with a high-precision Bessel gives the literal below.
-    model = MultivariateLaplace([0.0, 0.0], np.eye(2))
-    ours = model.pdf(np.array([0.5, 0.5]))
+    ours = math.exp(standard_laplace_logpdf(math.hypot(0.5, 0.5), 2))
     assert abs(ours - 0.13401624101699427) < 1e-12
 
 
@@ -123,67 +114,37 @@ def test_mvlaplace_d2_unit_mass():
     for cov in (np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]])):
         mass = oracles.laplace_mass_2d_tensor_grid(cov)
         assert abs(mass - 1.0) < 1e-3
-        # and our pdf agrees with the oracle's density pointwise
-        model = MultivariateLaplace([0.0, 0.0], cov)
-        pts = np.array([[0.3, -0.4], [1.0, 2.0], [-2.5, 0.1]])
-        import scipy.special as sp
+    # and our Sigma = I density agrees with scipy's K_0 pointwise
+    import scipy.special as sp
 
-        prec = np.linalg.inv(cov)
-        u = np.einsum("ij,jk,ik->i", pts, prec, pts)
-        ref = (2.0 / (2.0 * math.pi)) * sp.k0(np.sqrt(2.0 * u)) / math.sqrt(np.linalg.det(cov))
-        np.testing.assert_allclose(model.pdf(pts), ref, rtol=1e-10)
+    r = np.linalg.norm([[0.3, -0.4], [1.0, 2.0], [-2.5, 0.1]], axis=1)
+    ref = (2.0 / (2.0 * math.pi)) * sp.k0(np.sqrt(2.0) * r)
+    np.testing.assert_allclose(np.exp(standard_laplace_logpdf(r, 2)), ref, rtol=1e-10)
 
 
 def test_mvlaplace_monotone_in_quadratic_form():
-    model = MultivariateLaplace([0.0, 0.0], np.eye(2))
     radii = np.linspace(0.05, 8.0, 50)
-    vals = model.pdf(np.column_stack([radii, np.zeros_like(radii)]))
+    vals = np.exp(standard_laplace_logpdf(radii, 2))
     assert np.all(np.diff(vals) < 0)
     assert np.all(vals > 0)
 
 
-def test_mvlaplace_dimension_mismatch():
-    model = MultivariateLaplace([0.0, 0.0], np.eye(2))
-    with pytest.raises(DimensionMismatch):
-        model.pdf(np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(DimensionMismatch):
-        MultivariateLaplace([0.0], np.eye(2))
-
-
-def test_mvlaplace_sampler_moments():
-    cov = np.array([[1.0, 0.4], [0.4, 2.0]])
-    model = MultivariateLaplace([0.5, -1.0], cov)
-    draws = model.sample(1_000_000, seed=2024)
-    np.testing.assert_allclose(draws.mean(axis=0), [0.5, -1.0], atol=0.01)
-    np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.012)
-
-
-def test_mvlaplace_sampler_deterministic():
-    model = MultivariateLaplace([0.0, 0.0], np.eye(2))
-    a = model.sample(5000, seed=99)
-    b = model.sample(5000, seed=99)
-    assert np.array_equal(a, b)
-    c = model.sample(5000, seed=100)
-    assert not np.array_equal(a, c)
-
-
 def test_mvlaplace_sampler_pdf_agree_via_entropy():
-    # mean of -log f over the sampler's own draws converges to the
-    # quadrature entropy: the strongest check that pdf and sampler match
-    model = MultivariateLaplace([0.0, 0.0], np.eye(2))
-    draws = model.sample(1_000_000, seed=31415)
-    mc = float(np.mean(-model.logpdf(draws)))
+    # mean of -log f over scale-mixture draws sqrt(W) z converges to the
+    # quadrature entropy: the strongest check that the density is that law's
+    draws = oracles.laplace_draws(1_000_000, 2, seed=31415)
+    mc = float(np.mean(-standard_laplace_logpdf(np.linalg.norm(draws, axis=1), 2)))
     h_ref = oracles.laplace_entropy_2d_radial_identity()
     assert abs(mc - h_ref) < 0.01
 
 
 def test_multivariate_gaussian_entropy_and_sampling():
     cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-    model = MultivariateGaussian([0.0, 0.0], cov)
     expected = math.log(2.0 * math.pi * math.e) + 0.5 * math.log(np.linalg.det(cov))
-    assert abs(model.entropy - expected) < 1e-12
-    draws = model.sample(400_000, seed=5)
-    np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.02)
+    assert abs(entropy_of_covariance(cov, Family.GAUSSIAN) - expected) < 1e-12
+    z = np.random.default_rng(5).standard_normal((400_000, 2))
+    x = make_matrix(z @ np.linalg.cholesky(cov).T)
+    np.testing.assert_allclose(x.covariance, cov, atol=0.02)
 
 
 # ------------------------------------------------- empirical distributions

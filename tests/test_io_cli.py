@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 from miinet import Axis, neighbor_pairs
 from miinet.cli import RunConfig, build_fit_report, load_generator_spec, main, run_pipeline
-from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, ParseError
+from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetError, ParseError
 from miinet import io as mio
 from miinet.omii import Edge, InteractionNetwork
 from miinet.synthetic import GeneratorSpec, coupling_from_edges, generate_contemporaneous
@@ -187,7 +188,8 @@ MI_MAP_HEAD = "# axis=lateral\n# scenario=base\nsensor_a,sensor_b,mi,mi_raw\n1,2
 @pytest.mark.parametrize(
     "row, col",
     [("x,3,0.1,0.1", 1), ("2,3.5,0.1,0.1", 2), ("2,3,0.1,abc", 4), ("2,3,0.1,nan", 4),
-     ("2,3,0.1,inf", 4), ("2,3,0.1,1e999", 4)],
+     ("2,3,0.1,inf", 4), ("2,3,0.1,1e999", 4), ("2,3,oops,0.1", 3), ("2,3,0.5,0.1", 3),
+     ("2,3,0.1,-0.2", 3)],
 )
 def test_mi_map_csv_bad_cell_position(tmp_path, row, col):
     p = write(tmp_path / "map.csv", MI_MAP_HEAD + row + "\n")
@@ -481,6 +483,22 @@ def test_pipeline_reruns_byte_identical(tmp_path):
     for a, b in zip(files1, files2):
         assert a.relative_to(cfg1.out_dir) == b.relative_to(cfg2.out_dir)
         assert a.read_bytes() == b.read_bytes(), a.name
+
+
+def test_pipeline_mismatched_scenario_writes_nothing(tmp_path, capsys):
+    cfg = run_config(tmp_path)
+    odd = tmp_path / "odd.csv"  # channels s1..s5 against the baseline's s1..s4
+    mio.write_timeseries_csv(make_matrix(np.random.default_rng(3).standard_normal((1200, 5))), odd)
+    with pytest.raises(MiinetError):
+        run_pipeline(dataclasses.replace(cfg, scenarios=(("damage1", str(odd)),)))
+    code = main(
+        ["pipeline", "--baseline", f"baseline={cfg.baseline_path}", "--scenario",
+         f"damage1={odd}", "--grid", cfg.grid_path, "--axis", "lateral", "--family",
+         "gaussian", "--n-shuffles", "25", "--seed", "99", "--out", cfg.out_dir]
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "MiinetError"
+    assert not [p for p in Path(cfg.out_dir).rglob("*") if p.is_file()]
 
 
 def test_pipeline_rejects_degenerate_theta(tmp_path):
