@@ -51,7 +51,7 @@ class RunConfig:
     out_dir: str
 
     def __post_init__(self):
-        omii_cfg = OmiiConfig(self.family, self.theta, self.n_shuffles)
+        omii_cfg = OmiiConfig(self.family, self.theta, self.n_shuffles, self.seed)
         labels = [self.baseline_label] + [label for label, _ in self.scenarios]
         if len(set(labels)) != len(labels):
             raise ValueError("scenario labels must be unique")

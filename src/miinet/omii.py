@@ -8,13 +8,17 @@ CMI given |K| = k is the Gaussian CMI plus the constant delta(k), so the
 Gaussian nulls shifted by delta(k) are the family's nulls. Every CMI is a
 partial correlation given K from the matrix's one regularized covariance
 (`gaussian_cmi`): one call scores all candidates of a discovery round, and
-one call gives a shuffle test's nulls, the Ns shuffled copies of j.
+one call gives a shuffle test's nulls. Only j is shuffled, so the nulls need
+just the covariances of j's Ns shuffled copies with (*K, i): columns of one
+Ns x N table per (matrix, j, bank), built on first use, kept on the matrix
+and sliced by every later test of j.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +41,11 @@ class OmiiConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
+        for name in ("n_shuffles", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must be strictly inside (0, 1)")
         if self.n_shuffles < 1:
@@ -107,21 +116,31 @@ def _permutations(seed: int, n_shuffles: int, t: int) -> np.ndarray:
     return perms
 
 
+def _null_table(x: TimeSeriesMatrix, j: int, bank: np.ndarray) -> np.ndarray:
+    """Read-only (Ns, N) covariances of channel j's Ns shuffled copies with every channel."""
+    centered = x.data - x.data.mean(axis=0)
+    table = centered[bank, j] @ centered / (x.n_samples - 1)
+    table.flags.writeable = False
+    return table
+
+
 def _null_cmis(
     x: TimeSeriesMatrix, i: int, j: int, cond: tuple[int, ...], cfg: OmiiConfig
 ) -> np.ndarray:
     """Gaussian CMI for every shuffled copy of channel j, in one kernel call.
 
-    The partners are the shuffled copies of j: their cross-covariances with
-    (*K, i) come from the data, and their variance is j's ridged diagonal
-    entry, so the nulls read the same regularized covariance as the actual CMI.
+    The partners' cross-covariances with (*K, i) are columns of j's null table,
+    built once per (matrix, j, bank) and sliced by every test of j; their
+    variance is j's ridged diagonal entry, so the nulls read the same
+    regularized covariance as the actual CMI.
     """
+    bank = _permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
+    tables = x.null_tables(bank)
+    if j not in tables:
+        tables[j] = _null_table(x, j, bank)
     order = (*cond, i)
-    t = x.n_samples
-    centered = x.data[:, (*order, j)] - x.data[:, (*order, j)].mean(axis=0)
-    perms = _permutations(cfg.seed, cfg.n_shuffles, t)
-    cross = centered[perms, -1] @ centered[:, :-1] / (t - 1)  # (Ns, k+1)
-    return gaussian_cmi(x.covariance[np.ix_(order, order)], cross, x.covariance[j, j])
+    cov = x.covariance
+    return gaussian_cmi(cov[np.ix_(order, order)], tables[j][:, order], cov[j, j])
 
 
 def shuffle_test(

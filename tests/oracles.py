@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
 from miinet.distributions import standard_laplace_logpdf
+from miinet.estimators import gaussian_cmi
 
 
 def bessel_k_quadrature(order: float, x: float) -> float:
@@ -167,3 +168,18 @@ def univariate_laplace_entropy_unit_variance() -> float:
 
 def gaussian_entropy_1d_unit() -> float:
     return 0.5 * math.log(2.0 * math.pi * math.e)
+
+
+def null_cmis_reference(x, i: int, j: int, cond, perms) -> np.ndarray:
+    """Shuffle-test nulls of I(i; j | K) recomputed from the data for one test.
+
+    Centres the (*K, i, j) columns, gathers j through every permutation row of
+    `perms`, and passes the shuffled copies' cross-covariances with (*K, i) and
+    j's ridged variance to the package kernel in one call.
+    """
+    order = (*cond, i)
+    t = x.n_samples
+    cols = x.data[:, (*order, j)]
+    centered = cols - cols.mean(axis=0)
+    cross = centered[perms, -1] @ centered[:, :-1] / (t - 1)
+    return gaussian_cmi(x.covariance[np.ix_(order, order)], cross, x.covariance[j, j])

@@ -21,6 +21,7 @@ from miinet.synthetic import (
 )
 
 from conftest import duplicated_condition_matrix, make_matrix
+from oracles import null_cmis_reference
 
 GAUSS = Family.GAUSSIAN
 
@@ -38,6 +39,20 @@ def test_omii_config_validation():
     with pytest.raises(ValueError):
         OmiiConfig(family=GAUSS, n_shuffles=0)
     assert OmiiConfig(family=GAUSS, theta=0.1, n_shuffles=100).threshold_rank == 90
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n_shuffles", 10.5), ("n_shuffles", True), ("seed", 1.5), ("seed", False)]
+)
+def test_omii_config_rejects_non_integral_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        OmiiConfig(family=GAUSS, **{field: value})
+
+
+def test_omii_config_takes_numpy_integers_as_int():
+    cfg = OmiiConfig(family=GAUSS, n_shuffles=np.int64(20), seed=np.uint32(7))
+    assert type(cfg.n_shuffles) is int and type(cfg.seed) is int
+    assert (cfg.n_shuffles, cfg.seed) == (20, 7)
 
 
 def test_degenerate_single_shuffle_threshold():
@@ -402,3 +417,80 @@ def test_discover_calls_the_kernel_once_per_round(monkeypatch):
     found = discover(x, 0, OmiiConfig(GAUSS, seed=1))
     assert len(found.parents) == 2
     assert partners == [5, 4, 3]  # three rounds, each scoring every remaining candidate
+
+
+def random_tests(n_channels, count, seed):
+    """`count` random (i, j, K) triples with |K| <= 3 over distinct channels."""
+    rng = np.random.default_rng(seed)
+    triples = []
+    for _ in range(count):
+        picked = rng.choice(n_channels, size=2 + rng.integers(0, 4), replace=False)
+        triples.append((int(picked[0]), int(picked[1]), tuple(sorted(map(int, picked[2:])))))
+    return triples
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_null_cmis_match_reference_on_chain(family):
+    x = generate_contemporaneous(GeneratorSpec(6, 700, chain_coupling(6, 0.6), seed=47))
+    cfg = OmiiConfig(family, n_shuffles=40, seed=3)
+    bank = omii._permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
+    for i, j, cond in random_tests(6, 25, seed=53):
+        reference = null_cmis_reference(x, i, j, cond, bank)
+        assert np.max(np.abs(omii._null_cmis(x, i, j, cond, cfg) - reference)) < 1e-12
+        nulls = reference + cmi_offset(family, len(cond))
+        threshold = np.sort(nulls)[cfg.threshold_rank - 1]
+        assert abs(shuffle_test(x, i, j, cond, cfg).threshold - threshold) < 1e-12
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_null_cmis_match_reference_on_ridge(family):
+    x = duplicated_condition_matrix()
+    cfg = OmiiConfig(family, n_shuffles=40, seed=8)
+    bank = omii._permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
+    for i, j, cond in ((0, 1, (2, 3)), (1, 0, (2, 3)), (0, 1, (3,)), (2, 0, (1, 3)), (1, 2, (0,))):
+        reference = null_cmis_reference(x, i, j, cond, bank)
+        assert np.max(np.abs(omii._null_cmis(x, i, j, cond, cfg) - reference)) < 1e-12
+
+
+def test_infer_network_builds_one_table_per_tested_channel(monkeypatch):
+    built, tested = [], set()
+    build, nulls = omii._null_table, omii._null_cmis
+
+    def counting_build(x, j, bank):
+        built.append(j)
+        return build(x, j, bank)
+
+    def recording_nulls(x, i, j, cond, cfg):
+        tested.add(j)
+        return nulls(x, i, j, cond, cfg)
+
+    monkeypatch.setattr(omii, "_null_table", counting_build)
+    monkeypatch.setattr(omii, "_null_cmis", recording_nulls)
+    x = generate_contemporaneous(GeneratorSpec(6, 2000, star_coupling(6, 0.6), seed=31))
+    net = infer_network(x, OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=37))
+    assert net.edges
+    assert sorted(built) == sorted(tested)
+    assert len(built) <= x.n_channels
+
+
+def test_matrices_of_one_shape_keep_their_own_nulls():
+    cfg = OmiiConfig(GAUSS, n_shuffles=30, seed=5)
+    x = generate_contemporaneous(GeneratorSpec(4, 600, chain_coupling(4, 0.6), seed=59))
+    y = generate_contemporaneous(GeneratorSpec(4, 600, chain_coupling(4, 0.6), seed=61))
+    bank = omii._permutations(cfg.seed, cfg.n_shuffles, 600)
+    first = [omii._null_cmis(m, 0, 1, (2,), cfg) for m in (x, y)]
+    assert not np.allclose(first[0], first[1])
+    for m, nulls in zip((x, y), first):
+        again = omii._null_cmis(m, 0, 1, (3,), cfg)
+        assert np.max(np.abs(nulls - null_cmis_reference(m, 0, 1, (2,), bank))) < 1e-12
+        assert np.max(np.abs(again - null_cmis_reference(m, 0, 1, (3,), bank))) < 1e-12
+
+
+def test_new_bank_is_not_served_a_stale_table(monkeypatch):
+    x = generate_contemporaneous(GeneratorSpec(5, 800, chain_coupling(5, 0.5), seed=29))
+    cfg = OmiiConfig(GAUSS, n_shuffles=3, seed=1)
+    shuffled = omii._null_cmis(x, 2, 3, (1,), cfg)
+    monkeypatch.setattr(omii, "_permutations", identity_permutation)
+    actual = conditional_mutual_information(x, 2, 3, (1,), GAUSS)
+    assert np.max(shuffled) < actual / 2
+    assert np.max(np.abs(omii._null_cmis(x, 2, 3, (1,), cfg) - actual)) < 1e-12
