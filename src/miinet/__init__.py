@@ -15,16 +15,7 @@ from .core import (
     TimeSeriesMatrix,
     standardize,
 )
-from .distributions import (
-    EmpiricalDistribution,
-    UnivariateLaplace,
-    UnivariateNormal,
-    bessel_k,
-    fit_error_l1,
-    log_bessel_k,
-    standard_laplace_baseline,
-    standard_normal_baseline,
-)
+from .distributions import bessel_k, fit_errors, log_bessel_k
 from .estimators import (
     Family,
     conditional_mutual_information,
@@ -69,7 +60,6 @@ __all__ = [
     "ChannelId",
     "DegreeDistribution",
     "Edge",
-    "EmpiricalDistribution",
     "Family",
     "GeneratorSpec",
     "InteractionNetwork",
@@ -81,8 +71,6 @@ __all__ = [
     "SensorGrid",
     "ShuffleTestResult",
     "TimeSeriesMatrix",
-    "UnivariateLaplace",
-    "UnivariateNormal",
     "bessel_k",
     "chain_coupling",
     "conditional_mutual_information",
@@ -90,7 +78,7 @@ __all__ = [
     "degree_distribution",
     "discover",
     "entropy",
-    "fit_error_l1",
+    "fit_errors",
     "generate_contemporaneous",
     "generate_var",
     "infer_network",
@@ -103,8 +91,6 @@ __all__ = [
     "random_dag_coupling",
     "remove",
     "shuffle_test",
-    "standard_laplace_baseline",
-    "standard_normal_baseline",
     "standardize",
     "star_coupling",
 ]

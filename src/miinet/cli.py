@@ -14,13 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import io
-from .core import Axis, TimeSeriesMatrix, standardize
-from .distributions import (
-    EmpiricalDistribution,
-    fit_error_l1,
-    standard_laplace_baseline,
-    standard_normal_baseline,
-)
+from .core import Axis, TimeSeriesMatrix, as_integer, standardize
+from .distributions import fit_errors
 from .errors import MiinetError
 from .estimators import Family
 from .omii import OmiiConfig, degree_distribution, infer_network
@@ -79,20 +74,16 @@ class RunConfig:
 
 def build_fit_report(x: TimeSeriesMatrix) -> dict:
     """Per-channel l1 errors of the standardized data against both baselines."""
-    normal = standard_normal_baseline()
-    laplace = standard_laplace_baseline()
     channels = []
     laplace_better = 0
     for k, ch in enumerate(x.channels):
-        emp = EmpiricalDistribution.from_samples(x.data[:, k])
-        err_n = fit_error_l1(emp, normal)
-        err_l = fit_error_l1(emp, laplace)
+        n_bins, err_n, err_l = fit_errors(x.data[:, k])
         if err_l < err_n:
             laplace_better += 1
         channels.append(
             {
                 "channel": ch.name,
-                "n_bins": int(emp.densities.size),
+                "n_bins": n_bins,
                 "l1_error_normal": err_n,
                 "l1_error_laplace": err_l,
                 "better_fit": "laplace" if err_l < err_n else "normal",
@@ -199,7 +190,7 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     kind = raw.get("kind", "contemporaneous")
     if kind not in ("contemporaneous", "var"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    n = int(raw["n_channels"])
+    n = as_integer("n_channels", raw["n_channels"])
     sources = [key for key in ("edges", "grid_layout", "random_dag") if key in raw]
     if len(sources) != 1:
         raise ValueError("specify exactly one of edges / grid_layout / random_dag")
@@ -219,15 +210,18 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     else:
         block = raw["random_dag"]
         coupling = random_dag_coupling(
-            n, float(block["density"]), float(block["weight"]), int(block["graph_seed"])
+            n,
+            float(block["density"]),
+            float(block["weight"]),
+            as_integer("graph_seed", block["graph_seed"]),
         )
     spec = GeneratorSpec(
         n_channels=n,
-        n_samples=int(raw["n_samples"]),
+        n_samples=as_integer("n_samples", raw["n_samples"]),
         coupling=coupling,
         innovation=Family(raw.get("innovation", "gaussian")),
         noise_scale=float(raw.get("noise_scale", 1.0)),
-        seed=int(raw["seed"]),
+        seed=as_integer("seed", raw["seed"]),
         axis=Axis(raw.get("axis", "lateral")),
     )
     return kind, spec

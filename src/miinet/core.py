@@ -1,17 +1,19 @@
 """Time-series container, standardization and covariance estimation.
 
-All containers are immutable after construction; every operation here is a
-pure function, safe to call from any number of concurrent workers. A matrix
-computes its regularized covariance once, on first use, and every entropy,
-MI, CMI and shuffle null is computed from slices of it. It also caches the
-shuffle tests' per-channel null tables, for one permutation bank at a time,
-so they are dropped with it.
+A matrix's data and channels are frozen at construction, and the functions
+here are pure. A matrix does fill two caches on first use. It computes its
+regularized covariance once, and every entropy, MI, CMI and shuffle null is
+computed from slices of it. `null_tables` also keeps the shuffle tests'
+per-channel null tables, for one permutation bank at a time, so they are
+dropped with it. That cache is mutated in place without a lock, so one matrix
+is not to be shared by concurrent workers.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -144,6 +146,13 @@ class TimeSeriesMatrix:
             tuple(self.channels[k] for k in idx),
             self.sample_rate_hz,
         )
+
+
+def as_integer(name: str, value) -> int:
+    """value as an int; a bool, a float or any other non-integral value raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def standardize(raw: TimeSeriesMatrix) -> TimeSeriesMatrix:

@@ -226,7 +226,7 @@ def read_mi_map_csv(path) -> PairwiseMIMap:
     scenario = ""
     edges, values = [], []
     header_seen = False
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

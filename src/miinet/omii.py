@@ -2,7 +2,7 @@
 
 Per-target inference is independent across targets and deterministic: all
 shuffle tests draw their nulls from one bank of permutations fixed by
-(seed, Ns, T), so serial and parallel runs agree, and each test is still an
+(seed, Ns, T), so target order changes no result, and each test is still an
 exact permutation test. Both families share one numeric path: a family's
 CMI given |K| = k is the Gaussian CMI plus the constant delta(k), so the
 Gaussian nulls shifted by delta(k) are the family's nulls. Every CMI is a
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import TimeSeriesMatrix
+from .core import TimeSeriesMatrix, as_integer
 from .errors import MiinetError, NetworkInferenceError
 from .estimators import Family, cmi_offset, conditional_mutual_information, gaussian_cmi
 from .seeding import derive_seed
@@ -42,10 +41,7 @@ class OmiiConfig:
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
         for name in ("n_shuffles", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must be strictly inside (0, 1)")
         if self.n_shuffles < 1:

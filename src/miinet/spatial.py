@@ -74,9 +74,6 @@ class PairwiseMIMap:
             raise ValueError("MI values must be finite")
         object.__setattr__(self, "axis", Axis(self.axis))
 
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return dict(zip(self.edges, self.values))
-
 
 def pairwise_mi_map(
     x: TimeSeriesMatrix,
@@ -106,9 +103,6 @@ class MIMapDiff:
     edges: tuple[tuple[int, int], ...]
     deltas: tuple[float, ...]
     sign_convention: str = "comparison_minus_baseline"
-
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return dict(zip(self.edges, self.deltas))
 
 
 def mi_map_diff(baseline: PairwiseMIMap, comparison: PairwiseMIMap) -> MIMapDiff:

@@ -185,6 +185,31 @@ def test_mi_map_csv_round_trip(tmp_path):
 MI_MAP_HEAD = "# axis=lateral\n# scenario=base\nsensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n"
 
 
+def test_mi_map_csv_accepts_utf8_bom_and_crlf(tmp_path):
+    from miinet.spatial import PairwiseMIMap
+
+    p = tmp_path / "excel.csv"
+    p.write_bytes(("\ufeff" + MI_MAP_HEAD).replace("\n", "\r\n").encode("utf-8"))
+    assert mio.read_mi_map_csv(p) == PairwiseMIMap(Axis.LATERAL, "base", ((1, 2),), (0.5,))
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (lambda p: mio.read_timeseries_csv(p).data.tolist(), "s1_lat,s2_lat\n1.0,2.0\n3.0,4.5\n"),
+        (mio.load_grid_csv, "sensor_index,row,col\n1,0,0\n2,0,1\n"),
+        (mio.read_mi_map_csv, MI_MAP_HEAD),
+    ],
+    ids=["timeseries", "grid", "mi_map"],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_readers_ignore_trailing_blank_lines(tmp_path, read, text, newline):
+    plain, padded = tmp_path / "plain.csv", tmp_path / "padded.csv"
+    plain.write_bytes(text.replace("\n", newline).encode())
+    padded.write_bytes((text + "\n\n\n").replace("\n", newline).encode())
+    assert read(padded) == read(plain)
+
+
 @pytest.mark.parametrize(
     "row, col",
     [("x,3,0.1,0.1", 1), ("2,3.5,0.1,0.1", 2), ("2,3,0.1,abc", 4), ("2,3,0.1,nan", 4),
@@ -229,6 +254,25 @@ def test_generate_verb_round_trip(tmp_path):
     out2 = tmp_path / "data2.csv"
     main(["generate", "--spec", str(spec_path), "--out", str(out2)])
     assert out.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_channels", 3.9), ("n_samples", 100.7), ("seed", 1.5), ("seed", True), ("graph_seed", 2.5)],
+)
+def test_generate_rejects_non_integral_counts_and_seeds(tmp_path, capsys, field, value):
+    spec = json.loads(generator_json(tmp_path).read_text())
+    if field == "graph_seed":
+        del spec["edges"]
+        spec["random_dag"] = {"density": 0.3, "weight": 0.4, "graph_seed": value}
+    else:
+        spec[field] = value
+    p = write(tmp_path / "bad.json", json.dumps(spec))
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--spec", str(p), "--out", str(out)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError" and field in record["message"]
+    assert not out.exists()
 
 
 def test_generator_spec_grid_and_random_dag(tmp_path):

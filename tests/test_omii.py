@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from miinet import (
     degree_distribution,
@@ -8,8 +10,8 @@ from miinet import (
     remove,
     shuffle_test,
 )
-from miinet import core, omii
-from miinet.errors import NetworkInferenceError, SingularCovariance
+from miinet import core, omii, standardize
+from miinet.errors import MiinetError, NetworkInferenceError, SingularCovariance
 from miinet.estimators import Family, cmi_offset, conditional_mutual_information
 from miinet.omii import InteractionNetwork, OmiiConfig, ParentSet, Edge
 from miinet.synthetic import (
@@ -494,3 +496,48 @@ def test_new_bank_is_not_served_a_stale_table(monkeypatch):
     actual = conditional_mutual_information(x, 2, 3, (1,), GAUSS)
     assert np.max(shuffled) < actual / 2
     assert np.max(np.abs(omii._null_cmis(x, 2, 3, (1,), cfg) - actual)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 5),
+    k=st.integers(0, 3),
+    n_flat=st.integers(1, 2),
+    noise_exponent=st.floats(-15.0, -6.0),
+    offset=st.floats(-1e3, 1e3),
+    short=st.booleans(),
+)
+def test_degenerate_inputs_fail_typed_or_stay_finite(
+    seed, n, k, n_flat, noise_exponent, offset, short
+):
+    # near-constant channels (a constant plus 1e-15..1e-6 noise), and T = |K| + 3
+    k = min(k, n - 2)
+    t = k + 3 if short else 60
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((t, n))
+    flat = rng.choice(n, size=n_flat, replace=False)
+    data[:, flat] = offset + 10.0**noise_exponent * rng.standard_normal((t, n_flat))
+    roles = rng.permutation(n)
+    i, j, cond = roles[0], roles[1], tuple(roles[2 : 2 + k])
+
+    def finite_or_typed(compute):
+        try:
+            values = compute()
+        except MiinetError:
+            return
+        assert np.all(np.isfinite(values)), values
+
+    raw = make_matrix(data)
+    matrices = [raw]
+    try:
+        matrices.append(standardize(raw))
+    except MiinetError:
+        pass
+    for x in matrices:
+        for family in Family:
+            finite_or_typed(lambda: conditional_mutual_information(x, i, j, cond, family))
+            cfg = OmiiConfig(family=family, theta=0.2, n_shuffles=9, seed=seed)
+            finite_or_typed(
+                lambda: [v for e in infer_network(x, cfg).edges for v in (e.weight, e.threshold)]
+            )

@@ -1,4 +1,4 @@
-"""Smoke runs of the example scripts, as a user would start them."""
+"""Smoke runs of the example scripts and the package import, as a user would start them."""
 
 import os
 import subprocess
@@ -8,17 +8,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str, cwd: Path) -> str:
+def run_python(*args: str, cwd: Path) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def run_script(name: str, *args: str, cwd: Path) -> str:
+    return run_python(str(ROOT / "scripts" / name), *args, cwd=cwd)
+
+
+def test_runtime_imports_need_only_numpy(tmp_path):
+    # pyproject.toml declares numpy as the only runtime dependency
+    out = run_python(
+        "-c",
+        "import sys, miinet, miinet.cli, miinet.io; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))",
+        cwd=tmp_path,
+    )
+    assert out.strip() == "[]"
 
 
 def test_damage_demo_runs(tmp_path):
