@@ -254,20 +254,24 @@ def fit_errors(values) -> tuple[int, float, float]:
     return (n_bins, *_l1_errors(edges, densities))
 
 
+def _reference_pdfs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N(0, 1) and unit-variance Laplace (b = sqrt(2)/2) densities at x."""
+    b = math.sqrt(2.0) / 2.0
+    normal = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    laplace = np.exp(-np.abs(x) / b) / (2.0 * b)
+    return normal, laplace
+
+
 def _l1_errors(edges: np.ndarray, densities: np.ndarray) -> tuple[float, float]:
     """Relative l1 distances ||p - q|| / ||p|| on the bins of a histogram p.
 
-    q is N(0, 1), then the unit-variance Laplace (b = sqrt(2)/2), each
-    evaluated at the bin centres.
+    q is each of the reference densities, evaluated at the bin centres.
     """
     widths = np.diff(edges)
-    centers = (edges[:-1] + edges[1:]) / 2.0
     mass = float(np.sum(np.abs(densities) * widths))
     if mass <= 0.0:
         raise EmptyHistogram("empirical distribution carries no mass")
-    b = math.sqrt(2.0) / 2.0
-    normal = np.exp(-0.5 * centers * centers) / (1.0 * math.sqrt(2.0 * math.pi))
-    laplace = np.exp(-np.abs(centers) / b) / (2.0 * b)
     return tuple(
-        float(np.sum(np.abs(densities - q) * widths)) / mass for q in (normal, laplace)
+        float(np.sum(np.abs(densities - q) * widths)) / mass
+        for q in _reference_pdfs((edges[:-1] + edges[1:]) / 2.0)
     )

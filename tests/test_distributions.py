@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from miinet import bessel_k, fit_errors, log_bessel_k
-from miinet.distributions import _l1_errors, standard_laplace_logpdf
+from miinet.distributions import _l1_errors, _reference_pdfs, standard_laplace_logpdf
 from miinet.errors import DomainError, EmptyHistogram
 from miinet.estimators import Family, entropy_of_covariance
 
@@ -169,6 +169,17 @@ def test_fit_error_zero_for_binned_model():
     dens = np.exp(-math.sqrt(2.0) * np.abs(centers)) / math.sqrt(2.0)
     _, err = _l1_errors(edges, dens)
     assert err < 1e-6
+
+
+def test_univariate_pdfs_normalized():
+    xs = np.linspace(-40.0, 40.0, 20001)
+    for pdf in _reference_pdfs(xs):
+        mass = np.trapezoid(pdf, xs)
+        # trapezoid on the Laplace kink converges ~h^2; 5e-6 at this grid
+        assert abs(mass - 1.0) < 5e-6
+        # both references are the standardized members of their family
+        assert abs(np.trapezoid(xs * pdf, xs)) < 5e-6
+        assert abs(np.trapezoid(xs * xs * pdf, xs) - 1.0) < 5e-6
 
 
 def test_fit_error_large_sample_self_consistency():
