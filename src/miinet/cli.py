@@ -179,31 +179,42 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     return written
 
 
+def _spec_field(record, key: str, where: str):
+    try:
+        return record[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"{where} has no {key!r}") from None
+
+
 def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     """Generator description JSON -> (kind, GeneratorSpec).
 
     Coupling comes from one of: explicit "edges" (1-based sensor indices),
     a "grid_layout" CSV whose neighbor pairs are coupled low->high sensor
-    with "edge_weight", or a "random_dag" block.
+    with "edge_weight", or a "random_dag" block. A missing required field
+    raises ValueError naming it.
     """
-    raw = json.loads(Path(path).read_text())
+    raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     kind = raw.get("kind", "contemporaneous")
     if kind not in ("contemporaneous", "var"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    n = as_integer("n_channels", raw["n_channels"])
+    n = as_integer("n_channels", _spec_field(raw, "n_channels", "generator spec"))
     sources = [key for key in ("edges", "grid_layout", "random_dag") if key in raw]
     if len(sources) != 1:
         raise ValueError("specify exactly one of edges / grid_layout / random_dag")
     if "edges" in raw:
-        coupling = coupling_from_edges(
-            n,
-            [(e["source"] - 1, e["target"] - 1, float(e["weight"])) for e in raw["edges"]],
-        )
+        edges = []
+        for k, e in enumerate(raw["edges"]):
+            source, target, weight = (
+                _spec_field(e, key, f"edge {k}") for key in ("source", "target", "weight")
+            )
+            edges.append((source - 1, target - 1, float(weight)))
+        coupling = coupling_from_edges(n, edges)
     elif "grid_layout" in raw:
         grid = io.load_grid_csv(raw["grid_layout"])
         if max(grid.sensors) > n:
             raise ValueError("grid has more sensors than n_channels")
-        weight = float(raw["edge_weight"])
+        weight = float(_spec_field(raw, "edge_weight", "generator spec"))
         coupling = coupling_from_edges(
             n, [(a - 1, b - 1, weight) for a, b in neighbor_pairs(grid)]
         )
@@ -211,17 +222,17 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
         block = raw["random_dag"]
         coupling = random_dag_coupling(
             n,
-            float(block["density"]),
-            float(block["weight"]),
-            as_integer("graph_seed", block["graph_seed"]),
+            float(_spec_field(block, "density", "random_dag")),
+            float(_spec_field(block, "weight", "random_dag")),
+            as_integer("graph_seed", _spec_field(block, "graph_seed", "random_dag")),
         )
     spec = GeneratorSpec(
         n_channels=n,
-        n_samples=as_integer("n_samples", raw["n_samples"]),
+        n_samples=as_integer("n_samples", _spec_field(raw, "n_samples", "generator spec")),
         coupling=coupling,
         innovation=Family(raw.get("innovation", "gaussian")),
         noise_scale=float(raw.get("noise_scale", 1.0)),
-        seed=as_integer("seed", raw["seed"]),
+        seed=as_integer("seed", _spec_field(raw, "seed", "generator spec")),
         axis=Axis(raw.get("axis", "lateral")),
     )
     return kind, spec

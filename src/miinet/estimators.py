@@ -75,8 +75,10 @@ def gaussian_cmi(cov: np.ndarray, cross: np.ndarray, var: np.ndarray) -> np.ndar
     """
     w = np.linalg.solve(_cholesky(cov), cross.T)
     residual = var - np.sum(w[:-1] ** 2, axis=0)
+    if not np.all(residual > 0.0):
+        raise SingularCovariance("covariance not positive definite")
     rho2 = w[-1] ** 2 / residual
-    if not np.all((residual > 0.0) & (rho2 < 1.0)):
+    if not np.all(rho2 < 1.0):
         raise SingularCovariance("covariance not positive definite")
     return -0.5 * np.log1p(-rho2)
 

@@ -10,6 +10,7 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -37,12 +38,18 @@ def _number(cell: str, line_no: int, col: int, parse=float):
 
 
 def read_timeseries_csv(path) -> TimeSeriesMatrix:
-    """Parse a scenario CSV: header of s<index>_<lat|vert> names, one row per sample."""
+    """Parse a scenario CSV: header of s<index>_<lat|vert> names, one row per sample.
+
+    The body is parsed in one `np.loadtxt` call. A body that call rejects
+    (quoted cells, `1_0`, non-ASCII digits, ragged rows, ...) or whose result
+    has the wrong width or a non-finite value is parsed again by the cell
+    parser, which alone raises `ParseError`, so errors keep line and column.
+    """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        # readline, not iteration, so that tell() can mark the first data line
         try:
-            header = next(reader)
+            header = next(csv.reader(iter(fh.readline, "")))
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
         channels = []
@@ -53,26 +60,65 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
                 raise ParseError(1, col, str(exc)) from None
         if len(set(channels)) != len(channels):
             raise DuplicateChannel(f"{path} repeats a channel name")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(channels):
-                raise ParseError(
-                    line_no, 1, f"expected {len(channels)} cells, got {len(row)}"
-                )
-            rows.append([_number(cell, line_no, col) for col, cell in enumerate(row, start=1)])
-    if not rows:
+        if fh.seekable():
+            body = fh.tell()
+            data = _bulk_rows(fh, len(channels))
+            if data is None:
+                fh.seek(body)
+                data = _cell_rows(fh, len(channels))
+        else:  # a pipe cannot be rewound for the cell parser
+            data = _cell_rows(fh, len(channels))
+    if not len(data):
         raise EmptyFile(f"{path} has a header but no data rows")
-    return TimeSeriesMatrix(np.asarray(rows), tuple(channels))
+    return TimeSeriesMatrix(data, tuple(channels))
+
+
+def _bulk_rows(fh, n_cols: int) -> np.ndarray | None:
+    """The body as one finite n_cols-wide array, or None to leave it to _cell_rows."""
+    with warnings.catch_warnings():
+        # a body of blank lines only, which the caller reports as EmptyFile
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            data = np.loadtxt(_loadtxt_lines(fh), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if data.shape[1] != n_cols or not np.isfinite(data).all():
+        return None
+    return data
+
+
+def _loadtxt_lines(fh):
+    """fh's lines, stopping with ValueError at one that holds \\x1c-\\x1f.
+
+    np.loadtxt strips those four from a cell as whitespace; float() rejects them.
+    """
+    for line in fh:
+        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("an information separator in the body")
+        yield line
+
+
+def _cell_rows(fh, n_cols: int) -> np.ndarray:
+    """The body cell by cell; the first bad row or cell raises ParseError(line, col)."""
+    rows = []
+    for line_no, row in enumerate(csv.reader(fh), start=2):
+        if not row:
+            continue
+        if len(row) != n_cols:
+            raise ParseError(line_no, 1, f"expected {n_cols} cells, got {len(row)}")
+        rows.append([_number(cell, line_no, col) for col, cell in enumerate(row, start=1)])
+    return np.asarray(rows)
 
 
 def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([ch.name for ch in x.channels])
-        writer.writerows(x.data.tolist())
+    """Header plus one row per sample, cells as float repr, CRLF line ends.
+
+    The bytes of `csv.writer(fh).writerows(x.data.tolist())`, streamed row by
+    row so that no list of the whole matrix is built.
+    """
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(ch.name for ch in x.channels) + "\r\n")
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in x.data)
 
 
 def load_grid_csv(path) -> SensorGrid:
@@ -183,7 +229,7 @@ def write_network_json(net: InteractionNetwork, prov: dict, path) -> None:
 
 
 def read_network_json(path) -> InteractionNetwork:
-    return network_from_payload(json.loads(Path(path).read_text()))
+    return network_from_payload(json.loads(Path(path).read_text(encoding="utf-8-sig")))
 
 
 def write_network_dot(

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -285,3 +286,13 @@ def test_gaussian_cmi_rejects_rho_squared_at_or_above_one():
     assert gaussian_cmi(np.eye(2), np.array([[0.0, 0.6]]), np.array([1.0]))[0] == pytest.approx(
         -0.5 * math.log(1.0 - 0.36), abs=1e-15
     )
+
+
+def test_gaussian_cmi_zero_residual_raises_without_warning():
+    # v's covariance with K equals its variance: its residual variance given K is exactly 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for cross, var in (([[1.0, 0.5]], [1.0]), ([[0.0, 0.6], [1.0, 0.5]], [1.0, 1.0])):
+            with pytest.raises(SingularCovariance):
+                gaussian_cmi(np.eye(2), np.array(cross), np.array(var))
+    assert caught == []

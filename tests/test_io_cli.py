@@ -1,9 +1,16 @@
+import copy
+import csv
 import dataclasses
+import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from miinet import Axis, neighbor_pairs
 from miinet.cli import RunConfig, build_fit_report, load_generator_spec, main, run_pipeline
@@ -109,6 +116,126 @@ def test_ingest_accepts_utf8_bom_and_crlf(tmp_path):
     x = mio.read_timeseries_csv(p)
     assert [ch.name for ch in x.channels] == ["s1_lat", "s2_lat"]
     np.testing.assert_array_equal(x.data, [[1.0, 2.0], [3.0, 4.5]])
+
+
+def read_through_pipe(data: bytes):
+    read_fd, write_fd = os.pipe()
+    try:
+        os.write(write_fd, data)
+        os.close(write_fd)
+        return mio.read_timeseries_csv(f"/dev/fd/{read_fd}")
+    finally:
+        os.close(read_fd)
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+def test_ingest_from_a_pipe():
+    x = read_through_pipe(b"s1_lat,s2_lat\n1.0,2.0\n3.0,4.5\n")
+    np.testing.assert_array_equal(x.data, [[1.0, 2.0], [3.0, 4.5]])
+    with pytest.raises(ParseError) as err:
+        read_through_pipe(b"s1_lat\n1.0\nx\n")
+    assert (err.value.line, err.value.col) == (3, 1)
+
+
+def test_timeseries_csv_bytes_match_csv_writer(tmp_path):
+    values = np.array(
+        [[5e-324, -0.0, 1e-5], [2.5e-310, 1e16, -1e16], [1 / 3, -2.2250738585072014e-308, 0.1]]
+    )
+    x = make_matrix(np.vstack([values, np.random.default_rng(4).standard_normal((20, 3))]))
+    p = tmp_path / "x.csv"
+    mio.write_timeseries_csv(x, p)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow([ch.name for ch in x.channels])
+    writer.writerows(x.data.tolist())
+    assert p.read_bytes() == expected.getvalue().encode()
+
+
+def test_well_formed_body_skips_the_cell_parser(tmp_path):
+    x = make_matrix(np.random.default_rng(5).standard_normal((50, 3)))
+    p = tmp_path / "x.csv"
+    mio.write_timeseries_csv(x, p)
+    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
+        np.testing.assert_array_equal(mio.read_timeseries_csv(p).data, x.data)
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:e}".format),
+    st.floats(-1e3, 1e3).map("{:.5f}".format),
+)
+# cells that float() and np.loadtxt may judge differently, and lines that are not rows
+_ODD_CELL = st.sampled_from(
+    ['"1.5"', "1_0", "nan", "inf", "-inf", "1e400", "", " ", " 2 ", "\u0661", "\x1c1", "1\xa0",
+     "+.5", "0x10"]
+)
+_ODD_LINE = st.sampled_from(["", "   ", "# note"])
+
+
+@st.composite
+def scenario_csv_text(draw) -> str:
+    """A header of 1-4 channels, up to 6 numeric rows and up to 2 odd rows or lines."""
+    n_cols = draw(st.integers(1, 4))
+    row = st.lists(_NUMBER, min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(row, max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        cells = draw(row)
+        kind = draw(st.sampled_from(["odd cell", "short", "long", "trailing comma", "odd line"]))
+        if kind == "odd cell":
+            cells[draw(st.integers(0, n_cols - 1))] = draw(_ODD_CELL)
+        elif kind == "short":
+            cells.pop()
+        elif kind == "long":
+            cells.append(draw(_NUMBER))
+        elif kind == "trailing comma":
+            cells.append("")
+        else:
+            cells = [draw(_ODD_LINE)]
+        rows.insert(draw(st.integers(0, len(rows))), cells)
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [",".join(f"s{k}_lat" for k in range(1, n_cols + 1))]
+    lines += [",".join(cells) for cells in rows]
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+def read_outcome(path):
+    try:
+        x = mio.read_timeseries_csv(path)
+    except ParseError as exc:
+        return "ParseError", exc.line, exc.col
+    except (MiinetError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", x.data.shape, x.data.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_csv_text())
+@example('s1_lat,s2_lat\n"1.5",2\n3,4\n')
+@example("s1_lat,s2_lat\n1_0,2\n3,4\n")
+@example("s1_lat,s2_lat\n1,2\nnan,4\n")
+@example("s1_lat,s2_lat\n1,2\n3,-inf\n")
+@example("s1_lat,s2_lat\n1,2\n1e400,4\n")
+@example("s1_lat,s2_lat\n1,\n3,4\n")
+@example("s1_lat,s2_lat\n1,2\n3\n")
+@example("s1_lat,s2_lat\n1,2,\n3,4,\n")
+@example("s1_lat,s2_lat\n1,2\n   \n3,4\n")
+@example("s1_lat,s2_lat\n# note\n1,2\n3,4\n")
+@example("s1_lat,s2_lat\r1,2\r3,4\r")
+@example("s1_lat,s2_lat\r1,2\r3,1_0\r")
+@example("s1_lat\n1\n2\n")
+@example("s1_lat\n\x1c1\n2\n")
+@example("s1_lat,s2_lat\n")
+@example("s1_lat\n\n\n")
+@example("\ufeffs1_lat,s2_lat\r\n1,2\r\n3,4\r\n")
+@example('\ufeffs1_lat,s2_lat\r\n"1",2\r\n3,4\r\n')
+def test_bulk_reader_agrees_with_cell_parser(tmp_path_factory, text):
+    """Same array bit for bit, or the same error, with and without np.loadtxt."""
+    path = tmp_path_factory.mktemp("differential") / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(mio, "_bulk_rows", return_value=None):
+        cell_parser = read_outcome(path)
+    assert read_outcome(path) == cell_parser
 
 
 # ------------------------------------------------------------------ grid
@@ -273,6 +400,55 @@ def test_generate_rejects_non_integral_counts_and_seeds(tmp_path, capsys, field,
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValueError" and field in record["message"]
     assert not out.exists()
+
+
+COUPLING_BLOCKS = {
+    "grid_layout": {
+        "n_channels": 30, "grid_layout": str(mio.bundled_grid_path()), "edge_weight": 0.5
+    },
+    "random_dag": {"random_dag": {"density": 0.3, "weight": 0.4, "graph_seed": 2}},
+}
+
+
+@pytest.mark.parametrize(
+    "coupling, path",
+    [("edges", ("n_channels",)), ("edges", ("n_samples",)), ("edges", ("seed",)),
+     ("edges", ("edges", 1, "source")), ("edges", ("edges", 1, "target")),
+     ("edges", ("edges", 1, "weight")), ("grid_layout", ("edge_weight",)),
+     ("random_dag", ("random_dag", "density")), ("random_dag", ("random_dag", "weight")),
+     ("random_dag", ("random_dag", "graph_seed"))],
+)
+def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
+    spec = json.loads(generator_json(tmp_path).read_text())
+    if coupling != "edges":
+        del spec["edges"]
+        spec.update(copy.deepcopy(COUPLING_BLOCKS[coupling]))
+    holder = spec
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    p = write(tmp_path / "bad.json", json.dumps(spec))
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--spec", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "ValueError" and repr(path[-1]) in record["message"]
+    assert not out.exists()
+
+
+def test_json_inputs_accept_utf8_bom(tmp_path):
+    net = InteractionNetwork((0, 1), ("s1_lat", "s2_lat"), (Edge(0, 1, 0.42, 0.1),), {})
+    p = tmp_path / "net.json"
+    mio.write_network_json(net, mio.provenance({}, 1), p)
+    p.write_bytes(b"\xef\xbb\xbf" + p.read_bytes())
+    assert mio.read_network_json(p) == net
+    spec = generator_json(tmp_path)
+    plain, bommed = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    assert main(["generate", "--spec", str(spec), "--out", str(plain)]) == 0
+    spec.write_bytes(b"\xef\xbb\xbf" + spec.read_bytes())
+    assert main(["generate", "--spec", str(spec), "--out", str(bommed)]) == 0
+    assert bommed.read_bytes() == plain.read_bytes()
 
 
 def test_generator_spec_grid_and_random_dag(tmp_path):
