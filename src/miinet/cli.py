@@ -186,6 +186,13 @@ def _spec_field(record, key: str, where: str):
         raise ValueError(f"{where} has no {key!r}") from None
 
 
+def _spec_float(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     """Generator description JSON -> (kind, GeneratorSpec).
 
@@ -195,6 +202,8 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     raises ValueError naming it.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    if not isinstance(raw, dict):
+        raise ValueError("generator spec must be a JSON object")
     kind = raw.get("kind", "contemporaneous")
     if kind not in ("contemporaneous", "var"):
         raise ValueError(f"unknown generator kind {kind!r}")
@@ -203,18 +212,24 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     if len(sources) != 1:
         raise ValueError("specify exactly one of edges / grid_layout / random_dag")
     if "edges" in raw:
+        if not isinstance(raw["edges"], list):
+            raise ValueError("generator spec field 'edges' must be a list of edge objects")
         edges = []
         for k, e in enumerate(raw["edges"]):
-            source, target, weight = (
-                _spec_field(e, key, f"edge {k}") for key in ("source", "target", "weight")
+            source, target = (
+                as_integer(f"edge {k} {key!r}", _spec_field(e, key, f"edge {k}"))
+                for key in ("source", "target")
             )
-            edges.append((source - 1, target - 1, float(weight)))
+            weight = _spec_float(_spec_field(e, "weight", f"edge {k}"), f"edge {k} 'weight'")
+            edges.append((source - 1, target - 1, weight))
         coupling = coupling_from_edges(n, edges)
     elif "grid_layout" in raw:
+        if not isinstance(raw["grid_layout"], str):
+            raise ValueError("generator spec field 'grid_layout' must be a path")
         grid = io.load_grid_csv(raw["grid_layout"])
         if max(grid.sensors) > n:
             raise ValueError("grid has more sensors than n_channels")
-        weight = float(_spec_field(raw, "edge_weight", "generator spec"))
+        weight = _spec_float(_spec_field(raw, "edge_weight", "generator spec"), "'edge_weight'")
         coupling = coupling_from_edges(
             n, [(a - 1, b - 1, weight) for a, b in neighbor_pairs(grid)]
         )
@@ -222,8 +237,8 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
         block = raw["random_dag"]
         coupling = random_dag_coupling(
             n,
-            float(_spec_field(block, "density", "random_dag")),
-            float(_spec_field(block, "weight", "random_dag")),
+            _spec_float(_spec_field(block, "density", "random_dag"), "random_dag 'density'"),
+            _spec_float(_spec_field(block, "weight", "random_dag"), "random_dag 'weight'"),
             as_integer("graph_seed", _spec_field(block, "graph_seed", "random_dag")),
         )
     spec = GeneratorSpec(
@@ -231,7 +246,7 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
         n_samples=as_integer("n_samples", _spec_field(raw, "n_samples", "generator spec")),
         coupling=coupling,
         innovation=Family(raw.get("innovation", "gaussian")),
-        noise_scale=float(raw.get("noise_scale", 1.0)),
+        noise_scale=_spec_float(raw.get("noise_scale", 1.0), "'noise_scale'"),
         seed=as_integer("seed", _spec_field(raw, "seed", "generator spec")),
         axis=Axis(raw.get("axis", "lateral")),
     )

@@ -1,12 +1,8 @@
 """Time-series container, standardization and covariance estimation.
 
 A matrix's data and channels are frozen at construction, and the functions
-here are pure. A matrix does fill two caches on first use. It computes its
-regularized covariance once, and every entropy, MI, CMI and shuffle null is
-computed from slices of it. `null_tables` also keeps the shuffle tests'
-per-channel null tables, for one permutation bank at a time, so they are
-dropped with it. That cache is mutated in place without a lock, so one matrix
-is not to be shared by concurrent workers.
+here are pure. A matrix computes its regularized covariance once, on first
+use, and every entropy, MI, CMI and shuffle null is computed from slices of it.
 """
 
 from __future__ import annotations
@@ -118,17 +114,6 @@ class TimeSeriesMatrix:
         cov, _ = regularize_covariance((cov + cov.T) / 2.0)
         cov.flags.writeable = False
         return cov
-
-    def null_tables(self, bank: np.ndarray) -> dict:
-        """The matrix's table cache for one permutation bank, keyed by channel.
-
-        The matrix holds one bank at a time, by reference: a bank that is not
-        the held object starts a new, empty cache and drops the old tables.
-        """
-        held = self.__dict__.get("_null_tables")
-        if held is None or held[0] is not bank:
-            held = self.__dict__["_null_tables"] = (bank, {})
-        return held[1]
 
     def axis_channel_indices(self, axis: Axis) -> dict[int, int]:
         """sensor_index -> column index, restricted to one axis."""

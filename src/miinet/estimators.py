@@ -52,7 +52,8 @@ def cmi_offset(family: Family, k: int) -> float:
     )
 
 
-def _cholesky(cov: np.ndarray) -> np.ndarray:
+def cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a covariance, or of each in a (..., d, d) stack."""
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -61,10 +62,12 @@ def _cholesky(cov: np.ndarray) -> np.ndarray:
 
 def log_det(cov: np.ndarray) -> float:
     """ln det of a positive-definite covariance, by Cholesky."""
-    return 2.0 * float(np.log(np.diag(_cholesky(cov))).sum())
+    return 2.0 * float(np.log(np.diag(cholesky(cov))).sum())
 
 
-def gaussian_cmi(cov: np.ndarray, cross: np.ndarray, var: np.ndarray) -> np.ndarray:
+def gaussian_cmi(
+    cov: np.ndarray, cross: np.ndarray, var: np.ndarray, factor: np.ndarray | None = None
+) -> np.ndarray:
     """Gaussian I(i; v | K) for every row v of `cross`, from one factorization.
 
     `cov` is the covariance of (*K, i), i last; row b of `cross` holds the
@@ -72,12 +75,17 @@ def gaussian_cmi(cov: np.ndarray, cross: np.ndarray, var: np.ndarray) -> np.ndar
     With L = chol(cov) and w = L^-1 cross^T, K's factor is L's leading block,
     so var - |w[:k]|^2 is v's residual variance given K and w[k]^2 over it is
     the squared partial correlation rho^2; the CMI is -1/2 ln(1 - rho^2), nats.
+    Every argument may carry leading stack axes, one problem per index: cov
+    (..., k+1, k+1), cross (..., B, k+1) and var broadcastable to (..., B).
+    `factor`, when the caller holds it already, is `cholesky(cov)`.
     """
-    w = np.linalg.solve(_cholesky(cov), cross.T)
-    residual = var - np.sum(w[:-1] ** 2, axis=0)
+    if factor is None:
+        factor = cholesky(cov)
+    w = np.linalg.solve(factor, np.swapaxes(cross, -1, -2))
+    residual = var - np.sum(w[..., :-1, :] ** 2, axis=-2)
     if not np.all(residual > 0.0):
         raise SingularCovariance("covariance not positive definite")
-    rho2 = w[-1] ** 2 / residual
+    rho2 = w[..., -1, :] ** 2 / residual
     if not np.all(rho2 < 1.0):
         raise SingularCovariance("covariance not positive definite")
     return -0.5 * np.log1p(-rho2)

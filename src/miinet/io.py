@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -49,7 +50,7 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
     with path.open(newline="", encoding="utf-8-sig") as fh:
         # readline, not iteration, so that tell() can mark the first data line
         try:
-            header = next(csv.reader(iter(fh.readline, "")))
+            _, header = next(_csv_rows(iter(fh.readline, ""), 1))
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
         channels = []
@@ -98,10 +99,27 @@ def _loadtxt_lines(fh):
         yield line
 
 
+def _csv_rows(lines, first_line: int):
+    """(line number, cells) of each CSV row of `lines`, numbered from `first_line`.
+
+    A row the csv module cannot read, such as one with a cell longer than
+    `csv.field_size_limit()`, raises ParseError at its line, column 1.
+    """
+    reader = csv.reader(lines)
+    for line_no in itertools.count(first_line):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(line_no, 1, f"unreadable CSV row: {exc}") from None
+        yield line_no, row
+
+
 def _cell_rows(fh, n_cols: int) -> np.ndarray:
     """The body cell by cell; the first bad row or cell raises ParseError(line, col)."""
     rows = []
-    for line_no, row in enumerate(csv.reader(fh), start=2):
+    for line_no, row in _csv_rows(fh, 2):
         if not row:
             continue
         if len(row) != n_cols:
@@ -125,15 +143,15 @@ def load_grid_csv(path) -> SensorGrid:
     """Grid layout file: header sensor_index,row,col then one sensor per row."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        rows = _csv_rows(fh, 1)
         try:
-            header = next(reader)
+            _, header = next(rows)
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
         if [h.strip().lower() for h in header] != ["sensor_index", "row", "col"]:
             raise ParseError(1, 1, "expected header sensor_index,row,col")
         positions = {}
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in rows:
             if not row:
                 continue
             if len(row) != 3:

@@ -1,22 +1,32 @@
 """oMII engine: greedy discovery, single-pass removal and the shuffle test.
 
-Per-target inference is independent across targets and deterministic: all
-shuffle tests draw their nulls from one bank of permutations fixed by
-(seed, Ns, T), so target order changes no result, and each test is still an
-exact permutation test. Both families share one numeric path: a family's
-CMI given |K| = k is the Gaussian CMI plus the constant delta(k), so the
-Gaussian nulls shifted by delta(k) are the family's nulls. Every CMI is a
-partial correlation given K from the matrix's one regularized covariance
-(`gaussian_cmi`): one call scores all candidates of a discovery round, and
-one call gives a shuffle test's nulls. Only j is shuffled, so the nulls need
-just the covariances of j's Ns shuffled copies with (*K, i): columns of one
-Ns x N table per (matrix, j, bank), built on first use, kept on the matrix
-and sliced by every later test of j.
+oMII runs level-synchronously over its targets. At discovery round r every
+unfinished target has r admitted parents K and N-1-r candidates, so the
+(*K, i) covariance slices of all of them stack into one (A, r+1, r+1) array
+that one Cholesky call factors. One kernel call (`gaussian_cmi`) on those
+factors scores every target's candidates; a second gives each argmax
+candidate j its shuffle test, with j's actual CMI given (*K, i) as row 0 and
+its Ns nulls as the other rows. Removal step s tests every target's s-th
+admitted parent given the target's kept set without it, with one
+factorization and one kernel call per conditioning-set size. `discover`,
+`remove` and `shuffle_test` are the one-target calls of the same functions. A
+batch that fails fails every target it carried.
+
+Each call draws one bank of Ns permutations, fixed by (seed, Ns, T), and
+every shuffle test of the call takes its nulls from it, so target order
+changes no result and each test is still an exact permutation test. Only j is
+shuffled, so the nulls need just the covariances of j's Ns shuffled copies
+with (*K, i): columns of one Ns x N table per channel, built on j's first
+test and dropped with the call. The nulls' variance is j's ridged diagonal
+entry, so they read the same regularized covariance as the actual CMI.
+
+Both families share one numeric path: a family's CMI given |K| = k is the
+Gaussian CMI plus the constant delta(k), and every test of a batch has the
+same k, so the Gaussian values shifted by delta(k) are the family's.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,8 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import TimeSeriesMatrix, as_integer
-from .errors import MiinetError, NetworkInferenceError
-from .estimators import Family, cmi_offset, conditional_mutual_information, gaussian_cmi
+from .errors import ConditionSetTooLarge, MiinetError, NetworkInferenceError
+from .estimators import Family, cholesky, cmi_offset, gaussian_cmi
 from .seeding import derive_seed
 
 
@@ -103,40 +113,178 @@ class InteractionNetwork:
         return {frozenset((e.source, e.target)) for e in self.edges}
 
 
-@functools.lru_cache(maxsize=1)
 def _permutations(seed: int, n_shuffles: int, t: int) -> np.ndarray:
-    """The run's read-only (Ns, T) bank of permutations of 0..T-1."""
+    """A read-only (Ns, T) bank of permutations of 0..T-1, drawn from the seed."""
     rng = np.random.default_rng(derive_seed(seed, "shuffle-perm"))
-    perms = np.stack([rng.permutation(t) for _ in range(n_shuffles)])
+    perms = np.empty((n_shuffles, t), dtype=np.intp)
+    for row in perms:
+        row[:] = rng.permutation(t)
     perms.flags.writeable = False
     return perms
 
 
-def _null_table(x: TimeSeriesMatrix, j: int, bank: np.ndarray) -> np.ndarray:
-    """Read-only (Ns, N) covariances of channel j's Ns shuffled copies with every channel."""
-    centered = x.data - x.data.mean(axis=0)
-    table = centered[bank, j] @ centered / (x.n_samples - 1)
-    table.flags.writeable = False
-    return table
+def _null_table(centered: np.ndarray, j: int, bank: np.ndarray) -> np.ndarray:
+    """(Ns, N) covariances of channel j's Ns shuffled copies with every channel."""
+    return centered[:, j].copy()[bank] @ centered / (centered.shape[0] - 1)
 
 
-def _null_cmis(
-    x: TimeSeriesMatrix, i: int, j: int, cond: tuple[int, ...], cfg: OmiiConfig
+class _Nulls:
+    """One call's permutation bank and the per-channel null tables built from it."""
+
+    def __init__(self, x: TimeSeriesMatrix, cfg: OmiiConfig):
+        self.x, self.cfg = x, cfg
+        self.bank = _permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
+        self.centered = x.data - x.data.mean(axis=0)
+        self.tables: dict[int, np.ndarray] = {}
+
+    def table(self, j: int) -> np.ndarray:
+        if j not in self.tables:
+            self.tables[j] = _null_table(self.centered, j, self.bank)
+        return self.tables[j]
+
+
+def _factor(cov: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (A, m, m) stack of cov[order, order] over the rows of `orders`, and its factors."""
+    stack = cov[orders[:, :, None], orders[:, None, :]]
+    return stack, cholesky(stack)
+
+
+def _test_cmis(
+    nulls: _Nulls, orders: np.ndarray, partners: np.ndarray, stack: np.ndarray, factor: np.ndarray
 ) -> np.ndarray:
-    """Gaussian CMI for every shuffled copy of channel j, in one kernel call.
+    """Gaussian I(i_a; j_a | K_a) and its Ns shuffled nulls for a batch of tests, (A, 1 + Ns).
 
-    The partners' cross-covariances with (*K, i) are columns of j's null table,
-    built once per (matrix, j, bank) and sliced by every test of j; their
-    variance is j's ridged diagonal entry, so the nulls read the same
-    regularized covariance as the actual CMI.
+    Row a of `orders` is (*K_a, i_a), `partners[a]` is j_a, and `stack` and
+    `factor` are `_factor(cov, orders)`; every K_a has the same size. Column 0
+    is j_a's actual CMI given (*K_a, i_a), the other columns its shuffled copies'.
     """
-    bank = _permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
-    tables = x.null_tables(bank)
-    if j not in tables:
-        tables[j] = _null_table(x, j, bank)
-    order = (*cond, i)
+    cov = nulls.x.covariance
+    rows = np.stack(
+        [np.vstack((cov[j, order], nulls.table(j)[:, order])) for j, order in zip(partners, orders)]
+    )
+    return gaussian_cmi(stack, rows, cov[partners, partners][:, None], factor)
+
+
+def _shuffle_tests(
+    nulls: _Nulls, orders: np.ndarray, partners: np.ndarray, stack: np.ndarray, factor: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pass flags, actual CMIs and thresholds of a batch of `_test_cmis`, family values.
+
+    A test passes iff its actual CMI strictly exceeds the
+    floor((1-theta)*Ns)-th smallest of its nulls.
+    """
+    x, cfg = nulls.x, nulls.cfg
+    k = orders.shape[1] - 1
+    if k + 2 >= x.n_samples:
+        raise ConditionSetTooLarge(f"|K|+2 = {k + 2} >= T = {x.n_samples}")
+    cmis = _test_cmis(nulls, orders, partners, stack, factor) + cmi_offset(cfg.family, k)
+    actual = cmis[:, 0]
+    thresholds = np.sort(cmis[:, 1:], axis=1)[:, cfg.threshold_rank - 1]
+    return actual > thresholds, actual, thresholds
+
+
+def _discover(
+    nulls: _Nulls, targets: Sequence[int]
+) -> tuple[list[ParentSet], list[tuple[int, Exception]]]:
+    """Discovery for every target at once, one stacked round at a time.
+
+    Ties in a target's argmax break toward the lowest channel index.
+    """
+    x = nulls.x
+    n = x.n_channels
+    if n < 2:
+        raise ValueError("need at least 2 channels")
     cov = x.covariance
-    return gaussian_cmi(cov[np.ix_(order, order)], tables[j][:, order], cov[j, j])
+    found: dict[int, tuple[list, list, list]] = {int(i): ([], [], []) for i in targets}
+    failures: list[tuple[int, Exception]] = []
+    active = np.array(list(found), dtype=np.intp)
+    conds = np.empty((active.size, 0), dtype=np.intp)  # each active target's sorted parents
+    for r in range(n - 1):
+        if not active.size:
+            break
+        orders = np.column_stack((conds, active))
+        index = np.arange(active.size)
+        mask = np.ones((active.size, n), dtype=bool)
+        mask[index[:, None], orders] = False
+        candidates = np.nonzero(mask)[1].reshape(active.size, n - 1 - r)
+        try:
+            stack, factor = _factor(cov, orders)
+            cmis = gaussian_cmi(
+                stack,
+                cov[candidates[:, :, None], orders[:, None, :]],
+                cov.diagonal()[candidates],
+                factor,
+            )
+            best = candidates[index, np.argmax(cmis, axis=1)]
+            passed, actual, thresholds = _shuffle_tests(nulls, orders, best, stack, factor)
+        except MiinetError as exc:  # the batch fails every target it carried
+            failures.extend((int(i), exc) for i in active)
+            for i in active:
+                del found[int(i)]
+            break
+        for i, j, value, threshold in zip(
+            active[passed].tolist(), best[passed].tolist(),
+            actual[passed].tolist(), thresholds[passed].tolist(),
+        ):
+            for column, item in zip(found[i], (j, value, threshold)):
+                column.append(item)
+        active = active[passed]
+        conds = np.sort(np.column_stack((conds[passed], best[passed])), axis=1)
+    parent_sets = [ParentSet(i, *map(tuple, columns)) for i, columns in found.items()]
+    return parent_sets, failures
+
+
+def _remove(
+    nulls: _Nulls, discovered: Sequence[ParentSet]
+) -> tuple[list[ParentSet], list[tuple[int, Exception]]]:
+    """Removal for every target at once, one admission step at a time.
+
+    Step s tests each target's s-th admitted parent j given its kept set
+    without j, and drops j when the test fails; the kept set shrinks within
+    the pass. The tests of one step are batched by conditioning-set size.
+    """
+    cov = nulls.x.covariance
+    kept = {p.target: list(p.parents) for p in discovered}
+    failures: list[tuple[int, Exception]] = []
+    for s in range(max((len(p.parents) for p in discovered), default=0)):
+        groups: dict[int, list[tuple[int, int, list[int]]]] = {}
+        for p in discovered:
+            if len(p.parents) > s and p.target in kept:
+                j = p.parents[s]
+                rest = sorted(q for q in kept[p.target] if q != j)
+                groups.setdefault(len(rest), []).append((p.target, j, rest))
+        for group in groups.values():
+            orders = np.array([(*rest, i) for i, _, rest in group], dtype=np.intp)
+            partners = np.array([j for _, j, _ in group], dtype=np.intp)
+            try:
+                passed = _shuffle_tests(nulls, orders, partners, *_factor(cov, orders))[0]
+            except MiinetError as exc:  # the batch fails every target it carried
+                for i, _, _ in group:
+                    failures.append((i, exc))
+                    del kept[i]
+                continue
+            for (i, j, _), ok in zip(group, passed):
+                if not ok:
+                    kept[i].remove(j)
+    pruned = []
+    for p in discovered:
+        if p.target in kept:
+            keep = [q in kept[p.target] for q in p.parents]
+            pruned.append(
+                ParentSet(
+                    p.target,
+                    *(tuple(v for v, m in zip(column, keep) if m)
+                      for column in (p.parents, p.cmi_at_admission, p.thresholds)),
+                )
+            )
+    return pruned, failures
+
+
+def _raise_first(results: tuple[list[ParentSet], list[tuple[int, Exception]]]) -> ParentSet:
+    parent_sets, failures = results
+    if failures:
+        raise failures[0][1]
+    return parent_sets[0]
 
 
 def shuffle_test(
@@ -146,18 +294,24 @@ def shuffle_test(
     cond: Sequence[int],
     cfg: OmiiConfig,
 ) -> ShuffleTestResult:
-    """Permutation significance test of I(X_i; X_j | X_K).
+    """Permutation significance test of I(X_i; X_j | X_K), a one-test batch.
 
     Only channel j is shuffled, Ns times; the threshold S is the
     floor((1-theta)*Ns)-th smallest null value and the test passes iff the
-    actual CMI strictly exceeds S.
+    actual CMI, j's given (*K, i), strictly exceeds S.
     """
     i, j = int(i), int(j)
     cond = tuple(sorted(int(c) for c in cond))
-    actual = conditional_mutual_information(x, i, j, cond, cfg.family)
-    nulls = _null_cmis(x, i, j, cond, cfg) + cmi_offset(cfg.family, len(cond))
-    threshold = float(np.sort(nulls)[cfg.threshold_rank - 1])
-    return ShuffleTestResult(actual > threshold, actual, threshold)
+    channels = (i, j, *cond)
+    if len(set(channels)) != len(channels):
+        raise ValueError("i, j and the conditioning channels must all differ")
+    if not all(0 <= c < x.n_channels for c in channels):
+        raise ValueError(f"channel indices {list(channels)} outside 0..{x.n_channels - 1}")
+    orders = np.array([(*cond, i)], dtype=np.intp)
+    passed, actual, thresholds = _shuffle_tests(
+        _Nulls(x, cfg), orders, np.array([j]), *_factor(x.covariance, orders)
+    )
+    return ShuffleTestResult(bool(passed[0]), float(actual[0]), float(thresholds[0]))
 
 
 def discover(x: TimeSeriesMatrix, i: int, cfg: OmiiConfig) -> ParentSet:
@@ -165,28 +319,7 @@ def discover(x: TimeSeriesMatrix, i: int, cfg: OmiiConfig) -> ParentSet:
 
     Ties in the argmax break toward the lowest channel index.
     """
-    i = int(i)
-    if x.n_channels < 2:
-        raise ValueError("need at least 2 channels")
-    cov = x.covariance
-    candidates = [j for j in range(x.n_channels) if j != i]
-    parents: list[int] = []
-    values: list[float] = []
-    thresholds: list[float] = []
-    while candidates:
-        order = (*sorted(parents), i)
-        cmis = gaussian_cmi(
-            cov[np.ix_(order, order)], cov[np.ix_(candidates, order)], cov.diagonal()[candidates]
-        )
-        best = candidates[int(np.argmax(cmis))]
-        result = shuffle_test(x, i, best, parents, cfg)
-        if not result.passed:
-            break
-        candidates.remove(best)
-        parents.append(best)
-        values.append(result.cmi)
-        thresholds.append(result.threshold)
-    return ParentSet(i, tuple(parents), tuple(values), tuple(thresholds))
+    return _raise_first(_discover(_Nulls(x, cfg), [int(i)]))
 
 
 def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) -> ParentSet:
@@ -194,40 +327,28 @@ def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) 
 
     The conditioning set shrinks as parents are removed within the pass.
     """
-    i = int(i)
-    if discovered.target != i:
+    if discovered.target != int(i):
         raise ValueError("parent set belongs to a different target")
-    kept = list(discovered.parents)
-    for j in discovered.parents:
-        rest = [p for p in kept if p != j]
-        result = shuffle_test(x, i, j, rest, cfg)
-        if not result.passed:
-            kept.remove(j)
-    keep_mask = [p in kept for p in discovered.parents]
-    return ParentSet(
-        i,
-        tuple(p for p, m in zip(discovered.parents, keep_mask) if m),
-        tuple(v for v, m in zip(discovered.cmi_at_admission, keep_mask) if m),
-        tuple(s for s, m in zip(discovered.thresholds, keep_mask) if m),
-    )
+    return _raise_first(_remove(_Nulls(x, cfg), [discovered]))
 
 
 def infer_network(x: TimeSeriesMatrix, cfg: OmiiConfig, metadata: dict | None = None) -> InteractionNetwork:
-    """Discovery then removal for every channel; edges run parent -> target."""
-    edges: list[Edge] = []
-    failures: list[tuple[int, Exception]] = []
-    for i in range(x.n_channels):
-        try:
-            pruned = remove(x, i, discover(x, i, cfg), cfg)
-        except MiinetError as exc:  # aggregate, never silently partial
-            failures.append((i, exc))
-            continue
-        for parent, value, thr in zip(
-            pruned.parents, pruned.cmi_at_admission, pruned.thresholds
-        ):
-            edges.append(Edge(parent, i, value, thr))
+    """Discovery then removal for every channel; edges run parent -> target.
+
+    Every target that a failing batch carried is reported in one
+    NetworkInferenceError, never a silent partial network.
+    """
+    nulls = _Nulls(x, cfg)
+    discovered, failures = _discover(nulls, range(x.n_channels))
+    pruned, removal_failures = _remove(nulls, discovered)
+    failures = sorted(failures + removal_failures, key=lambda failure: failure[0])
     if failures:
         raise NetworkInferenceError(failures)
+    edges = tuple(
+        Edge(parent, p.target, value, threshold)
+        for p in pruned
+        for parent, value, threshold in zip(p.parents, p.cmi_at_admission, p.thresholds)
+    )
     meta = {
         "theta": cfg.theta,
         "n_shuffles": cfg.n_shuffles,
@@ -239,7 +360,7 @@ def infer_network(x: TimeSeriesMatrix, cfg: OmiiConfig, metadata: dict | None = 
     return InteractionNetwork(
         tuple(range(x.n_channels)),
         tuple(ch.name for ch in x.channels),
-        tuple(edges),
+        edges,
         meta,
     )
 

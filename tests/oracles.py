@@ -13,7 +13,8 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
 from miinet.distributions import standard_laplace_logpdf
-from miinet.estimators import gaussian_cmi
+from miinet.estimators import cmi_offset, conditional_mutual_information, gaussian_cmi
+from miinet.omii import _permutations
 
 
 def bessel_k_quadrature(order: float, x: float) -> float:
@@ -183,3 +184,42 @@ def null_cmis_reference(x, i: int, j: int, cond, perms) -> np.ndarray:
     centered = cols - cols.mean(axis=0)
     cross = centered[perms, -1] @ centered[:, :-1] / (t - 1)
     return gaussian_cmi(x.covariance[np.ix_(order, order)], cross, x.covariance[j, j])
+
+
+def infer_network_reference(x, cfg) -> dict:
+    """oMII one target and one test at a time: {(parent, target): (weight, threshold)}.
+
+    Every score and actual CMI is `conditional_mutual_information`, and every
+    test's nulls are `null_cmis_reference` on the bank the package draws for
+    `cfg`. Discovery admits the argmax candidate (ties to the lowest index)
+    while its test passes; removal then drops, in admission order, each parent
+    whose test given the kept set without it fails.
+    """
+    bank = _permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
+
+    def test(i, j, cond):
+        cond = tuple(sorted(cond))
+        actual = conditional_mutual_information(x, i, j, cond, cfg.family)
+        nulls = null_cmis_reference(x, i, j, cond, bank) + cmi_offset(cfg.family, len(cond))
+        threshold = float(np.sort(nulls)[cfg.threshold_rank - 1])
+        return actual > threshold, actual, threshold
+
+    edges = {}
+    for i in range(x.n_channels):
+        candidates = [j for j in range(x.n_channels) if j != i]
+        parents, admitted = [], {}
+        while candidates:
+            scores = [conditional_mutual_information(x, i, j, parents, cfg.family) for j in candidates]
+            best = candidates[int(np.argmax(scores))]
+            passed, actual, threshold = test(i, best, parents)
+            if not passed:
+                break
+            candidates.remove(best)
+            parents.append(best)
+            admitted[best] = (actual, threshold)
+        kept = list(parents)
+        for j in parents:
+            if not test(i, j, [p for p in kept if p != j])[0]:
+                kept.remove(j)
+        edges.update({(j, i): admitted[j] for j in kept})
+    return edges

@@ -67,6 +67,17 @@ def test_ingest_duplicate_and_empty(tmp_path):
         mio.read_timeseries_csv(p3)
 
 
+# past csv.field_size_limit(), 131,072 characters by default
+OVERSIZED_CELL = "x" * 140_001
+
+
+def test_ingest_reports_an_oversized_cell_position(tmp_path):
+    p = write(tmp_path / "big.csv", f"s1_lat\n1.0\n{OVERSIZED_CELL}\n")
+    with pytest.raises(ParseError) as err:
+        mio.read_timeseries_csv(p)
+    assert (err.value.line, err.value.col) == (3, 1)
+
+
 def test_ingest_bad_header(tmp_path):
     p = write(tmp_path / "hdr.csv", "s1_lat,acc2\n1.0,2.0\n")
     with pytest.raises(ParseError) as err:
@@ -261,6 +272,13 @@ def test_grid_csv_accepts_utf8_bom_and_crlf(tmp_path):
     assert mio.load_grid_csv(p).positions == {1: (0, 0), 2: (0, 1)}
 
 
+def test_grid_csv_reports_an_oversized_cell_position(tmp_path):
+    p = write(tmp_path / "g.csv", f"sensor_index,row,col\n1,0,0\n2,{OVERSIZED_CELL},1\n")
+    with pytest.raises(ParseError) as err:
+        mio.load_grid_csv(p)
+    assert (err.value.line, err.value.col) == (3, 1)
+
+
 def test_grid_csv_non_integer_cell_position(tmp_path):
     with pytest.raises(ParseError) as err:
         mio.load_grid_csv(write(tmp_path / "g.csv", "sensor_index,row,col\n1,0,0\n2,x,1\n"))
@@ -434,6 +452,29 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
     assert err.count("\n") == 1
     record = json.loads(err)
     assert record["error"] == "ValueError" and repr(path[-1]) in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "shape, field",
+    [([1, 2], "JSON object"), ({"edges": 5}, "'edges'"),
+     ({"edges": [{"source": "1", "target": 2, "weight": 0.7}]}, "'source'"),
+     ({"edges": [{"source": 1, "target": 2.5, "weight": 0.7}]}, "'target'"),
+     ({"edges": [{"source": 1, "target": 2, "weight": None}]}, "'weight'"),
+     ({"noise_scale": [1]}, "'noise_scale'"),
+     ({"edges": None, "grid_layout": 5}, "'grid_layout'")],
+)
+def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
+    spec = json.loads(generator_json(tmp_path).read_text())
+    if isinstance(shape, dict):  # a top-level None drops the field
+        shape = {k: v for k, v in {**spec, **shape}.items() if v is not None}
+    p = write(tmp_path / "bad.json", json.dumps(shape))
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--spec", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "ValueError" and field in record["message"]
     assert not out.exists()
 
 
@@ -619,6 +660,18 @@ def test_mi_map_diff_verb_reports_parse_position(tmp_path, capsys, row, col):
     assert record["error"] == "ParseError"
     assert record["message"].startswith(f"line 5, column {col}:")
     assert not (tmp_path / "diff.csv").exists()
+
+
+def test_fit_report_verb_reports_an_oversized_cell(tmp_path, capsys):
+    p = write(tmp_path / "big.csv", f"s1_lat\n1.0\n{OVERSIZED_CELL}\n")
+    out = tmp_path / "report.json"
+    assert main(["fit-report", "--input", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "ParseError"
+    assert record["message"].startswith("line 3, column 1:")
+    assert not out.exists()
 
 
 def test_cli_error_record(tmp_path, capsys):

@@ -19,11 +19,12 @@ from miinet.synthetic import (
     chain_coupling,
     coupling_from_edges,
     generate_contemporaneous,
+    random_dag_coupling,
     star_coupling,
 )
 
 from conftest import duplicated_condition_matrix, make_matrix
-from oracles import null_cmis_reference
+from oracles import infer_network_reference, null_cmis_reference
 
 GAUSS = Family.GAUSSIAN
 
@@ -31,6 +32,13 @@ GAUSS = Family.GAUSSIAN
 def independent_matrix(seed, t=1000, n=2):
     rng = np.random.default_rng(seed)
     return make_matrix(rng.standard_normal((t, n)))
+
+
+def null_cmis(x, i, j, cond, cfg):
+    """The Ns Gaussian nulls of one shuffle test, from the batched test path."""
+    orders = np.array([(*cond, i)])
+    stack, factor = omii._factor(x.covariance, orders)
+    return omii._test_cmis(omii._Nulls(x, cfg), orders, np.array([j]), stack, factor)[0, 1:]
 
 
 def test_omii_config_validation():
@@ -63,9 +71,7 @@ def test_degenerate_single_shuffle_threshold():
     assert cfg.threshold_rank == 1
     x = independent_matrix(0)
     res = shuffle_test(x, 0, 1, (), cfg)
-    from miinet.omii import _null_cmis
-
-    only_null = _null_cmis(x, 0, 1, (), cfg)[0]
+    only_null = null_cmis(x, 0, 1, (), cfg)[0]
     assert res.threshold == only_null
     assert res.passed == (res.cmi > only_null)
 
@@ -80,7 +86,7 @@ def test_shuffle_test_argument_validation():
 
 
 def test_shuffle_test_deterministic():
-    # seed A, then B, then A: the cached permutation bank of B must not leak into A
+    # seed A, then B, then A: the permutation bank of B must not leak into A
     x = independent_matrix(2, n=3)
     cfg_a = OmiiConfig(family=GAUSS, theta=0.1, n_shuffles=50, seed=9)
     cfg_b = OmiiConfig(family=GAUSS, theta=0.1, n_shuffles=50, seed=10)
@@ -305,14 +311,15 @@ def test_infer_network_wraps_only_package_errors(monkeypatch):
     def raise_type_error(*args):
         raise TypeError("programming error")
 
-    monkeypatch.setattr(omii, "discover", raise_type_error)
+    monkeypatch.setattr(omii, "_shuffle_tests", raise_type_error)
     with pytest.raises(TypeError, match="programming error"):
         infer_network(x, cfg)
 
     def raise_singular(*args):
         raise SingularCovariance("collinear")
 
-    monkeypatch.setattr(omii, "discover", raise_singular)
+    # the first discovery batch carries every target
+    monkeypatch.setattr(omii, "_shuffle_tests", raise_singular)
     with pytest.raises(NetworkInferenceError) as err:
         infer_network(x, cfg)
     assert [t for t, _ in err.value.failures] == [0, 1, 2]
@@ -330,7 +337,7 @@ def test_parent_set_validation():
 def test_duplicated_condition_channel_nulls_finite():
     x = duplicated_condition_matrix()
     cfg = OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=8)
-    assert np.all(np.isfinite(omii._null_cmis(x, 0, 1, (2, 3), cfg)))
+    assert np.all(np.isfinite(null_cmis(x, 0, 1, (2, 3), cfg)))
     res = shuffle_test(x, 0, 1, (2, 3), cfg)
     assert np.isfinite(res.threshold)
     assert res.passed  # j depends on i given k
@@ -347,7 +354,7 @@ def test_unshuffled_nulls_equal_actual_cmi(monkeypatch):
     for cond in ((), (2,), (2, 4)):
         for i, j in ((1, 3), (3, 1)):
             actual = conditional_mutual_information(x, i, j, cond, GAUSS)
-            nulls = omii._null_cmis(x, i, j, cond, cfg)
+            nulls = null_cmis(x, i, j, cond, cfg)
             assert np.max(np.abs(nulls - actual)) < 1e-12, (i, j, cond)
 
 
@@ -356,7 +363,7 @@ def test_unshuffled_nulls_equal_actual_cmi_on_ridge(monkeypatch):
     x = duplicated_condition_matrix()
     cfg = OmiiConfig(GAUSS, n_shuffles=3, seed=1)
     actual = conditional_mutual_information(x, 0, 1, (2, 3), GAUSS)
-    nulls = omii._null_cmis(x, 0, 1, (2, 3), cfg)
+    nulls = null_cmis(x, 0, 1, (2, 3), cfg)
     assert np.all(np.isfinite(nulls))
     assert np.max(np.abs(nulls - actual)) < 1e-5
 
@@ -376,14 +383,22 @@ def test_infer_network_regularizes_covariance_once(monkeypatch):
     assert calls == [(6, 6)]
 
 
-def test_infer_network_draws_one_permutation_bank():
+def test_infer_network_draws_one_permutation_bank(monkeypatch):
+    banks = []
+    draw = omii._permutations
+
+    def recording(seed, n_shuffles, t):
+        banks.append(draw(seed, n_shuffles, t))
+        return banks[-1]
+
+    monkeypatch.setattr(omii, "_permutations", recording)
     x = generate_contemporaneous(GeneratorSpec(6, 2000, star_coupling(6, 0.6), seed=31))
-    omii._permutations.cache_clear()
     infer_network(x, OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=37))
-    assert omii._permutations.cache_info().misses == 1
-    bank = omii._permutations(37, 50, 2000)
-    assert bank.shape == (50, 2000)
+    assert len(banks) == 1
+    bank = banks[0]
+    assert bank.shape == (50, 2000) and bank.dtype == np.intp
     assert not bank.flags.writeable
+    assert np.array_equal(draw(37, 50, 2000), bank)
     assert np.array_equal(np.sort(bank, axis=1), np.tile(np.arange(2000), (50, 1)))
 
 
@@ -404,17 +419,18 @@ def test_discover_calls_the_kernel_once_per_round(monkeypatch):
     partners = []
     kernel = omii.gaussian_cmi
 
-    def counting(cov, cross, var):
-        partners.append(cross.shape[0])
-        return kernel(cov, cross, var)
+    def counting(cov, cross, var, factor=None):
+        partners.append(cross.shape[-2])
+        return kernel(cov, cross, var, factor)
 
     verdicts = iter([True, True, False])
 
-    def scripted_test(x, i, j, cond, cfg):
-        return omii.ShuffleTestResult(next(verdicts), 0.5, 0.1)
+    def scripted_tests(nulls, orders, candidates, stack, factor):
+        flags = np.full(len(candidates), next(verdicts))
+        return flags, np.full(len(candidates), 0.5), np.full(len(candidates), 0.1)
 
     monkeypatch.setattr(omii, "gaussian_cmi", counting)
-    monkeypatch.setattr(omii, "shuffle_test", scripted_test)
+    monkeypatch.setattr(omii, "_shuffle_tests", scripted_tests)
     x = generate_contemporaneous(GeneratorSpec(6, 500, star_coupling(6, 0.6), seed=43))
     found = discover(x, 0, OmiiConfig(GAUSS, seed=1))
     assert len(found.parents) == 2
@@ -438,7 +454,7 @@ def test_null_cmis_match_reference_on_chain(family):
     bank = omii._permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
     for i, j, cond in random_tests(6, 25, seed=53):
         reference = null_cmis_reference(x, i, j, cond, bank)
-        assert np.max(np.abs(omii._null_cmis(x, i, j, cond, cfg) - reference)) < 1e-12
+        assert np.max(np.abs(null_cmis(x, i, j, cond, cfg) - reference)) < 1e-12
         nulls = reference + cmi_offset(family, len(cond))
         threshold = np.sort(nulls)[cfg.threshold_rank - 1]
         assert abs(shuffle_test(x, i, j, cond, cfg).threshold - threshold) < 1e-12
@@ -451,23 +467,23 @@ def test_null_cmis_match_reference_on_ridge(family):
     bank = omii._permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
     for i, j, cond in ((0, 1, (2, 3)), (1, 0, (2, 3)), (0, 1, (3,)), (2, 0, (1, 3)), (1, 2, (0,))):
         reference = null_cmis_reference(x, i, j, cond, bank)
-        assert np.max(np.abs(omii._null_cmis(x, i, j, cond, cfg) - reference)) < 1e-12
+        assert np.max(np.abs(null_cmis(x, i, j, cond, cfg) - reference)) < 1e-12
 
 
 def test_infer_network_builds_one_table_per_tested_channel(monkeypatch):
     built, tested = [], set()
-    build, nulls = omii._null_table, omii._null_cmis
+    build, test_cmis = omii._null_table, omii._test_cmis
 
-    def counting_build(x, j, bank):
+    def counting_build(centered, j, bank):
         built.append(j)
-        return build(x, j, bank)
+        return build(centered, j, bank)
 
-    def recording_nulls(x, i, j, cond, cfg):
-        tested.add(j)
-        return nulls(x, i, j, cond, cfg)
+    def recording_tests(nulls, orders, partners, stack, factor):
+        tested.update(partners.tolist())
+        return test_cmis(nulls, orders, partners, stack, factor)
 
     monkeypatch.setattr(omii, "_null_table", counting_build)
-    monkeypatch.setattr(omii, "_null_cmis", recording_nulls)
+    monkeypatch.setattr(omii, "_test_cmis", recording_tests)
     x = generate_contemporaneous(GeneratorSpec(6, 2000, star_coupling(6, 0.6), seed=31))
     net = infer_network(x, OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=37))
     assert net.edges
@@ -480,10 +496,10 @@ def test_matrices_of_one_shape_keep_their_own_nulls():
     x = generate_contemporaneous(GeneratorSpec(4, 600, chain_coupling(4, 0.6), seed=59))
     y = generate_contemporaneous(GeneratorSpec(4, 600, chain_coupling(4, 0.6), seed=61))
     bank = omii._permutations(cfg.seed, cfg.n_shuffles, 600)
-    first = [omii._null_cmis(m, 0, 1, (2,), cfg) for m in (x, y)]
+    first = [null_cmis(m, 0, 1, (2,), cfg) for m in (x, y)]
     assert not np.allclose(first[0], first[1])
     for m, nulls in zip((x, y), first):
-        again = omii._null_cmis(m, 0, 1, (3,), cfg)
+        again = null_cmis(m, 0, 1, (3,), cfg)
         assert np.max(np.abs(nulls - null_cmis_reference(m, 0, 1, (2,), bank))) < 1e-12
         assert np.max(np.abs(again - null_cmis_reference(m, 0, 1, (3,), bank))) < 1e-12
 
@@ -491,11 +507,11 @@ def test_matrices_of_one_shape_keep_their_own_nulls():
 def test_new_bank_is_not_served_a_stale_table(monkeypatch):
     x = generate_contemporaneous(GeneratorSpec(5, 800, chain_coupling(5, 0.5), seed=29))
     cfg = OmiiConfig(GAUSS, n_shuffles=3, seed=1)
-    shuffled = omii._null_cmis(x, 2, 3, (1,), cfg)
+    shuffled = null_cmis(x, 2, 3, (1,), cfg)
     monkeypatch.setattr(omii, "_permutations", identity_permutation)
     actual = conditional_mutual_information(x, 2, 3, (1,), GAUSS)
     assert np.max(shuffled) < actual / 2
-    assert np.max(np.abs(omii._null_cmis(x, 2, 3, (1,), cfg) - actual)) < 1e-12
+    assert np.max(np.abs(null_cmis(x, 2, 3, (1,), cfg) - actual)) < 1e-12
 
 
 @settings(max_examples=25, deadline=None)
@@ -541,3 +557,99 @@ def test_degenerate_inputs_fail_typed_or_stay_finite(
             finite_or_typed(
                 lambda: [v for e in infer_network(x, cfg).edges for v in (e.weight, e.threshold)]
             )
+
+
+REFERENCE_CASES = {
+    "chain": lambda: generate_contemporaneous(
+        GeneratorSpec(6, 1500, chain_coupling(6, 0.6), seed=67)
+    ),
+    "star": lambda: generate_contemporaneous(
+        GeneratorSpec(6, 1500, star_coupling(6, 0.6), seed=71)
+    ),
+    "random-dag": lambda: generate_contemporaneous(
+        GeneratorSpec(7, 1500, random_dag_coupling(7, 0.4, 0.6, seed=3), seed=73)
+    ),
+    "duplicated-condition": duplicated_condition_matrix,
+    # removal drops the summary node 2 of target 3 and then tests on the shrunk set
+    "summary-node": lambda: generate_contemporaneous(
+        GeneratorSpec(
+            4, 3000, coupling_from_edges(4, [(0, 2, 0.9), (1, 2, 0.9), (0, 3, 0.5), (1, 3, 0.5)]),
+            noise_scale=0.5, seed=1101,
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+def test_infer_network_matches_per_target_reference(case, family):
+    x = REFERENCE_CASES[case]()
+    cfg = OmiiConfig(family, theta=0.1, n_shuffles=60, seed=79)
+    net = infer_network(x, cfg)
+    reference = infer_network_reference(x, cfg)
+    assert net.edges and net.edge_set() == set(reference)
+    for e in net.edges:
+        weight, threshold = reference[e.source, e.target]
+        assert abs(e.weight - weight) < 1e-12
+        assert abs(e.threshold - threshold) < 1e-12
+
+
+def test_discovery_stacks_each_round_into_one_candidate_and_one_test_call(monkeypatch):
+    x = generate_contemporaneous(GeneratorSpec(7, 1500, random_dag_coupling(7, 0.4, 0.6, seed=3), seed=73))
+    cfg = OmiiConfig(GAUSS, theta=0.1, n_shuffles=60, seed=79)
+    factors, kernel_calls = [], []
+    factor, kernel = omii.cholesky, omii.gaussian_cmi
+
+    def counting_factor(stack):
+        factors.append(stack.shape[0])
+        return factor(stack)
+
+    def counting_kernel(cov, cross, var, chol=None):
+        rows = cross.shape[-2]
+        kernel_calls.append(("test" if rows == cfg.n_shuffles + 1 else "candidates", cross.shape[0]))
+        return kernel(cov, cross, var, chol)
+
+    monkeypatch.setattr(omii, "cholesky", counting_factor)
+    monkeypatch.setattr(omii, "gaussian_cmi", counting_kernel)
+    found, failures = omii._discover(omii._Nulls(x, cfg), range(x.n_channels))
+    assert not failures
+    lengths = [len(p.parents) for p in found]
+    # round r carries every target that admitted r parents, while candidates remain
+    active = [sum(n >= r for n in lengths) for r in range(x.n_channels - 1)]
+    active = [a for a in active if a]
+    assert len(active) >= 3
+    assert factors == active
+    assert kernel_calls == [(kind, a) for a in active for kind in ("candidates", "test")]
+
+
+def test_failing_batch_fails_every_target_it_carried(monkeypatch):
+    x = generate_contemporaneous(GeneratorSpec(5, 2000, coupling_from_edges(5, [(0, 1, 0.8)]), seed=83))
+    cfg = OmiiConfig(GAUSS, theta=0.05, n_shuffles=60, seed=89)
+    found, _ = omii._discover(omii._Nulls(x, cfg), range(x.n_channels))
+    carried = [p.target for p in found if p.parents]  # the targets of discovery round 1
+    assert 0 < len(carried) < x.n_channels
+    tests = omii._shuffle_tests
+
+    def failing_round_one(nulls, orders, partners, stack, factor):
+        if orders.shape[1] == 2:
+            raise SingularCovariance("round 1")
+        return tests(nulls, orders, partners, stack, factor)
+
+    monkeypatch.setattr(omii, "_shuffle_tests", failing_round_one)
+    with pytest.raises(NetworkInferenceError) as err:
+        infer_network(x, cfg)
+    assert [t for t, _ in err.value.failures] == carried
+    assert all(str(exc) == "round 1" for _, exc in err.value.failures)
+
+
+def test_remove_tests_each_parent_on_the_shrunk_set():
+    # y = a + b + noise and c = a + b + 1e-3 noise: given {a, b}, c is redundant
+    # and goes first; a then stays on {b}, where on {b, c} it would carry nothing
+    rng = np.random.default_rng(97)
+    a, b, noise = rng.standard_normal((3, 2000))
+    c = a + b + 1e-3 * rng.standard_normal(2000)
+    x = make_matrix(np.column_stack([a, b, c, a + b + noise]))
+    cfg = OmiiConfig(GAUSS, theta=0.05, n_shuffles=100, seed=101)
+    given = ParentSet(3, (2, 0, 1), (0.3, 0.2, 0.1), (0.01, 0.01, 0.01))
+    assert remove(x, 3, given, cfg).parents == (0, 1)
+    assert not shuffle_test(x, 3, 0, (1, 2), cfg).passed
