@@ -18,9 +18,9 @@ from .core import Axis, TimeSeriesMatrix, as_integer, standardize
 from .distributions import fit_errors
 from .errors import MiinetError
 from .estimators import Family
-from .omii import OmiiConfig, degree_distribution, infer_network
+from .omii import InteractionNetwork, OmiiConfig, degree_distribution, infer_network
 from .seeding import derive_seed
-from .spatial import mi_map_diff, neighbor_pairs, network_diff, pairwise_mi_map
+from .spatial import SensorGrid, mi_map_diff, neighbor_pairs, network_diff, pairwise_mi_map
 from .synthetic import (
     GeneratorSpec,
     coupling_from_edges,
@@ -51,8 +51,11 @@ class RunConfig:
         if len(set(labels)) != len(labels):
             raise ValueError("scenario labels must be unique")
         for label in labels:
-            if not label or any(ch in label for ch in "/\\ "):
-                raise ValueError(f"label {label!r} must be non-empty, no slashes/spaces")
+            surrogate = any("\ud800" <= ch <= "\udfff" for ch in label)  # undecodable argv bytes
+            if not label or label in (".", "..") or surrogate or any(ch in label for ch in "/\\ "):
+                raise ValueError(
+                    f"label {label!r} must be non-empty UTF-8 text, not . or .., no slashes/spaces"
+                )
         for path in [self.baseline_path, self.grid_path] + [p for _, p in self.scenarios]:
             if not Path(path).is_file():
                 raise FileNotFoundError(f"input file {path} does not exist")
@@ -95,11 +98,30 @@ def build_fit_report(x: TimeSeriesMatrix) -> dict:
     }
 
 
-def _axis_submatrix(x: TimeSeriesMatrix, axis: Axis) -> TimeSeriesMatrix:
+def _write_fit_report(x: TimeSeriesMatrix, prov: dict, path, **fields) -> None:
+    """`build_fit_report(x)` with its provenance and any further fields, as JSON."""
+    io.write_json({**build_fit_report(x), "provenance": prov, **fields}, path)
+
+
+def _write_network(
+    x: TimeSeriesMatrix, axis: Axis, cfg: OmiiConfig, metadata: dict, prov: dict,
+    grid: SensorGrid | None, paths: list,
+) -> InteractionNetwork:
+    """oMII on x's `axis` channels, written to `paths`: network JSON, DOT and degree CSV."""
     columns = x.axis_channel_indices(axis)
     if not columns:
         raise MiinetError(f"no channels for axis {axis.value}")
-    return x.select([columns[s] for s in sorted(columns)])
+    sub = x.select([columns[s] for s in sorted(columns)])
+    net = infer_network(sub, cfg, metadata={**metadata, "axis": axis.value})
+    json_path, dot_path, degrees_path = paths
+    io.write_network_json(net, prov, json_path)
+    io.write_network_dot(net, prov, dot_path, grid=grid)
+    io.write_degree_distribution_csv(degree_distribution(net), prov, degrees_path)
+    return net
+
+
+_SCENARIO_FILES = ("fit_report.json", "pairwise_mi.csv",
+                   "omii_network.json", "omii_network.dot", "degree_distribution.csv")
 
 
 def run_pipeline(cfg: RunConfig) -> list[Path]:
@@ -128,35 +150,16 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     for (label, _), x in zip(all_scenarios, matrices):
         scen_dir = out_dir / label
         scen_dir.mkdir(parents=True, exist_ok=True)
-
-        report = build_fit_report(x)
-        report["provenance"] = prov
-        report["scenario"] = label
-        io.write_json(report, scen_dir / "fit_report.json")
-        written.append(scen_dir / "fit_report.json")
-
-        mi_map = pairwise_mi_map(x, grid, cfg.axis, cfg.family, scenario=label)
-        io.write_mi_map_csv(mi_map, prov, scen_dir / "pairwise_mi.csv")
-        written.append(scen_dir / "pairwise_mi.csv")
-        mi_maps[label] = mi_map
-
-        sub = _axis_submatrix(x, cfg.axis)
-        omii_cfg = OmiiConfig(
-            family=cfg.family,
-            theta=cfg.theta,
-            n_shuffles=cfg.n_shuffles,
-            seed=derive_seed(cfg.seed, "omii", label),
+        paths = [scen_dir / name for name in _SCENARIO_FILES]
+        _write_fit_report(x, prov, paths[0], scenario=label)
+        mi_maps[label] = pairwise_mi_map(x, grid, cfg.axis, cfg.family, scenario=label)
+        io.write_mi_map_csv(mi_maps[label], prov, paths[1])
+        seed = derive_seed(cfg.seed, "omii", label)
+        omii_cfg = OmiiConfig(cfg.family, cfg.theta, cfg.n_shuffles, seed)
+        networks[label] = _write_network(
+            x, cfg.axis, omii_cfg, {"scenario": label}, prov, grid, paths[2:]
         )
-        net = infer_network(sub, omii_cfg, metadata={"scenario": label, "axis": cfg.axis.value})
-        io.write_network_json(net, prov, scen_dir / "omii_network.json")
-        io.write_network_dot(net, prov, scen_dir / "omii_network.dot", grid=grid)
-        written += [scen_dir / "omii_network.json", scen_dir / "omii_network.dot"]
-        networks[label] = net
-
-        io.write_degree_distribution_csv(
-            degree_distribution(net), prov, scen_dir / "degree_distribution.csv"
-        )
-        written.append(scen_dir / "degree_distribution.csv")
+        written += paths
 
     for label, _ in cfg.scenarios:
         diff_dir = out_dir / f"diff_{cfg.baseline_label}_vs_{label}"
@@ -262,10 +265,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_fit_report(args) -> int:
     x = standardize(io.read_timeseries_csv(args.input))
-    report = build_fit_report(x)
     config = {"verb": "fit-report", "input": str(args.input)}
-    report["provenance"] = io.provenance(config, args.seed)
-    io.write_json(report, args.out)
+    _write_fit_report(x, io.provenance(config, args.seed), args.out)
     return 0
 
 
@@ -290,15 +291,8 @@ def _cmd_pairwise_mi(args) -> int:
 def _cmd_omii(args) -> int:
     x = standardize(io.read_timeseries_csv(args.input))
     axis = Axis(args.axis)
-    sub = _axis_submatrix(x, axis)
     family = Family(args.family)
-    cfg = OmiiConfig(
-        family=family,
-        theta=args.theta,
-        n_shuffles=args.n_shuffles,
-        seed=derive_seed(args.seed, "omii"),
-    )
-    net = infer_network(sub, cfg, metadata={"axis": axis.value})
+    cfg = OmiiConfig(family, args.theta, args.n_shuffles, derive_seed(args.seed, "omii"))
     config = {
         "verb": "omii",
         "input": str(args.input),
@@ -308,13 +302,9 @@ def _cmd_omii(args) -> int:
         "n_shuffles": args.n_shuffles,
         "seed": args.seed,
     }
-    prov = io.provenance(config, args.seed)
     grid = io.load_grid_csv(args.grid) if args.grid else None
-    io.write_network_json(net, prov, f"{args.out_prefix}.json")
-    io.write_network_dot(net, prov, f"{args.out_prefix}.dot", grid=grid)
-    io.write_degree_distribution_csv(
-        degree_distribution(net), prov, f"{args.out_prefix}_degrees.csv"
-    )
+    paths = [f"{args.out_prefix}{suffix}" for suffix in (".json", ".dot", "_degrees.csv")]
+    _write_network(x, axis, cfg, {}, io.provenance(config, args.seed), grid, paths)
     return 0
 
 

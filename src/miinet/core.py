@@ -71,7 +71,6 @@ class TimeSeriesMatrix:
 
     data: np.ndarray
     channels: tuple[ChannelId, ...]
-    sample_rate_hz: float = 128.0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -87,8 +86,6 @@ class TimeSeriesMatrix:
             raise ValueError(f"{len(channels)} channel ids for {n} columns")
         if len(set(channels)) != n:
             raise DuplicateChannel("channel ids must be unique")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
         bad = ~np.isfinite(data)
         if bad.any():
             t_bad, c_bad = np.argwhere(bad)[0]
@@ -126,11 +123,7 @@ class TimeSeriesMatrix:
     def select(self, indices: Sequence[int]) -> "TimeSeriesMatrix":
         """New matrix restricted to the given columns, order preserved."""
         idx = list(indices)
-        return TimeSeriesMatrix(
-            self.data[:, idx],
-            tuple(self.channels[k] for k in idx),
-            self.sample_rate_hz,
-        )
+        return TimeSeriesMatrix(self.data[:, idx], tuple(self.channels[k] for k in idx))
 
 
 def as_integer(name: str, value) -> int:
@@ -149,7 +142,7 @@ def standardize(raw: TimeSeriesMatrix) -> TimeSeriesMatrix:
     if zero.size:
         raise ZeroVariance(raw.channels[zero[0]].name)
     out = (data - mu) / sd
-    return TimeSeriesMatrix(out, raw.channels, raw.sample_rate_hz)
+    return TimeSeriesMatrix(out, raw.channels)
 
 
 def regularize_covariance(cov: np.ndarray) -> tuple[np.ndarray, float]:

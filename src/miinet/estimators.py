@@ -65,22 +65,17 @@ def log_det(cov: np.ndarray) -> float:
     return 2.0 * float(np.log(np.diag(cholesky(cov))).sum())
 
 
-def gaussian_cmi(
-    cov: np.ndarray, cross: np.ndarray, var: np.ndarray, factor: np.ndarray | None = None
-) -> np.ndarray:
+def gaussian_cmi(factor: np.ndarray, cross: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Gaussian I(i; v | K) for every row v of `cross`, from one factorization.
 
-    `cov` is the covariance of (*K, i), i last; row b of `cross` holds the
-    covariances of a channel v_b with (*K, i), and `var[b]` its variance.
-    With L = chol(cov) and w = L^-1 cross^T, K's factor is L's leading block,
+    `factor` is L = chol(cov), cov the covariance of (*K, i), i last; row b of
+    `cross` holds the covariances of a channel v_b with (*K, i), and `var[b]`
+    its variance. With w = L^-1 cross^T, K's factor is L's leading block,
     so var - |w[:k]|^2 is v's residual variance given K and w[k]^2 over it is
     the squared partial correlation rho^2; the CMI is -1/2 ln(1 - rho^2), nats.
-    Every argument may carry leading stack axes, one problem per index: cov
+    Every argument may carry leading stack axes, one problem per index: factor
     (..., k+1, k+1), cross (..., B, k+1) and var broadcastable to (..., B).
-    `factor`, when the caller holds it already, is `cholesky(cov)`.
     """
-    if factor is None:
-        factor = cholesky(cov)
     w = np.linalg.solve(factor, np.swapaxes(cross, -1, -2))
     residual = var - np.sum(w[..., :-1, :] ** 2, axis=-2)
     if not np.all(residual > 0.0):
@@ -101,7 +96,7 @@ def entropy_of_covariance(cov: np.ndarray, family: Family) -> float:
 def cmi_of_covariance(cov: np.ndarray, family: Family) -> float:
     """I(i; j | K) of a covariance ordered (*K, i, j): the Gaussian CMI plus delta(|K|)."""
     cov = np.asarray(cov, dtype=np.float64)
-    cmi = gaussian_cmi(cov[:-1, :-1], cov[-1:, :-1], cov[-1:, -1])
+    cmi = gaussian_cmi(cholesky(cov[:-1, :-1]), cov[-1:, :-1], cov[-1:, -1])
     return float(cmi[0]) + cmi_offset(family, cov.shape[0] - 2)
 
 

@@ -11,6 +11,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -217,28 +218,38 @@ def network_to_payload(net: InteractionNetwork, prov: dict) -> dict:
     }
 
 
-_EDGE_FIELDS = ("source", "target", "weight", "threshold")
+# (what a field must be, the test of it); bool is an int to Python, not to JSON
+_LIST = ("a list", lambda v: isinstance(v, list))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_INDEX = ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
+_NUMBER = ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
+_EDGE_FIELDS = (("source", _INDEX), ("target", _INDEX), ("weight", _NUMBER), ("threshold", _NUMBER))
 
 
-def _field(record, key: str, where: str):
+def _field(record, key: str, where: str, kind=None):
+    """record[key]; a missing key, or a value that is not of `kind`, raises MalformedNetwork."""
     try:
-        return record[key]
+        value = record[key]
     except (KeyError, TypeError):
         raise MalformedNetwork(f"{where} has no {key!r}") from None
+    if kind is not None and not kind[1](value):
+        raise MalformedNetwork(f"{where} {key!r} must be {kind[0]}, got {value!r}")
+    return value
 
 
 def network_from_payload(payload: dict) -> InteractionNetwork:
-    """Inverse of network_to_payload; a missing field raises MalformedNetwork."""
-    nodes = _field(payload, "nodes", "network")
-    edges = _field(payload, "edges", "network")
+    """Inverse of network_to_payload; a missing or mis-shaped field raises MalformedNetwork."""
+    nodes = _field(payload, "nodes", "network", _LIST)
+    edges = _field(payload, "edges", "network", _LIST)
+    metadata = _field(payload, "metadata", "network", _OBJECT) if "metadata" in payload else {}
     return InteractionNetwork(
-        tuple(_field(n, "index", f"node {k}") for k, n in enumerate(nodes)),
+        tuple(_field(n, "index", f"node {k}", _INDEX) for k, n in enumerate(nodes)),
         tuple(_field(n, "name", f"node {k}") for k, n in enumerate(nodes)),
         tuple(
-            Edge(*(_field(e, key, f"edge {k}") for key in _EDGE_FIELDS))
+            Edge(*(_field(e, key, f"edge {k}", kind) for key, kind in _EDGE_FIELDS))
             for k, e in enumerate(edges)
         ),
-        dict(payload.get("metadata", {})),
+        dict(metadata),
     )
 
 

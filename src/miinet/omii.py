@@ -72,29 +72,34 @@ class ShuffleTestResult:
 
 
 @dataclass(frozen=True)
-class ParentSet:
-    """Discovered direct parents of one target, in admission order."""
-
-    target: int
-    parents: tuple[int, ...]
-    cmi_at_admission: tuple[float, ...]
-    thresholds: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.target in self.parents:
-            raise ValueError("target cannot be its own parent")
-        if len(set(self.parents)) != len(self.parents):
-            raise ValueError("duplicate parents")
-        if not (len(self.parents) == len(self.cmi_at_admission) == len(self.thresholds)):
-            raise ValueError("parents/diagnostics length mismatch")
-
-
-@dataclass(frozen=True)
 class Edge:
     source: int
     target: int
     weight: float
     threshold: float
+
+
+@dataclass(frozen=True)
+class ParentSet:
+    """Discovered direct parents of one target: edges parent -> target, in admission order.
+
+    An edge's weight is its CMI at admission, its threshold that test's S.
+    """
+
+    target: int
+    edges: tuple[Edge, ...]
+
+    def __post_init__(self):
+        if any(e.target != self.target for e in self.edges):
+            raise ValueError("every edge must point into the target")
+        if self.target in self.parents:
+            raise ValueError("target cannot be its own parent")
+        if len(set(self.parents)) != len(self.parents):
+            raise ValueError("duplicate parents")
+
+    @property
+    def parents(self) -> tuple[int, ...]:
+        return tuple(e.source for e in self.edges)
 
 
 @dataclass(frozen=True)
@@ -143,30 +148,29 @@ class _Nulls:
         return self.tables[j]
 
 
-def _factor(cov: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (A, m, m) stack of cov[order, order] over the rows of `orders`, and its factors."""
-    stack = cov[orders[:, :, None], orders[:, None, :]]
-    return stack, cholesky(stack)
+def _factor(cov: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The (A, m, m) Cholesky factors of cov[order, order] over the rows of `orders`."""
+    return cholesky(cov[orders[:, :, None], orders[:, None, :]])
 
 
 def _test_cmis(
-    nulls: _Nulls, orders: np.ndarray, partners: np.ndarray, stack: np.ndarray, factor: np.ndarray
+    nulls: _Nulls, orders: np.ndarray, partners: np.ndarray, factor: np.ndarray
 ) -> np.ndarray:
     """Gaussian I(i_a; j_a | K_a) and its Ns shuffled nulls for a batch of tests, (A, 1 + Ns).
 
-    Row a of `orders` is (*K_a, i_a), `partners[a]` is j_a, and `stack` and
-    `factor` are `_factor(cov, orders)`; every K_a has the same size. Column 0
-    is j_a's actual CMI given (*K_a, i_a), the other columns its shuffled copies'.
+    Row a of `orders` is (*K_a, i_a), `partners[a]` is j_a, and `factor` is
+    `_factor(cov, orders)`; every K_a has the same size. Column 0 is j_a's
+    actual CMI given (*K_a, i_a), the other columns its shuffled copies'.
     """
     cov = nulls.x.covariance
     rows = np.stack(
         [np.vstack((cov[j, order], nulls.table(j)[:, order])) for j, order in zip(partners, orders)]
     )
-    return gaussian_cmi(stack, rows, cov[partners, partners][:, None], factor)
+    return gaussian_cmi(factor, rows, cov[partners, partners][:, None])
 
 
 def _shuffle_tests(
-    nulls: _Nulls, orders: np.ndarray, partners: np.ndarray, stack: np.ndarray, factor: np.ndarray
+    nulls: _Nulls, orders: np.ndarray, partners: np.ndarray, factor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pass flags, actual CMIs and thresholds of a batch of `_test_cmis`, family values.
 
@@ -177,7 +181,7 @@ def _shuffle_tests(
     k = orders.shape[1] - 1
     if k + 2 >= x.n_samples:
         raise ConditionSetTooLarge(f"|K|+2 = {k + 2} >= T = {x.n_samples}")
-    cmis = _test_cmis(nulls, orders, partners, stack, factor) + cmi_offset(cfg.family, k)
+    cmis = _test_cmis(nulls, orders, partners, factor) + cmi_offset(cfg.family, k)
     actual = cmis[:, 0]
     thresholds = np.sort(cmis[:, 1:], axis=1)[:, cfg.threshold_rank - 1]
     return actual > thresholds, actual, thresholds
@@ -195,7 +199,7 @@ def _discover(
     if n < 2:
         raise ValueError("need at least 2 channels")
     cov = x.covariance
-    found: dict[int, tuple[list, list, list]] = {int(i): ([], [], []) for i in targets}
+    found: dict[int, list[Edge]] = {int(i): [] for i in targets}
     failures: list[tuple[int, Exception]] = []
     active = np.array(list(found), dtype=np.intp)
     conds = np.empty((active.size, 0), dtype=np.intp)  # each active target's sorted parents
@@ -208,15 +212,12 @@ def _discover(
         mask[index[:, None], orders] = False
         candidates = np.nonzero(mask)[1].reshape(active.size, n - 1 - r)
         try:
-            stack, factor = _factor(cov, orders)
+            factor = _factor(cov, orders)
             cmis = gaussian_cmi(
-                stack,
-                cov[candidates[:, :, None], orders[:, None, :]],
-                cov.diagonal()[candidates],
-                factor,
+                factor, cov[candidates[:, :, None], orders[:, None, :]], cov.diagonal()[candidates]
             )
             best = candidates[index, np.argmax(cmis, axis=1)]
-            passed, actual, thresholds = _shuffle_tests(nulls, orders, best, stack, factor)
+            passed, actual, thresholds = _shuffle_tests(nulls, orders, best, factor)
         except MiinetError as exc:  # the batch fails every target it carried
             failures.extend((int(i), exc) for i in active)
             for i in active:
@@ -226,12 +227,10 @@ def _discover(
             active[passed].tolist(), best[passed].tolist(),
             actual[passed].tolist(), thresholds[passed].tolist(),
         ):
-            for column, item in zip(found[i], (j, value, threshold)):
-                column.append(item)
+            found[i].append(Edge(j, i, value, threshold))
         active = active[passed]
         conds = np.sort(np.column_stack((conds[passed], best[passed])), axis=1)
-    parent_sets = [ParentSet(i, *map(tuple, columns)) for i, columns in found.items()]
-    return parent_sets, failures
+    return [ParentSet(i, tuple(edges)) for i, edges in found.items()], failures
 
 
 def _remove(
@@ -257,7 +256,7 @@ def _remove(
             orders = np.array([(*rest, i) for i, _, rest in group], dtype=np.intp)
             partners = np.array([j for _, j, _ in group], dtype=np.intp)
             try:
-                passed = _shuffle_tests(nulls, orders, partners, *_factor(cov, orders))[0]
+                passed = _shuffle_tests(nulls, orders, partners, _factor(cov, orders))[0]
             except MiinetError as exc:  # the batch fails every target it carried
                 for i, _, _ in group:
                     failures.append((i, exc))
@@ -266,17 +265,11 @@ def _remove(
             for (i, j, _), ok in zip(group, passed):
                 if not ok:
                     kept[i].remove(j)
-    pruned = []
-    for p in discovered:
-        if p.target in kept:
-            keep = [q in kept[p.target] for q in p.parents]
-            pruned.append(
-                ParentSet(
-                    p.target,
-                    *(tuple(v for v, m in zip(column, keep) if m)
-                      for column in (p.parents, p.cmi_at_admission, p.thresholds)),
-                )
-            )
+    pruned = [
+        ParentSet(p.target, tuple(e for e in p.edges if e.source in kept[p.target]))
+        for p in discovered
+        if p.target in kept
+    ]
     return pruned, failures
 
 
@@ -309,7 +302,7 @@ def shuffle_test(
         raise ValueError(f"channel indices {list(channels)} outside 0..{x.n_channels - 1}")
     orders = np.array([(*cond, i)], dtype=np.intp)
     passed, actual, thresholds = _shuffle_tests(
-        _Nulls(x, cfg), orders, np.array([j]), *_factor(x.covariance, orders)
+        _Nulls(x, cfg), orders, np.array([j]), _factor(x.covariance, orders)
     )
     return ShuffleTestResult(bool(passed[0]), float(actual[0]), float(thresholds[0]))
 
@@ -344,11 +337,6 @@ def infer_network(x: TimeSeriesMatrix, cfg: OmiiConfig, metadata: dict | None = 
     failures = sorted(failures + removal_failures, key=lambda failure: failure[0])
     if failures:
         raise NetworkInferenceError(failures)
-    edges = tuple(
-        Edge(parent, p.target, value, threshold)
-        for p in pruned
-        for parent, value, threshold in zip(p.parents, p.cmi_at_admission, p.thresholds)
-    )
     meta = {
         "theta": cfg.theta,
         "n_shuffles": cfg.n_shuffles,
@@ -360,7 +348,7 @@ def infer_network(x: TimeSeriesMatrix, cfg: OmiiConfig, metadata: dict | None = 
     return InteractionNetwork(
         tuple(range(x.n_channels)),
         tuple(ch.name for ch in x.channels),
-        edges,
+        tuple(e for p in pruned for e in p.edges),
         meta,
     )
 

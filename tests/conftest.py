@@ -9,10 +9,10 @@ sys.path.insert(0, str(Path(__file__).parent))
 from miinet import Axis, ChannelId, TimeSeriesMatrix
 
 
-def make_matrix(data, axis=Axis.LATERAL, sample_rate_hz=128.0) -> TimeSeriesMatrix:
+def make_matrix(data, axis=Axis.LATERAL) -> TimeSeriesMatrix:
     data = np.asarray(data, dtype=np.float64)
     channels = tuple(ChannelId(k + 1, axis) for k in range(data.shape[1]))
-    return TimeSeriesMatrix(data, channels, sample_rate_hz)
+    return TimeSeriesMatrix(data, channels)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
 from miinet.distributions import standard_laplace_logpdf
-from miinet.estimators import cmi_offset, conditional_mutual_information, gaussian_cmi
+from miinet.estimators import cholesky, cmi_offset, conditional_mutual_information, gaussian_cmi
 from miinet.omii import _permutations
 
 
@@ -176,14 +176,15 @@ def null_cmis_reference(x, i: int, j: int, cond, perms) -> np.ndarray:
 
     Centres the (*K, i, j) columns, gathers j through every permutation row of
     `perms`, and passes the shuffled copies' cross-covariances with (*K, i) and
-    j's ridged variance to the package kernel in one call.
+    j's ridged variance, with the factor of the (*K, i) slice, to the package
+    kernel in one call.
     """
     order = (*cond, i)
     t = x.n_samples
     cols = x.data[:, (*order, j)]
     centered = cols - cols.mean(axis=0)
     cross = centered[perms, -1] @ centered[:, :-1] / (t - 1)
-    return gaussian_cmi(x.covariance[np.ix_(order, order)], cross, x.covariance[j, j])
+    return gaussian_cmi(cholesky(x.covariance[np.ix_(order, order)]), cross, x.covariance[j, j])
 
 
 def infer_network_reference(x, cfg) -> dict:

@@ -12,6 +12,7 @@ from miinet.distributions import laplace_entropy_constant
 from miinet.errors import ConditionSetTooLarge, SingularCovariance
 from miinet.estimators import (
     Family,
+    cholesky,
     cmi_of_covariance,
     cmi_offset,
     conditional_mutual_information,
@@ -262,7 +263,7 @@ def test_cmi_kernel_matches_four_log_det_oracle(seed, k):
         assert abs(conditional_mutual_information(x, a, b, cond, GAUSS) - oracle(a, b)) < 1e-12
         given_set, partners = [*cond, a], [b, *others]
         batch = gaussian_cmi(
-            cov[np.ix_(given_set, given_set)],
+            cholesky(cov[np.ix_(given_set, given_set)]),
             cov[np.ix_(partners, given_set)],
             cov.diagonal()[partners],
         )

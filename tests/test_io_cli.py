@@ -12,11 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from miinet import Axis, neighbor_pairs
+from miinet import Axis, neighbor_pairs, standardize
 from miinet.cli import RunConfig, build_fit_report, load_generator_spec, main, run_pipeline
 from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetError, ParseError
 from miinet import io as mio
-from miinet.omii import Edge, InteractionNetwork
+from miinet.omii import Edge, InteractionNetwork, OmiiConfig, infer_network
+from miinet.seeding import derive_seed
 from miinet.synthetic import GeneratorSpec, coupling_from_edges, generate_contemporaneous
 
 from conftest import make_matrix
@@ -647,6 +648,34 @@ def test_network_diff_verb_rejects_malformed_network(tmp_path, capsys):
     assert not (tmp_path / "diff.json").exists()
 
 
+@pytest.mark.parametrize(
+    "path, value, field",
+    [(("edges",), 5, "'edges'"), (("nodes",), 7, "'nodes'"),
+     (("edges", 0, "weight"), "0.42", "'weight'"), (("edges", 0, "source"), [0], "'source'"),
+     (("metadata",), 5, "'metadata'")],
+)
+def test_network_diff_verb_rejects_mis_shaped_network(tmp_path, capsys, path, value, field):
+    net = InteractionNetwork((0, 1), ("s1_lat", "s2_lat"), (Edge(0, 1, 0.42, 0.1),), {})
+    good = tmp_path / "good.json"
+    mio.write_network_json(net, mio.provenance({}, 1), good)
+    payload = json.loads(good.read_text())
+    holder = payload
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    bad = write(tmp_path / "bad.json", json.dumps(payload))
+    code = main(
+        ["diff", "--kind", "network", "--baseline", str(good), "--comparison", str(bad),
+         "--out", str(tmp_path / "diff.json")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "MalformedNetwork" and field in record["message"]
+    assert not (tmp_path / "diff.json").exists()
+
+
 @pytest.mark.parametrize("row, col", [("x,3,0.1,0.1", 1), ("2,3,0.1,nan", 4)])
 def test_mi_map_diff_verb_reports_parse_position(tmp_path, capsys, row, col):
     good = write(tmp_path / "good.csv", MI_MAP_HEAD)
@@ -758,6 +787,37 @@ def test_pipeline_reruns_byte_identical(tmp_path):
         assert a.read_bytes() == b.read_bytes(), a.name
 
 
+def test_pipeline_writes_what_its_steps_compute(tmp_path):
+    cfg = run_config(tmp_path)
+    run_pipeline(cfg)
+    label, record = cfg.scenarios[0]
+    scen_dir = Path(cfg.out_dir) / label
+    report = tmp_path / "fit.json"
+    assert main(["fit-report", "--input", record, "--out", str(report), "--seed", "99"]) == 0
+    bundled = json.loads((scen_dir / "fit_report.json").read_text())
+    assert bundled.pop("scenario") == label
+    del bundled["provenance"]
+    alone = json.loads(report.read_text())
+    del alone["provenance"]
+    assert bundled == alone
+    mi_map = tmp_path / "mi.csv"
+    assert main(
+        ["pairwise-mi", "--input", record, "--grid", cfg.grid_path, "--axis", "lateral",
+         "--family", "gaussian", "--scenario", label, "--seed", "99", "--out", str(mi_map)]
+    ) == 0
+
+    def data_rows(path):
+        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+    assert data_rows(scen_dir / "pairwise_mi.csv") == data_rows(mi_map)
+    x = standardize(mio.read_timeseries_csv(record))
+    columns = x.axis_channel_indices(Axis.LATERAL)
+    sub = x.select([columns[s] for s in sorted(columns)])
+    omii_cfg = OmiiConfig(cfg.family, cfg.theta, cfg.n_shuffles, derive_seed(99, "omii", label))
+    edges = mio.read_network_json(scen_dir / "omii_network.json").edges
+    assert edges and edges == infer_network(sub, omii_cfg).edges
+
+
 def test_pipeline_mismatched_scenario_writes_nothing(tmp_path, capsys):
     cfg = run_config(tmp_path)
     odd = tmp_path / "odd.csv"  # channels s1..s5 against the baseline's s1..s4
@@ -796,6 +856,41 @@ def test_pipeline_rejects_duplicate_labels(tmp_path):
             seed=1,
             out_dir=str(tmp_path / "o"),
         )
+
+
+def test_derive_seed_keeps_ascii_seeds_and_takes_any_label():
+    assert derive_seed(99, "omii", "damage1") == 12473118936986689322  # pinned before UTF-8
+    assert derive_seed(99, "omii", "dämage") != derive_seed(99, "omii", "damage")
+
+
+def test_pipeline_takes_a_non_ascii_label(tmp_path):
+    cfg = run_config(tmp_path)
+    cfg = dataclasses.replace(cfg, scenarios=(("dämage", cfg.scenarios[0][1]),))
+    written = run_pipeline(cfg)
+    out = Path(cfg.out_dir)
+    assert len(written) == 13 and all(path.is_file() for path in written)
+    net = json.loads((out / "dämage" / "omii_network.json").read_text())
+    assert net["metadata"]["seed"] == derive_seed(99, "omii", "dämage")
+    assert (out / "diff_baseline_vs_dämage" / "network_diff.json").is_file()
+
+
+@pytest.mark.parametrize("label", [".", "..", "d\udcff"])
+def test_pipeline_rejects_labels_that_break_the_bundle(tmp_path, capsys, label):
+    cfg = run_config(tmp_path)
+    out = tmp_path / "nest" / "out"
+    out.parent.mkdir()
+    with pytest.raises(ValueError):
+        run_pipeline(dataclasses.replace(cfg, scenarios=((label, cfg.scenarios[0][1]),)))
+    with pytest.raises(ValueError):
+        run_pipeline(dataclasses.replace(cfg, baseline_label=label))
+    code = main(
+        ["pipeline", "--baseline", f"baseline={cfg.baseline_path}", "--scenario",
+         f"{label}={cfg.scenarios[0][1]}", "--grid", cfg.grid_path, "--axis", "lateral",
+         "--family", "gaussian", "--n-shuffles", "25", "--seed", "99", "--out", str(out)]
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
+    assert not list(out.parent.rglob("*"))
 
 
 def test_pipeline_missing_file_rejected(tmp_path):

@@ -37,8 +37,8 @@ def independent_matrix(seed, t=1000, n=2):
 def null_cmis(x, i, j, cond, cfg):
     """The Ns Gaussian nulls of one shuffle test, from the batched test path."""
     orders = np.array([(*cond, i)])
-    stack, factor = omii._factor(x.covariance, orders)
-    return omii._test_cmis(omii._Nulls(x, cfg), orders, np.array([j]), stack, factor)[0, 1:]
+    factor = omii._factor(x.covariance, orders)
+    return omii._test_cmis(omii._Nulls(x, cfg), orders, np.array([j]), factor)[0, 1:]
 
 
 def test_omii_config_validation():
@@ -170,7 +170,7 @@ def test_discover_needs_two_channels():
 def test_remove_empty_is_empty():
     x = independent_matrix(4, n=3)
     cfg = OmiiConfig(family=GAUSS, seed=2)
-    empty = ParentSet(0, (), (), ())
+    empty = ParentSet(0, ())
     assert remove(x, 0, empty, cfg).parents == ()
 
 
@@ -327,11 +327,11 @@ def test_infer_network_wraps_only_package_errors(monkeypatch):
 
 def test_parent_set_validation():
     with pytest.raises(ValueError):
-        ParentSet(0, (0,), (0.1,), (0.05,))
+        ParentSet(0, (Edge(0, 0, 0.1, 0.05),))
     with pytest.raises(ValueError):
-        ParentSet(0, (1, 1), (0.1, 0.1), (0.05, 0.05))
+        ParentSet(0, (Edge(1, 0, 0.1, 0.05), Edge(1, 0, 0.1, 0.05)))
     with pytest.raises(ValueError):
-        ParentSet(0, (1,), (), ())
+        ParentSet(0, (Edge(1, 2, 0.1, 0.05),))
 
 
 def test_duplicated_condition_channel_nulls_finite():
@@ -419,13 +419,13 @@ def test_discover_calls_the_kernel_once_per_round(monkeypatch):
     partners = []
     kernel = omii.gaussian_cmi
 
-    def counting(cov, cross, var, factor=None):
+    def counting(factor, cross, var):
         partners.append(cross.shape[-2])
-        return kernel(cov, cross, var, factor)
+        return kernel(factor, cross, var)
 
     verdicts = iter([True, True, False])
 
-    def scripted_tests(nulls, orders, candidates, stack, factor):
+    def scripted_tests(nulls, orders, candidates, factor):
         flags = np.full(len(candidates), next(verdicts))
         return flags, np.full(len(candidates), 0.5), np.full(len(candidates), 0.1)
 
@@ -478,9 +478,9 @@ def test_infer_network_builds_one_table_per_tested_channel(monkeypatch):
         built.append(j)
         return build(centered, j, bank)
 
-    def recording_tests(nulls, orders, partners, stack, factor):
+    def recording_tests(nulls, orders, partners, factor):
         tested.update(partners.tolist())
-        return test_cmis(nulls, orders, partners, stack, factor)
+        return test_cmis(nulls, orders, partners, factor)
 
     monkeypatch.setattr(omii, "_null_table", counting_build)
     monkeypatch.setattr(omii, "_test_cmis", recording_tests)
@@ -604,10 +604,10 @@ def test_discovery_stacks_each_round_into_one_candidate_and_one_test_call(monkey
         factors.append(stack.shape[0])
         return factor(stack)
 
-    def counting_kernel(cov, cross, var, chol=None):
+    def counting_kernel(chol, cross, var):
         rows = cross.shape[-2]
         kernel_calls.append(("test" if rows == cfg.n_shuffles + 1 else "candidates", cross.shape[0]))
-        return kernel(cov, cross, var, chol)
+        return kernel(chol, cross, var)
 
     monkeypatch.setattr(omii, "cholesky", counting_factor)
     monkeypatch.setattr(omii, "gaussian_cmi", counting_kernel)
@@ -630,10 +630,10 @@ def test_failing_batch_fails_every_target_it_carried(monkeypatch):
     assert 0 < len(carried) < x.n_channels
     tests = omii._shuffle_tests
 
-    def failing_round_one(nulls, orders, partners, stack, factor):
+    def failing_round_one(nulls, orders, partners, factor):
         if orders.shape[1] == 2:
             raise SingularCovariance("round 1")
-        return tests(nulls, orders, partners, stack, factor)
+        return tests(nulls, orders, partners, factor)
 
     monkeypatch.setattr(omii, "_shuffle_tests", failing_round_one)
     with pytest.raises(NetworkInferenceError) as err:
@@ -650,6 +650,6 @@ def test_remove_tests_each_parent_on_the_shrunk_set():
     c = a + b + 1e-3 * rng.standard_normal(2000)
     x = make_matrix(np.column_stack([a, b, c, a + b + noise]))
     cfg = OmiiConfig(GAUSS, theta=0.05, n_shuffles=100, seed=101)
-    given = ParentSet(3, (2, 0, 1), (0.3, 0.2, 0.1), (0.01, 0.01, 0.01))
+    given = ParentSet(3, tuple(Edge(j, 3, w, 0.01) for j, w in ((2, 0.3), (0, 0.2), (1, 0.1))))
     assert remove(x, 3, given, cfg).parents == (0, 1)
     assert not shuffle_test(x, 3, 0, (1, 2), cfg).passed

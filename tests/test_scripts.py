@@ -52,3 +52,23 @@ def test_recovery_benchmark_runs(tmp_path):
         "--theta-grid", "0.1", cwd=tmp_path,
     )
     assert "theta=0.1" in out and "precision=" in out and "recall=" in out
+
+
+def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    # under the repo's warning filters, a failing @given test must fail alone
+    (tmp_path / "test_pair.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_pair.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
+    assert "INTERNALERROR" not in done.stdout + done.stderr
