@@ -1,8 +1,10 @@
-"""Command-line front end: ingestion, generation, analysis and diff verbs.
+"""Command-line front end: generation, analysis and diff verbs.
 
 Verbs: generate, fit-report, pairwise-mi, omii, diff, pipeline. Every verb
 is synchronous and deterministic given its arguments; reruns with the same
-config produce byte-identical outputs.
+config produce byte-identical outputs. Every file format, the generator
+spec included, is read and written by `io`. A failing verb prints one JSON
+error record and exits 1.
 """
 
 from __future__ import annotations
@@ -14,20 +16,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import io
-from .core import Axis, TimeSeriesMatrix, as_integer, standardize
+from .core import Axis, TimeSeriesMatrix, standardize
 from .distributions import fit_errors
 from .errors import MiinetError
 from .estimators import Family
+from .io import load_generator_spec
 from .omii import InteractionNetwork, OmiiConfig, degree_distribution, infer_network
 from .seeding import derive_seed
-from .spatial import SensorGrid, mi_map_diff, neighbor_pairs, network_diff, pairwise_mi_map
-from .synthetic import (
-    GeneratorSpec,
-    coupling_from_edges,
-    generate_contemporaneous,
-    generate_var,
-    random_dag_coupling,
-)
+from .spatial import SensorGrid, mi_map_diff, network_diff, pairwise_mi_map
+from .synthetic import generate_contemporaneous, generate_var
 
 
 @dataclass(frozen=True)
@@ -164,96 +161,16 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     for label, _ in cfg.scenarios:
         diff_dir = out_dir / f"diff_{cfg.baseline_label}_vs_{label}"
         diff_dir.mkdir(parents=True, exist_ok=True)
-        io.write_mi_map_diff_csv(
-            mi_map_diff(mi_maps[cfg.baseline_label], mi_maps[label]),
-            prov,
-            diff_dir / "mi_map_diff.csv",
-        )
-        io.write_network_diff_json(
-            network_diff(networks[cfg.baseline_label], networks[label]),
-            prov,
-            diff_dir / "network_diff.json",
-        )
-        written += [diff_dir / "mi_map_diff.csv", diff_dir / "network_diff.json"]
+        paths = [diff_dir / "mi_map_diff.csv", diff_dir / "network_diff.json"]
+        base = cfg.baseline_label
+        io.write_mi_map_diff_csv(mi_map_diff(mi_maps[base], mi_maps[label]), prov, paths[0])
+        io.write_network_diff_json(network_diff(networks[base], networks[label]), prov, paths[1])
+        written += paths
 
     config_payload = {"config": config_dict, "provenance": prov}
     io.write_json(config_payload, out_dir / "run_config.json")
     written.append(out_dir / "run_config.json")
     return written
-
-
-def _spec_field(record, key: str, where: str):
-    try:
-        return record[key]
-    except (KeyError, TypeError):
-        raise ValueError(f"{where} has no {key!r}") from None
-
-
-def _spec_float(value, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
-
-
-def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
-    """Generator description JSON -> (kind, GeneratorSpec).
-
-    Coupling comes from one of: explicit "edges" (1-based sensor indices),
-    a "grid_layout" CSV whose neighbor pairs are coupled low->high sensor
-    with "edge_weight", or a "random_dag" block. A missing required field
-    raises ValueError naming it.
-    """
-    raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
-    if not isinstance(raw, dict):
-        raise ValueError("generator spec must be a JSON object")
-    kind = raw.get("kind", "contemporaneous")
-    if kind not in ("contemporaneous", "var"):
-        raise ValueError(f"unknown generator kind {kind!r}")
-    n = as_integer("n_channels", _spec_field(raw, "n_channels", "generator spec"))
-    sources = [key for key in ("edges", "grid_layout", "random_dag") if key in raw]
-    if len(sources) != 1:
-        raise ValueError("specify exactly one of edges / grid_layout / random_dag")
-    if "edges" in raw:
-        if not isinstance(raw["edges"], list):
-            raise ValueError("generator spec field 'edges' must be a list of edge objects")
-        edges = []
-        for k, e in enumerate(raw["edges"]):
-            source, target = (
-                as_integer(f"edge {k} {key!r}", _spec_field(e, key, f"edge {k}"))
-                for key in ("source", "target")
-            )
-            weight = _spec_float(_spec_field(e, "weight", f"edge {k}"), f"edge {k} 'weight'")
-            edges.append((source - 1, target - 1, weight))
-        coupling = coupling_from_edges(n, edges)
-    elif "grid_layout" in raw:
-        if not isinstance(raw["grid_layout"], str):
-            raise ValueError("generator spec field 'grid_layout' must be a path")
-        grid = io.load_grid_csv(raw["grid_layout"])
-        if max(grid.sensors) > n:
-            raise ValueError("grid has more sensors than n_channels")
-        weight = _spec_float(_spec_field(raw, "edge_weight", "generator spec"), "'edge_weight'")
-        coupling = coupling_from_edges(
-            n, [(a - 1, b - 1, weight) for a, b in neighbor_pairs(grid)]
-        )
-    else:
-        block = raw["random_dag"]
-        coupling = random_dag_coupling(
-            n,
-            _spec_float(_spec_field(block, "density", "random_dag"), "random_dag 'density'"),
-            _spec_float(_spec_field(block, "weight", "random_dag"), "random_dag 'weight'"),
-            as_integer("graph_seed", _spec_field(block, "graph_seed", "random_dag")),
-        )
-    spec = GeneratorSpec(
-        n_channels=n,
-        n_samples=as_integer("n_samples", _spec_field(raw, "n_samples", "generator spec")),
-        coupling=coupling,
-        innovation=Family(raw.get("innovation", "gaussian")),
-        noise_scale=_spec_float(raw.get("noise_scale", 1.0), "'noise_scale'"),
-        seed=as_integer("seed", _spec_field(raw, "seed", "generator spec")),
-        axis=Axis(raw.get("axis", "lateral")),
-    )
-    return kind, spec
 
 
 def _cmd_generate(args) -> int:
@@ -317,15 +234,10 @@ def _cmd_diff(args) -> int:
     }
     prov = io.provenance(config, 0)
     if args.kind == "mi-map":
-        diff = mi_map_diff(
-            io.read_mi_map_csv(args.baseline), io.read_mi_map_csv(args.comparison)
-        )
-        io.write_mi_map_diff_csv(diff, prov, args.out)
+        read, diff, write = io.read_mi_map_csv, mi_map_diff, io.write_mi_map_diff_csv
     else:
-        diff = network_diff(
-            io.read_network_json(args.baseline), io.read_network_json(args.comparison)
-        )
-        io.write_network_diff_json(diff, prov, args.out)
+        read, diff, write = io.read_network_json, network_diff, io.write_network_diff_json
+    write(diff(read(args.baseline), read(args.comparison)), prov, args.out)
     return 0
 
 
@@ -422,7 +334,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MiinetError, ValueError, FileNotFoundError) as exc:
+    except (MiinetError, ValueError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

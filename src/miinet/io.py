@@ -1,5 +1,7 @@
-"""CSV ingestion, grid layout files and output serialization.
+"""Every file format the package reads or writes.
 
+Every JSON input field (generator specs, networks) goes through one typed
+reader, `_field`, and every output table through one writer, `_write_csv`.
 Every output file embeds (config_hash, seed, version) so a bundle can be
 reproduced exactly; nothing here reads clocks or environment entropy.
 """
@@ -7,11 +9,13 @@ reproduced exactly; nothing here reads clocks or environment entropy.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
 import math
 import numbers
+import sys
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -21,8 +25,10 @@ import numpy as np
 from . import __version__
 from .core import Axis, ChannelId, TimeSeriesMatrix
 from .errors import DuplicateChannel, EmptyFile, MalformedNetwork, ParseError
+from .estimators import Family
 from .omii import DegreeDistribution, Edge, InteractionNetwork
-from .spatial import MIMapDiff, NetworkDiff, PairwiseMIMap, SensorGrid
+from .spatial import MIMapDiff, NetworkDiff, PairwiseMIMap, SensorGrid, neighbor_pairs
+from .synthetic import GeneratorSpec, coupling_from_edges, random_dag_coupling
 
 _MI_MAP_HEADER = "sensor_a,sensor_b,mi,mi_raw"
 
@@ -157,7 +163,9 @@ def load_grid_csv(path) -> SensorGrid:
                 continue
             if len(row) != 3:
                 raise ParseError(line_no, 1, "expected 3 cells")
-            sensor, r, c = (_number(cell, line_no, col, int) for col, cell in enumerate(row, start=1))
+            sensor, r, c = (
+                _number(cell, line_no, col, int) for col, cell in enumerate(row, start=1)
+            )
             if sensor in positions:
                 raise ParseError(line_no, 1, f"sensor {sensor} listed twice")
             positions[sensor] = (r, c)
@@ -188,10 +196,6 @@ def provenance(config: dict, seed: int) -> dict:
     }
 
 
-def _csv_provenance_lines(prov: dict) -> list[str]:
-    return [f"# {key}={prov[key]}" for key in ("config_hash", "seed", "version")]
-
-
 def write_json(payload: dict, path) -> None:
     Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -218,35 +222,50 @@ def network_to_payload(net: InteractionNetwork, prov: dict) -> dict:
     }
 
 
-# (what a field must be, the test of it); bool is an int to Python, not to JSON
+# (what a field must be, the test of it); bool is an int to Python, not to JSON,
+# and a finite number is one a float holds: no NaN, no infinity, no int past its range
 _LIST = ("a list", lambda v: isinstance(v, list))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
+_TEXT = ("text", lambda v: isinstance(v, str))
 _INDEX = ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
-_NUMBER = ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool))
-_EDGE_FIELDS = (("source", _INDEX), ("target", _INDEX), ("weight", _NUMBER), ("threshold", _NUMBER))
+_NUMBER = ("a finite number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+           and abs(v) <= sys.float_info.max)
+_MISSING = object()
 
 
-def _field(record, key: str, where: str, kind=None):
-    """record[key]; a missing key, or a value that is not of `kind`, raises MalformedNetwork."""
-    try:
-        value = record[key]
-    except (KeyError, TypeError):
-        raise MalformedNetwork(f"{where} has no {key!r}") from None
+def _field(record, key: str, where: str, kind=None, error=MalformedNetwork, default=_MISSING):
+    """record[key], or `default` when the key is absent.
+
+    A missing key with no default, or a value not of `kind`, raises `error` naming
+    the field: MalformedNetwork for networks, ValueError for generator specs.
+    """
+    value = record.get(key, default) if isinstance(record, dict) else _MISSING
+    if value is _MISSING:
+        raise error(f"{where} has no {key!r}")
     if kind is not None and not kind[1](value):
-        raise MalformedNetwork(f"{where} {key!r} must be {kind[0]}, got {value!r}")
+        raise error(f"{where} {key!r} must be {kind[0]}, got {value!r}")
     return value
 
 
 def network_from_payload(payload: dict) -> InteractionNetwork:
-    """Inverse of network_to_payload; a missing or mis-shaped field raises MalformedNetwork."""
+    """Inverse of network_to_payload; a missing or mis-shaped field raises MalformedNetwork.
+
+    Node indices must be distinct and every edge endpoint must be one of them.
+    """
     nodes = _field(payload, "nodes", "network", _LIST)
     edges = _field(payload, "edges", "network", _LIST)
-    metadata = _field(payload, "metadata", "network", _OBJECT) if "metadata" in payload else {}
+    metadata = _field(payload, "metadata", "network", _OBJECT, default={})
+    indices = tuple(_field(n, "index", f"node {k}", _INDEX) for k, n in enumerate(nodes))
+    if len(set(indices)) != len(indices):
+        k = next(k for k, i in enumerate(indices) if i in indices[:k])
+        raise MalformedNetwork(f"node {k} 'index' {indices[k]} is already listed")
+    node = ("a node index", lambda v: _INDEX[1](v) and v in indices)
+    edge_fields = (("source", node), ("target", node), ("weight", _NUMBER), ("threshold", _NUMBER))
     return InteractionNetwork(
-        tuple(_field(n, "index", f"node {k}", _INDEX) for k, n in enumerate(nodes)),
-        tuple(_field(n, "name", f"node {k}") for k, n in enumerate(nodes)),
+        indices,
+        tuple(_field(n, "name", f"node {k}", _TEXT) for k, n in enumerate(nodes)),
         tuple(
-            Edge(*(_field(e, key, f"edge {k}", kind) for key, kind in _EDGE_FIELDS))
+            Edge(*(_field(e, key, f"edge {k}", kind) for key, kind in edge_fields))
             for k, e in enumerate(edges)
         ),
         dict(metadata),
@@ -259,6 +278,55 @@ def write_network_json(net: InteractionNetwork, prov: dict, path) -> None:
 
 def read_network_json(path) -> InteractionNetwork:
     return network_from_payload(json.loads(Path(path).read_text(encoding="utf-8-sig")))
+
+
+def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
+    """Generator description JSON -> (kind, GeneratorSpec).
+
+    Coupling comes from one of: explicit "edges" (1-based sensor indices),
+    a "grid_layout" CSV whose neighbor pairs are coupled low->high sensor
+    with "edge_weight", or a "random_dag" block. Weights, "density" and
+    "noise_scale" must be finite JSON numbers. A missing or mis-shaped field
+    raises ValueError naming it.
+    """
+    raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    if not isinstance(raw, dict):
+        raise ValueError("generator spec must be a JSON object")
+    field = functools.partial(_field, error=ValueError)
+    top = "generator spec"
+    kind = field(raw, "kind", top, default="contemporaneous")
+    if kind not in ("contemporaneous", "var"):
+        raise ValueError(f"unknown generator kind {kind!r}")
+    n = field(raw, "n_channels", top, _INDEX)
+    if sum(key in raw for key in ("edges", "grid_layout", "random_dag")) != 1:
+        raise ValueError("specify exactly one of edges / grid_layout / random_dag")
+    if "edges" in raw:
+        edges = []
+        for k, e in enumerate(field(raw, "edges", top, _LIST)):
+            source, target = (field(e, key, f"edge {k}", _INDEX) for key in ("source", "target"))
+            edges.append((source - 1, target - 1, field(e, "weight", f"edge {k}", _NUMBER)))
+        coupling = coupling_from_edges(n, edges)
+    elif "grid_layout" in raw:
+        grid = load_grid_csv(field(raw, "grid_layout", top, _TEXT))
+        if max(grid.sensors) > n:
+            raise ValueError("grid has more sensors than n_channels")
+        weight = field(raw, "edge_weight", top, _NUMBER)
+        edges = [(a - 1, b - 1, weight) for a, b in neighbor_pairs(grid)]
+        coupling = coupling_from_edges(n, edges)
+    else:
+        block, where = raw["random_dag"], "random_dag"
+        density, weight = (field(block, key, where, _NUMBER) for key in ("density", "weight"))
+        graph_seed = field(block, "graph_seed", where, _INDEX)
+        coupling = random_dag_coupling(n, density, weight, graph_seed)
+    return kind, GeneratorSpec(
+        n_channels=n,
+        n_samples=field(raw, "n_samples", top, _INDEX),
+        coupling=coupling,
+        innovation=Family(field(raw, "innovation", top, default="gaussian")),
+        noise_scale=float(field(raw, "noise_scale", top, _NUMBER, default=1.0)),
+        seed=field(raw, "seed", top, _INDEX),
+        axis=Axis(field(raw, "axis", top, default="lateral")),
+    )
 
 
 def write_network_dot(
@@ -278,21 +346,29 @@ def write_network_dot(
                 attrs.append(f'pos="{x_m:.2f},{y_m:.2f}!"')
         lines.append(f"  n{idx} [{', '.join(attrs)}];")
     for e in net.edges:
-        lines.append(f'  n{e.source} -> n{e.target} [weight={e.weight:.6g}, label="{e.weight:.4f}"];')
+        attrs = f'weight={e.weight:.6g}, label="{e.weight:.4f}"'
+        lines.append(f"  n{e.source} -> n{e.target} [{attrs}];")
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _write_csv(path, prov: dict, header: str, rows, **notes) -> None:
+    """`# key=value` lines for the provenance then the notes, the header, one line per row.
+
+    A cell is written with str, which is repr for the ints and floats of these tables.
+    """
+    notes = {key: prov[key] for key in ("config_hash", "seed", "version")} | notes
+    with Path(path).open("w") as fh:
+        fh.writelines(f"# {key}={value}\n" for key, value in notes.items())
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
 def write_mi_map_csv(mi_map: PairwiseMIMap, prov: dict, path) -> None:
     """Edges with reporting-clamped and raw MI."""
-    lines = _csv_provenance_lines(prov)
-    lines.append(f"# axis={mi_map.axis.value}")
-    lines.append(f"# scenario={mi_map.scenario}")
-    lines.append(_MI_MAP_HEADER)
-    for (a, b), value in zip(mi_map.edges, mi_map.values):
-        clamped = value if value > 0 else 0.0
-        lines.append(f"{a},{b},{clamped!r},{value!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((a, b, v if v > 0 else 0.0, v) for (a, b), v in zip(mi_map.edges, mi_map.values))
+    _write_csv(path, prov, _MI_MAP_HEADER, rows,
+               axis=mi_map.axis.value, scenario=mi_map.scenario)
 
 
 def read_mi_map_csv(path) -> PairwiseMIMap:
@@ -331,28 +407,21 @@ def read_mi_map_csv(path) -> PairwiseMIMap:
 
 
 def write_mi_map_diff_csv(diff: MIMapDiff, prov: dict, path) -> None:
-    lines = _csv_provenance_lines(prov)
-    lines.append(f"# axis={diff.axis.value}")
-    lines.append(f"# baseline={diff.baseline_scenario}")
-    lines.append(f"# comparison={diff.comparison_scenario}")
-    lines.append(f"# sign_convention={diff.sign_convention}")
-    lines.append("sensor_a,sensor_b,delta_mi")
-    for (a, b), delta in zip(diff.edges, diff.deltas):
-        lines.append(f"{a},{b},{delta!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((a, b, delta) for (a, b), delta in zip(diff.edges, diff.deltas))
+    _write_csv(path, prov, "sensor_a,sensor_b,delta_mi", rows,
+               axis=diff.axis.value, baseline=diff.baseline_scenario,
+               comparison=diff.comparison_scenario, sign_convention=diff.sign_convention)
+
+
+def _edge_dict(e: Edge) -> dict:
+    return {"source": e.source, "target": e.target, "weight": e.weight}
 
 
 def write_network_diff_json(diff: NetworkDiff, prov: dict, path) -> None:
     payload = {
         "provenance": prov,
-        "lost": [
-            {"source": e.source, "target": e.target, "weight": e.weight}
-            for e in diff.lost
-        ],
-        "gained": [
-            {"source": e.source, "target": e.target, "weight": e.weight}
-            for e in diff.gained
-        ],
+        "lost": [_edge_dict(e) for e in diff.lost],
+        "gained": [_edge_dict(e) for e in diff.gained],
         "retained": [
             {
                 "source": e.source,
@@ -368,11 +437,6 @@ def write_network_diff_json(diff: NetworkDiff, prov: dict, path) -> None:
 
 
 def write_degree_distribution_csv(dist: DegreeDistribution, prov: dict, path) -> None:
-    lines = _csv_provenance_lines(prov)
-    lines.append("degree,in_probability,out_probability")
-    max_deg = max(len(dist.in_probs), len(dist.out_probs)) - 1
-    for k in range(max_deg + 1):
-        p_in = dist.in_probs[k] if k < len(dist.in_probs) else 0.0
-        p_out = dist.out_probs[k] if k < len(dist.out_probs) else 0.0
-        lines.append(f"{k},{p_in!r},{p_out!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    probs = itertools.zip_longest(dist.in_probs, dist.out_probs, fillvalue=0.0)
+    rows = ((k, p_in, p_out) for k, (p_in, p_out) in enumerate(probs))
+    _write_csv(path, prov, "degree,in_probability,out_probability", rows)

@@ -325,7 +325,9 @@ def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) 
     return _raise_first(_remove(_Nulls(x, cfg), [discovered]))
 
 
-def infer_network(x: TimeSeriesMatrix, cfg: OmiiConfig, metadata: dict | None = None) -> InteractionNetwork:
+def infer_network(
+    x: TimeSeriesMatrix, cfg: OmiiConfig, metadata: dict | None = None
+) -> InteractionNetwork:
     """Discovery then removal for every channel; edges run parent -> target.
 
     Every target that a failing batch carried is reported in one

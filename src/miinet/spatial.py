@@ -142,9 +142,14 @@ class NetworkDiff:
 
 
 def network_diff(baseline: InteractionNetwork, comparison: InteractionNetwork) -> NetworkDiff:
-    """Partition directed edges into lost / gained / retained."""
-    if set(baseline.nodes) != set(comparison.nodes):
-        raise NodeSetMismatch("networks cover different node sets")
+    """Partition directed edges into lost / gained / retained.
+
+    Both networks must map the same node indices to the same names, so that
+    networks on different axes are not compared index by index.
+    """
+    names = [dict(zip(net.nodes, net.node_names)) for net in (baseline, comparison)]
+    if names[0] != names[1]:
+        raise NodeSetMismatch("networks cover different node sets or name them differently")
     base_edges = {(e.source, e.target): e for e in baseline.edges}
     comp_edges = {(e.source, e.target): e for e in comparison.edges}
     lost = tuple(base_edges[k] for k in sorted(base_edges.keys() - comp_edges.keys()))

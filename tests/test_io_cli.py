@@ -328,6 +328,59 @@ def test_mi_map_csv_round_trip(tmp_path):
     assert text.endswith("sensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n2,3,0.0,-0.001\n")
 
 
+PINNED_PROV = {"config_hash": "abc123", "seed": 3, "version": "9.9.9"}
+PINNED_PROV_LINES = "# config_hash=abc123\n# seed=3\n# version=9.9.9\n"
+
+
+def test_mi_map_diff_csv_bytes(tmp_path):
+    from miinet.spatial import MIMapDiff
+
+    diff = MIMapDiff(Axis.VERTICAL, "base", "dam", ((1, 6), (6, 11)), (0.125, -3e-05))
+    p = tmp_path / "mi_map_diff.csv"
+    mio.write_mi_map_diff_csv(diff, PINNED_PROV, p)
+    assert p.read_bytes() == (
+        PINNED_PROV_LINES
+        + "# axis=vertical\n# baseline=base\n# comparison=dam\n"
+        "# sign_convention=comparison_minus_baseline\n"
+        "sensor_a,sensor_b,delta_mi\n1,6,0.125\n6,11,-3e-05\n"
+    ).encode()
+
+
+@pytest.mark.parametrize(
+    "in_probs, out_probs, rows",
+    [((0.5, 0.25, 0.25), (0.75, 0.25), "0,0.5,0.75\n1,0.25,0.25\n2,0.25,0.0\n"),
+     ((1.0,), (0.5, 0.0, 0.5), "0,1.0,0.5\n1,0.0,0.0\n2,0.0,0.5\n")],
+)
+def test_degree_distribution_csv_bytes(tmp_path, in_probs, out_probs, rows):
+    from miinet.omii import DegreeDistribution
+
+    p = tmp_path / "degrees.csv"
+    mio.write_degree_distribution_csv(DegreeDistribution(in_probs, out_probs), PINNED_PROV, p)
+    expected = PINNED_PROV_LINES + "degree,in_probability,out_probability\n" + rows
+    assert p.read_bytes() == expected.encode()
+
+
+def test_network_diff_json_bytes(tmp_path):
+    from miinet.spatial import NetworkDiff, RetainedEdge
+
+    diff = NetworkDiff(
+        (Edge(0, 1, 0.5, 0.1),), (Edge(2, 1, 0.25, 0.1),), (RetainedEdge(1, 2, 0.5, 0.75),)
+    )
+    p = tmp_path / "network_diff.json"
+    mio.write_network_diff_json(diff, PINNED_PROV, p)
+    assert p.read_bytes() == (
+        '{\n  "gained": [\n    {\n      "source": 2,\n      "target": 1,\n'
+        '      "weight": 0.25\n    }\n  ],\n'
+        '  "lost": [\n    {\n      "source": 0,\n      "target": 1,\n'
+        '      "weight": 0.5\n    }\n  ],\n'
+        '  "provenance": {\n    "config_hash": "abc123",\n    "seed": 3,\n'
+        '    "version": "9.9.9"\n  },\n'
+        '  "retained": [\n    {\n      "delta": 0.25,\n      "source": 1,\n'
+        '      "target": 2,\n      "weight_baseline": 0.5,\n'
+        '      "weight_comparison": 0.75\n    }\n  ]\n}\n'
+    ).encode()
+
+
 MI_MAP_HEAD = "# axis=lateral\n# scenario=base\nsensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n"
 
 
@@ -463,7 +516,13 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
      ({"edges": [{"source": 1, "target": 2.5, "weight": 0.7}]}, "'target'"),
      ({"edges": [{"source": 1, "target": 2, "weight": None}]}, "'weight'"),
      ({"noise_scale": [1]}, "'noise_scale'"),
-     ({"edges": None, "grid_layout": 5}, "'grid_layout'")],
+     ({"edges": None, "grid_layout": 5}, "'grid_layout'"),
+     ({"edges": [{"source": 1, "target": 2, "weight": "0.5"}]}, "'weight'"),
+     ({**COUPLING_BLOCKS["grid_layout"], "edges": None, "edge_weight": "0.5"}, "'edge_weight'"),
+     ({"noise_scale": True}, "'noise_scale'"),
+     ({"edges": [{"source": 1, "target": 2, "weight": float("nan")}]}, "'weight'"),
+     ({"edges": None, "random_dag": {"density": 0.3, "weight": float("inf"), "graph_seed": 2}},
+      "'weight'")],
 )
 def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     spec = json.loads(generator_json(tmp_path).read_text())
@@ -652,7 +711,8 @@ def test_network_diff_verb_rejects_malformed_network(tmp_path, capsys):
     "path, value, field",
     [(("edges",), 5, "'edges'"), (("nodes",), 7, "'nodes'"),
      (("edges", 0, "weight"), "0.42", "'weight'"), (("edges", 0, "source"), [0], "'source'"),
-     (("metadata",), 5, "'metadata'")],
+     (("metadata",), 5, "'metadata'"), (("nodes", 1, "index"), 0, "'index'"),
+     (("nodes", 0, "name"), 5, "'name'"), (("edges", 0, "source"), 7, "'source'")],
 )
 def test_network_diff_verb_rejects_mis_shaped_network(tmp_path, capsys, path, value, field):
     net = InteractionNetwork((0, 1), ("s1_lat", "s2_lat"), (Edge(0, 1, 0.42, 0.1),), {})
@@ -674,6 +734,24 @@ def test_network_diff_verb_rejects_mis_shaped_network(tmp_path, capsys, path, va
     record = json.loads(err)
     assert record["error"] == "MalformedNetwork" and field in record["message"]
     assert not (tmp_path / "diff.json").exists()
+
+
+def test_network_diff_verb_rejects_networks_on_different_axes(tmp_path, capsys):
+    paths = []
+    for axis in ("lat", "vert"):
+        net = InteractionNetwork((0, 1), (f"s1_{axis}", f"s2_{axis}"), (Edge(0, 1, 0.42, 0.1),), {})
+        paths.append(tmp_path / f"{axis}.json")
+        mio.write_network_json(net, mio.provenance({}, 1), paths[-1])
+    out = tmp_path / "diff.json"
+    code = main(
+        ["diff", "--kind", "network", "--baseline", str(paths[0]), "--comparison", str(paths[1]),
+         "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "NodeSetMismatch"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, col", [("x,3,0.1,0.1", 1), ("2,3,0.1,nan", 4)])
@@ -708,6 +786,18 @@ def test_cli_error_record(tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert "error" in record and "message" in record
+
+
+@pytest.mark.parametrize("directory", ["--input", "--out"])
+def test_cli_reports_an_os_error_as_one_record(tmp_path, capsys, directory):
+    data = tmp_path / "d.csv"
+    assert main(["generate", "--spec", str(generator_json(tmp_path)), "--out", str(data)]) == 0
+    paths = {"--input": str(data), "--out": str(tmp_path / "report.json"), directory: str(tmp_path)}
+    code = main(["fit-report", "--input", paths["--input"], "--out", paths["--out"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "IsADirectoryError"
 
 
 # -------------------------------------------------------------- pipeline

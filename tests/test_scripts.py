@@ -72,3 +72,14 @@ def test_failing_hypothesis_test_does_not_end_the_session(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout
     assert "INTERNALERROR" not in done.stdout + done.stderr
+
+
+def test_package_lines_fit_in_100_columns():
+    # a denser line is not a shorter program; this keeps line counts comparable
+    long_lines = [
+        f"{path.name}:{number}"
+        for path in sorted((ROOT / "src" / "miinet").glob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), start=1)
+        if len(line) > 100
+    ]
+    assert long_lines == []

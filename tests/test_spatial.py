@@ -205,6 +205,11 @@ def test_network_diff_is_directed():
 def test_network_diff_node_mismatch():
     with pytest.raises(NodeSetMismatch):
         network_diff(net_from([(0, 1)]), net_from([(0, 1)], nodes=(0, 1, 2)))
+    lateral = net_from([(0, 1)])
+    vertical_names = tuple(name.replace("_lat", "_vert") for name in lateral.node_names)
+    vertical = InteractionNetwork(lateral.nodes, vertical_names, lateral.edges, {})
+    with pytest.raises(NodeSetMismatch):
+        network_diff(lateral, vertical)
 
 
 @settings(max_examples=40, deadline=None)
