@@ -56,7 +56,7 @@ class NodeSetMismatch(MiinetError):
 
 
 class UnstableSpec(MiinetError):
-    """VAR coupling matrix has spectral radius >= 1."""
+    """A coupling the generators cannot run: VAR spectral radius >= 1, or float64 overflow."""
 
 
 class CyclicGraph(MiinetError):

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import math
 import numbers
+import os
+import signal
 import sys
 import warnings
 from importlib import resources
@@ -48,10 +51,11 @@ def _number(cell: str, line_no: int, col: int, parse=float):
 def read_timeseries_csv(path) -> TimeSeriesMatrix:
     """Parse a scenario CSV: header of s<index>_<lat|vert> names, one row per sample.
 
-    The body is parsed in one `np.loadtxt` call. A body that call rejects
-    (quoted cells, `1_0`, non-ASCII digits, ragged rows, ...) or whose result
-    has the wrong width or a non-finite value is parsed again by the cell
-    parser, which alone raises `ParseError`, so errors keep line and column.
+    The body is parsed with `np.loadtxt`: by the caller and one forked child, one
+    share of the lines each, when `_can_split` allows, else in one call. A body
+    that is rejected (quoted cells, `1_0`, non-ASCII digits, ragged rows, ...) or
+    whose result has the wrong width or a non-finite value is parsed again by the
+    cell parser, which alone raises `ParseError`, so errors keep line and column.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -70,7 +74,10 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
             raise DuplicateChannel(f"{path} repeats a channel name")
         if fh.seekable():
             body = fh.tell()
-            data = _bulk_rows(fh, len(channels))
+            data = _split_rows(path, fh, body, len(channels))
+            if data is None:
+                fh.seek(body)
+                data = _bulk_rows(fh, len(channels))
             if data is None:
                 fh.seek(body)
                 data = _cell_rows(fh, len(channels))
@@ -81,15 +88,142 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
     return TimeSeriesMatrix(data, tuple(channels))
 
 
-def _bulk_rows(fh, n_cols: int) -> np.ndarray | None:
-    """The body as one finite n_cols-wide array, or None to leave it to _cell_rows."""
+# Bodies of this many bytes or more are parsed or formatted by the caller and one
+# forked child, one share each. On a shared 2-core Xeon a split read breaks even at
+# 0.6-1 MB and a split write below 0.5 MB; a fork, exit and reap costs about 2.4 ms.
+SPLIT_BYTES = 1 << 20
+# a float64 repr and its comma: the writer's estimate of body bytes per cell
+_CELL_BYTES = 20
+
+
+def _can_split(body_bytes: int) -> bool:
+    """True when a body this large pays for one forked child on this host.
+
+    That needs os.fork, at least two usable cores and Python before 3.12, which
+    warns on a fork while other threads (a BLAS pool) run.
+    """
+    return (
+        body_bytes >= SPLIT_BYTES
+        and sys.version_info < (3, 12)
+        and hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+    )
+
+
+def _fork(work) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a forked child that runs work(pipe) on the write end.
+
+    The child imports nothing, collects no garbage (whose file objects could flush
+    the caller's buffers) and leaves by os._exit: 0 if work returned, 1 if it raised.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            gc.disable()
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                work(pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap(pid: int, read_fd: int, wanted: bool) -> bool:
+    """Close the pipe, kill the child unless its result is `wanted`, and wait for it.
+
+    True if the child exited 0 by itself.
+    """
+    os.close(read_fd)
+    if not wanted:
+        os.kill(pid, signal.SIGKILL)
+    try:
+        return os.waitpid(pid, 0)[1] == 0
+    except ChildProcessError:  # SIGCHLD ignored: the child was reaped unseen
+        return False
+
+
+def _read_into(fd: int, array: np.ndarray) -> bool:
+    """Fill `array` from fd; False if the pipe ends first."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        n = os.readv(fd, [view])
+        if not n:
+            return False
+        view = view[n:]
+    return True
+
+
+def _split_rows(path: Path, fh, body: int, n_cols: int) -> np.ndarray | None:
+    """The body parsed in two shares of lines, or None to leave it to _bulk_rows.
+
+    The caller parses lines [0, m) from fh while a forked child reopens the path,
+    skips m lines and sends its row count and float64 rows through a pipe. Both
+    shares are lines of the same text iterator, so they join to what one
+    _bulk_rows call returns. None when the host or the size does not call for a
+    split, or when either share is rejected or the child fails.
+    """
+    if not _can_split(os.fstat(fh.fileno()).st_size):
+        return None
+    m = _caller_lines(fh, body)
+
+    def parse_rest(pipe):
+        with path.open(newline="", encoding="utf-8-sig") as theirs:
+            theirs.seek(body)
+            rest = _bulk_rows(itertools.islice(theirs, m, None), n_cols)
+        if rest is not None:
+            pipe.write(np.int64(len(rest)).tobytes())
+            pipe.write(rest.data)
+
+    try:
+        pid, pipe = _fork(parse_rest)
+    except OSError:
+        return None
+    data = None
+    try:
+        ours = _bulk_rows(itertools.islice(fh, m), n_cols)
+        count = np.zeros(1, np.int64)
+        if ours is not None and _read_into(pipe, count):
+            data = np.empty((len(ours) + int(count[0]), n_cols))
+            data[: len(ours)] = ours
+            if not _read_into(pipe, data[len(ours):]):
+                data = None
+    finally:
+        if not _reap(pid, pipe, data is not None):
+            data = None
+    return data
+
+
+def _caller_lines(fh, body: int) -> int:
+    """About half of the body's lines, estimated from its size and its first line."""
+    m = os.fstat(fh.fileno()).st_size // (2 * max(len(fh.readline()), 1))
+    fh.seek(body)
+    return m
+
+
+def _bulk_rows(lines, n_cols: int) -> np.ndarray | None:
+    """The lines as one finite n_cols-wide array, or None to leave them to _cell_rows.
+
+    No rows at all (blank lines only) give a (0, n_cols) array.
+    """
     with warnings.catch_warnings():
         # a body of blank lines only, which the caller reports as EmptyFile
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            data = np.loadtxt(_loadtxt_lines(fh), delimiter=",", comments=None, ndmin=2)
+            data = np.loadtxt(_loadtxt_lines(lines), delimiter=",", comments=None, ndmin=2)
         except ValueError:
             return None
+    if not data.size:
+        return data.reshape(0, n_cols)
     if data.shape[1] != n_cols or not np.isfinite(data).all():
         return None
     return data
@@ -139,11 +273,52 @@ def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
     """Header plus one row per sample, cells as float repr, CRLF line ends.
 
     The bytes of `csv.writer(fh).writerows(x.data.tolist())`, streamed row by
-    row so that no list of the whole matrix is built.
+    row so that no list of the whole matrix is built. When `_can_split` allows,
+    a forked child formats the second half of the rows while the caller writes
+    the first; the caller copies the child's bytes after its own, or formats
+    those rows itself if the child fails.
     """
+    rows = x.data
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(ch.name for ch in x.channels) + "\r\n")
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in x.data)
+        if fh.seekable() and _can_split(rows.size * _CELL_BYTES):
+            rows = _write_split(fh, rows)
+        fh.writelines(_csv_lines(rows))
+
+
+def _csv_lines(rows):
+    return (",".join(map(repr, row.tolist())) + "\r\n" for row in rows)
+
+
+def _write_split(fh, rows: np.ndarray) -> np.ndarray:
+    """Write the first half of rows while a forked child formats the rest, then copy its bytes.
+
+    Returns the rows still to write: none, or the second half if the child failed.
+    """
+    half = len(rows) // 2
+
+    def format_rest(pipe):
+        pipe.write("".join(_csv_lines(rows[half:])).encode(fh.encoding))
+
+    try:
+        pid, pipe = _fork(format_rest)
+    except OSError:
+        return rows
+    done = False
+    try:
+        fh.writelines(_csv_lines(rows[:half]))
+        fh.flush()
+        start = fh.buffer.tell()
+        while chunk := os.read(pipe, 1 << 16):  # a pipe's capacity
+            fh.buffer.write(chunk)
+        done = True
+    finally:
+        done = _reap(pid, pipe, done) and done
+    if done:
+        return rows[:0]
+    fh.buffer.seek(start)
+    fh.buffer.truncate()
+    return rows[half:]
 
 
 def load_grid_csv(path) -> SensorGrid:

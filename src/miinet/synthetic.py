@@ -79,9 +79,23 @@ def _standardized(data: np.ndarray, spec: GeneratorSpec) -> TimeSeriesMatrix:
 BURN_IN = 1000
 
 
+def _overflow(spec: GeneratorSpec, j: int) -> UnstableSpec:
+    """UnstableSpec naming the largest coupling weight into channel j, whose values overflowed."""
+    k = int(np.argmax(np.abs(spec.coupling[:, j])))
+    source, target = (ChannelId(i + 1, spec.axis).name for i in (k, j))
+    weight = float(spec.coupling[k, j])
+    return UnstableSpec(
+        f"coupling weight {weight!r} of edge {source} -> {target} overflows float64"
+    )
+
+
 def generate_var(spec: GeneratorSpec) -> TimeSeriesMatrix:
     """x_t = A^T x_{t-1} + eta_t with A[k, j] coupling k -> j; burn-in discarded,
-    columns standardized to unit marginal variance."""
+    columns standardized to unit marginal variance.
+
+    A spectral radius >= 1, or a weight whose terms overflow float64 (a large
+    weight on a nilpotent coupling passes the radius test), raises UnstableSpec.
+    """
     radius = float(np.max(np.abs(np.linalg.eigvals(spec.coupling))))
     if radius >= 1.0:
         raise UnstableSpec(f"coupling spectral radius {radius:.4f} >= 1")
@@ -91,9 +105,18 @@ def generate_var(spec: GeneratorSpec) -> TimeSeriesMatrix:
     x = np.zeros((total, spec.n_channels))
     x[0] = eta[0]
     a_t = spec.coupling.T
-    for t in range(1, total):
-        x[t] = a_t @ x[t - 1] + eta[t]
-    return _standardized(x[BURN_IN:], spec)
+    with np.errstate(over="raise", invalid="raise"):
+        for t in range(1, total):
+            try:
+                x[t] = a_t @ x[t - 1] + eta[t]
+            except FloatingPointError:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    j = int(np.argmin(np.isfinite(a_t @ x[t - 1] + eta[t])))
+                raise _overflow(spec, j) from None
+        try:
+            return _standardized(x[BURN_IN:], spec)
+        except FloatingPointError:  # squares past float64 in the variance
+            raise _overflow(spec, int(np.argmax(np.abs(x).max(axis=0)))) from None
 
 
 def _topological_order(coupling: np.ndarray) -> list[int]:
@@ -118,18 +141,23 @@ def generate_contemporaneous(spec: GeneratorSpec) -> TimeSeriesMatrix:
 
     Weights are path coefficients in standardized units: each channel is
     standardized as soon as it is generated, so w_kj is scale-free and
-    noise_scale sets the innovation-to-signal ratio at every depth.
+    noise_scale sets the innovation-to-signal ratio at every depth. A weight
+    whose terms overflow float64 raises UnstableSpec.
     """
     order = _topological_order(spec.coupling)
     rng = np.random.default_rng(spec.seed)
     eta = _innovations(spec, rng, spec.n_samples)
     x = np.zeros_like(eta)
-    for j in order:
-        parents = np.nonzero(spec.coupling[:, j])[0]
-        col = eta[:, j].copy()
-        for k in parents:
-            col += spec.coupling[k, j] * x[:, k]
-        x[:, j] = (col - col.mean()) / col.std(ddof=1)
+    with np.errstate(over="raise", invalid="raise"):
+        for j in order:
+            parents = np.nonzero(spec.coupling[:, j])[0]
+            col = eta[:, j].copy()
+            try:
+                for k in parents:
+                    col += spec.coupling[k, j] * x[:, k]
+                x[:, j] = (col - col.mean()) / col.std(ddof=1)
+            except FloatingPointError:
+                raise _overflow(spec, j) from None
     return _standardized(x, spec)
 
 

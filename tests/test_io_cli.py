@@ -1,9 +1,13 @@
+import contextlib
 import copy
 import csv
 import dataclasses
 import io
 import json
 import os
+import signal
+import time
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -150,17 +154,20 @@ def test_ingest_from_a_pipe():
 
 
 def test_timeseries_csv_bytes_match_csv_writer(tmp_path):
+    """The same bytes from the serial writer and from the split one (floor 0)."""
     values = np.array(
         [[5e-324, -0.0, 1e-5], [2.5e-310, 1e16, -1e16], [1 / 3, -2.2250738585072014e-308, 0.1]]
     )
-    x = make_matrix(np.vstack([values, np.random.default_rng(4).standard_normal((20, 3))]))
-    p = tmp_path / "x.csv"
-    mio.write_timeseries_csv(x, p)
+    x = make_matrix(np.vstack([values, np.random.default_rng(4).standard_normal((20, 3)), values]))
     expected = io.StringIO(newline="")
     writer = csv.writer(expected)
     writer.writerow([ch.name for ch in x.channels])
     writer.writerows(x.data.tolist())
-    assert p.read_bytes() == expected.getvalue().encode()
+    for split_bytes in (mio.SPLIT_BYTES, 0):
+        p = tmp_path / f"x{split_bytes}.csv"
+        with mock.patch.object(mio, "SPLIT_BYTES", split_bytes):
+            mio.write_timeseries_csv(x, p)
+        assert p.read_bytes() == expected.getvalue().encode()
 
 
 def test_well_formed_body_skips_the_cell_parser(tmp_path):
@@ -221,26 +228,39 @@ def read_outcome(path):
     return "ok", x.data.shape, x.data.tobytes()
 
 
+# bodies that float() and np.loadtxt may judge differently: odd cells, blank lines,
+# \r-only line ends, a BOM
+ODD_BODIES = [
+    's1_lat,s2_lat\n"1.5",2\n3,4\n',
+    "s1_lat,s2_lat\n1_0,2\n3,4\n",
+    "s1_lat,s2_lat\n1,2\nnan,4\n",
+    "s1_lat,s2_lat\n1,2\n3,-inf\n",
+    "s1_lat,s2_lat\n1,2\n1e400,4\n",
+    "s1_lat,s2_lat\n1,\n3,4\n",
+    "s1_lat,s2_lat\n1,2\n3\n",
+    "s1_lat,s2_lat\n1,2,\n3,4,\n",
+    "s1_lat,s2_lat\n1,2\n   \n3,4\n",
+    "s1_lat,s2_lat\n# note\n1,2\n3,4\n",
+    "s1_lat,s2_lat\r1,2\r3,4\r",
+    "s1_lat,s2_lat\r1,2\r3,1_0\r",
+    "s1_lat\n1\n2\n",
+    "s1_lat\n\x1c1\n2\n",
+    "s1_lat,s2_lat\n",
+    "s1_lat\n\n\n",
+    "\ufeffs1_lat,s2_lat\r\n1,2\r\n3,4\r\n",
+    '\ufeffs1_lat,s2_lat\r\n"1",2\r\n3,4\r\n',
+]
+
+
+def odd_bodies(test):
+    for text in reversed(ODD_BODIES):
+        test = example(text=text)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
-@given(scenario_csv_text())
-@example('s1_lat,s2_lat\n"1.5",2\n3,4\n')
-@example("s1_lat,s2_lat\n1_0,2\n3,4\n")
-@example("s1_lat,s2_lat\n1,2\nnan,4\n")
-@example("s1_lat,s2_lat\n1,2\n3,-inf\n")
-@example("s1_lat,s2_lat\n1,2\n1e400,4\n")
-@example("s1_lat,s2_lat\n1,\n3,4\n")
-@example("s1_lat,s2_lat\n1,2\n3\n")
-@example("s1_lat,s2_lat\n1,2,\n3,4,\n")
-@example("s1_lat,s2_lat\n1,2\n   \n3,4\n")
-@example("s1_lat,s2_lat\n# note\n1,2\n3,4\n")
-@example("s1_lat,s2_lat\r1,2\r3,4\r")
-@example("s1_lat,s2_lat\r1,2\r3,1_0\r")
-@example("s1_lat\n1\n2\n")
-@example("s1_lat\n\x1c1\n2\n")
-@example("s1_lat,s2_lat\n")
-@example("s1_lat\n\n\n")
-@example("\ufeffs1_lat,s2_lat\r\n1,2\r\n3,4\r\n")
-@example('\ufeffs1_lat,s2_lat\r\n"1",2\r\n3,4\r\n')
+@given(text=scenario_csv_text())
+@odd_bodies
 def test_bulk_reader_agrees_with_cell_parser(tmp_path_factory, text):
     """Same array bit for bit, or the same error, with and without np.loadtxt."""
     path = tmp_path_factory.mktemp("differential") / "x.csv"
@@ -248,6 +268,186 @@ def test_bulk_reader_agrees_with_cell_parser(tmp_path_factory, text):
     with mock.patch.object(mio, "_bulk_rows", return_value=None):
         cell_parser = read_outcome(path)
     assert read_outcome(path) == cell_parser
+
+
+needs_fork = pytest.mark.skipif(
+    not mio._can_split(mio.SPLIT_BYTES), reason="the split path needs os.fork and two cores"
+)
+
+
+@needs_fork
+@pytest.mark.parametrize("m", [0, 1, 2, 100])
+@settings(max_examples=40, deadline=None)
+@given(text=scenario_csv_text())
+@odd_bodies
+def test_split_reader_agrees_with_cell_parser(tmp_path_factory, m, text):
+    """Caller lines [0, m), child the rest: what the cell parser gives, and a split
+    that succeeds exactly when one np.loadtxt call over the body does."""
+    path = tmp_path_factory.mktemp("split") / "x.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(mio, "_bulk_rows", return_value=None):
+        cell_parser = read_outcome(path)
+    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
+        try:
+            read_outcome(path)
+            one_call = True
+        except AssertionError:
+            one_call = False
+    real_split_rows, splits = mio._split_rows, []
+
+    def split_rows(*args):
+        splits.append(real_split_rows(*args))
+        return splits[-1]
+
+    with mock.patch.object(mio, "SPLIT_BYTES", 0), \
+            mock.patch.object(mio, "_caller_lines", return_value=m), \
+            mock.patch.object(mio, "_split_rows", split_rows):
+        assert read_outcome(path) == cell_parser
+    assert [split is not None for split in splits] == ([one_call] if splits else [])
+    assert_no_children()
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+def test_paper_scale_record_round_trips_the_same_through_both_paths(tmp_path):
+    """30 channels x 11,536 samples, 90 s at 128 Hz: the size `miinet generate` writes."""
+    x = make_matrix(np.random.default_rng(11).standard_normal((11_536, 30)))
+    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
+    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
+        mio.write_timeseries_csv(x, serial)
+        serial_back = mio.read_timeseries_csv(serial).data
+    with mock.patch.object(mio, "_bulk_rows", wraps=mio._bulk_rows) as bulk:
+        mio.write_timeseries_csv(x, split)
+        split_back = mio.read_timeseries_csv(split).data
+    assert bulk.call_count == 1  # the caller's share; the child's call is not seen here
+    assert split.read_bytes() == serial.read_bytes()
+    assert split_back.tobytes() == serial_back.tobytes() == x.data.tobytes()
+    assert_no_children()
+
+
+def big_body(tmp_path, bad_line=None) -> Path:
+    """A 4-channel, 3,000-row CSV with a bad cell in column 2 of `bad_line`."""
+    rows = [f"{k},{k + 0.5},{-k},{k / 7}" for k in range(3000)]
+    if bad_line is not None:
+        rows[bad_line - 2] = rows[bad_line - 2].replace(",", ",x", 1)
+    return write(tmp_path / "big.csv", "s1_lat,s2_lat,s3_lat,s4_lat\n" + "\n".join(rows) + "\n")
+
+
+def child_exits_3(function):
+    """`function`, except that in a forked child it leaves at once by os._exit(3)."""
+    parent = os.getpid()
+
+    def wrapper(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return function(*args, **kwargs)
+
+    return wrapper
+
+
+@contextlib.contextmanager
+def ignored_sigchld():
+    """SIGCHLD set to SIG_IGN, under which the kernel reaps children before waitpid can."""
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
+CHILD_FATES = ["works", "exits 3", "dies mid-pipe", "is reaped unseen"]
+
+
+@needs_fork
+@pytest.mark.parametrize("bad_line", [None, 10, 2900])
+@pytest.mark.parametrize("child", CHILD_FATES)
+def test_split_read_leaves_no_child_and_matches_serial(tmp_path, bad_line, child):
+    path = big_body(tmp_path, bad_line)
+    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
+        serial = read_outcome(path)
+    patches = {
+        "works": contextlib.nullcontext(),
+        "exits 3": mock.patch.object(mio, "_bulk_rows", child_exits_3(mio._bulk_rows)),
+        "dies mid-pipe": mock.patch.object(mio, "_fork", dying_fork),
+        "is reaped unseen": ignored_sigchld(),
+    }
+    with mock.patch.object(mio, "SPLIT_BYTES", 0), patches[child], \
+            mock.patch.object(mio, "_caller_lines", return_value=1500):
+        assert read_outcome(path) == serial
+    assert_no_children()
+    assert serial[0] == "ok" if bad_line is None else serial == ("ParseError", bad_line, 2)
+
+
+@needs_fork
+def test_split_read_kills_a_child_whose_rows_are_not_wanted(tmp_path):
+    """The caller's share is rejected, so it does not wait for a child that stalls."""
+    path = big_body(tmp_path, bad_line=10)
+    parent, bulk_rows = os.getpid(), mio._bulk_rows
+
+    def stalling(*args):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return bulk_rows(*args)
+
+    start = time.perf_counter()
+    with mock.patch.object(mio, "SPLIT_BYTES", 0), \
+            mock.patch.object(mio, "_bulk_rows", stalling), \
+            mock.patch.object(mio, "_caller_lines", return_value=1500):
+        assert read_outcome(path) == ("ParseError", 10, 2)
+    assert time.perf_counter() - start < 30
+    assert_no_children()
+
+
+real_fork = mio._fork
+
+
+def dying_fork(work):
+    """_fork with a child that sends the first half of what `work` writes, then exits 3."""
+    def first_half(pipe):
+        sent = io.BytesIO()
+        work(sent)
+        pipe.write(sent.getvalue()[: sent.tell() // 2])
+        pipe.flush()
+        os._exit(3)
+
+    return real_fork(first_half)
+
+
+@needs_fork
+@pytest.mark.parametrize("child", CHILD_FATES)
+def test_split_write_leaves_no_child_and_matches_serial(tmp_path, child):
+    x = make_matrix(np.random.default_rng(6).standard_normal((2001, 5)))
+    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
+    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
+        mio.write_timeseries_csv(x, serial)
+    patches = {
+        "works": contextlib.nullcontext(),
+        "exits 3": mock.patch.object(mio, "_csv_lines", child_exits_3(mio._csv_lines)),
+        "dies mid-pipe": mock.patch.object(mio, "_fork", dying_fork),
+        "is reaped unseen": ignored_sigchld(),
+    }
+    with mock.patch.object(mio, "SPLIT_BYTES", 0), patches[child]:
+        mio.write_timeseries_csv(x, split)
+    assert_no_children()
+    assert split.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.parametrize("no_split", ["one core", "no os.fork"])
+def test_no_fork_without_a_second_core_or_os_fork(tmp_path, monkeypatch, no_split):
+    x = make_matrix(np.random.default_rng(7).standard_normal((3000, 4)))
+    path = tmp_path / "x.csv"
+    monkeypatch.setattr(mio, "SPLIT_BYTES", 0)
+    if no_split == "one core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
+    mio.write_timeseries_csv(x, path)
+    np.testing.assert_array_equal(mio.read_timeseries_csv(path).data, x.data)
 
 
 # ------------------------------------------------------------------ grid
@@ -535,6 +735,30 @@ def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     assert err.count("\n") == 1
     record = json.loads(err)
     assert record["error"] == "ValueError" and field in record["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["var", "contemporaneous"])
+@pytest.mark.parametrize(
+    "edges, culprit",
+    [([(1, 2, 1e308)], "1e+308 of edge s1_lat -> s2_lat"),
+     ([(1, 2, 1e160)], "1e+160 of edge s1_lat -> s2_lat"),
+     ([(1, 2, 0.5), (2, 3, -1e308)], "-1e+308 of edge s2_lat -> s3_lat")],
+)
+def test_generate_reports_an_overflowing_weight(tmp_path, capsys, kind, edges, culprit):
+    """A nilpotent coupling passes the VAR radius test at any weight; one past float64
+    is an UnstableSpec naming it, with no warning and no file written."""
+    spec_edges = [{"source": a, "target": b, "weight": w} for a, b, w in edges]
+    p = generator_json(tmp_path, kind=kind, edges=spec_edges)
+    out = tmp_path / "data.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["generate", "--spec", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "UnstableSpec", "message": f"coupling weight {culprit} overflows float64"
+    }
     assert not out.exists()
 
 
