@@ -18,7 +18,7 @@ from pathlib import Path
 from . import io
 from .core import Axis, TimeSeriesMatrix, standardize
 from .distributions import fit_errors
-from .errors import MiinetError
+from .errors import MiinetError, MissingChannel
 from .estimators import Family
 from .io import load_generator_spec
 from .omii import InteractionNetwork, OmiiConfig, degree_distribution, infer_network
@@ -47,11 +47,13 @@ class RunConfig:
         labels = [self.baseline_label] + [label for label, _ in self.scenarios]
         if len(set(labels)) != len(labels):
             raise ValueError("scenario labels must be unique")
+        taken = {".", "..", "run_config.json", *(f"diff_{labels[0]}_vs_{l}" for l in labels[1:])}
         for label in labels:
             surrogate = any("\ud800" <= ch <= "\udfff" for ch in label)  # undecodable argv bytes
-            if not label or label in (".", "..") or surrogate or any(ch in label for ch in "/\\ "):
+            if not label or label in taken or surrogate or any(ch in label for ch in "/\\ "):
                 raise ValueError(
-                    f"label {label!r} must be non-empty UTF-8 text, not . or .., no slashes/spaces"
+                    f"label {label!r} must be non-empty UTF-8 text, no slashes/spaces, and"
+                    " not ., .., run_config.json or a diff directory's name"
                 )
         for path in [self.baseline_path, self.grid_path] + [p for _, p in self.scenarios]:
             if not Path(path).is_file():
@@ -75,11 +77,8 @@ class RunConfig:
 def build_fit_report(x: TimeSeriesMatrix) -> dict:
     """Per-channel l1 errors of the standardized data against both baselines."""
     channels = []
-    laplace_better = 0
     for k, ch in enumerate(x.channels):
         n_bins, err_n, err_l = fit_errors(x.data[:, k])
-        if err_l < err_n:
-            laplace_better += 1
         channels.append(
             {
                 "channel": ch.name,
@@ -89,10 +88,8 @@ def build_fit_report(x: TimeSeriesMatrix) -> dict:
                 "better_fit": "laplace" if err_l < err_n else "normal",
             }
         )
-    return {
-        "channels": channels,
-        "laplace_better_fraction": laplace_better / x.n_channels,
-    }
+    laplace_better = sum(ch["better_fit"] == "laplace" for ch in channels)
+    return {"channels": channels, "laplace_better_fraction": laplace_better / x.n_channels}
 
 
 def _write_fit_report(x: TimeSeriesMatrix, prov: dict, path, **fields) -> None:
@@ -100,21 +97,22 @@ def _write_fit_report(x: TimeSeriesMatrix, prov: dict, path, **fields) -> None:
     io.write_json({**build_fit_report(x), "provenance": prov, **fields}, path)
 
 
-def _write_network(
-    x: TimeSeriesMatrix, axis: Axis, cfg: OmiiConfig, metadata: dict, prov: dict,
-    grid: SensorGrid | None, paths: list,
-) -> InteractionNetwork:
-    """oMII on x's `axis` channels, written to `paths`: network JSON, DOT and degree CSV."""
+def _axis_matrix(x: TimeSeriesMatrix, axis: Axis, grid: SensorGrid | None = None):
+    """x's `axis` channels in sensor order, the one matrix of the MI map and of oMII."""
     columns = x.axis_channel_indices(axis)
+    if not columns and grid:
+        raise MissingChannel(grid.sensors[0], axis.value)  # as `pairwise_mi_map` names it
     if not columns:
         raise MiinetError(f"no channels for axis {axis.value}")
-    sub = x.select([columns[s] for s in sorted(columns)])
-    net = infer_network(sub, cfg, metadata={**metadata, "axis": axis.value})
+    return x.select([columns[s] for s in sorted(columns)])
+
+
+def _write_network(net: InteractionNetwork, prov: dict, grid: SensorGrid | None, paths: list):
+    """`net` to `paths`: network JSON, DOT and degree CSV."""
     json_path, dot_path, degrees_path = paths
     io.write_network_json(net, prov, json_path)
     io.write_network_dot(net, prov, dot_path, grid=grid)
     io.write_degree_distribution_csv(degree_distribution(net), prov, degrees_path)
-    return net
 
 
 _SCENARIO_FILES = ("fit_report.json", "pairwise_mi.csv",
@@ -124,8 +122,9 @@ _SCENARIO_FILES = ("fit_report.json", "pairwise_mi.csv",
 def run_pipeline(cfg: RunConfig) -> list[Path]:
     """fit report -> pairwise MI -> oMII per scenario, then diffs vs baseline.
 
-    Every input is read and checked before the first write, so a bad
-    scenario leaves no partial bundle.
+    A scenario's MI map and network read one covariance, that of its `axis`
+    channels. Every input is read and checked, and every map and network
+    computed, before the first write: a bad scenario leaves no partial bundle.
     """
     grid = io.load_grid_csv(cfg.grid_path)
     all_scenarios = [(cfg.baseline_label, cfg.baseline_path), *cfg.scenarios]
@@ -133,29 +132,27 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     baseline_channels = set(matrices[0].channels)
     for (label, _), x in zip(all_scenarios, matrices):
         if set(x.channels) != baseline_channels:
-            raise MiinetError(
-                f"scenario {label!r} has a different channel set than the baseline"
-            )
+            raise MiinetError(f"scenario {label!r} has a different channel set than the baseline")
+    mi_maps, networks = {}, {}
+    for (label, _), x in zip(all_scenarios, matrices):
+        sub = _axis_matrix(x, cfg.axis, grid)
+        mi_maps[label] = pairwise_mi_map(sub, grid, cfg.axis, cfg.family, scenario=label)
+        seed = derive_seed(cfg.seed, "omii", label)
+        omii_cfg = OmiiConfig(cfg.family, cfg.theta, cfg.n_shuffles, seed)
+        networks[label] = infer_network(sub, omii_cfg, {"scenario": label, "axis": cfg.axis.value})
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config_dict = cfg.as_dict()
     prov = io.provenance(config_dict, cfg.seed)
     written: list[Path] = []
-    mi_maps = {}
-    networks = {}
     for (label, _), x in zip(all_scenarios, matrices):
         scen_dir = out_dir / label
         scen_dir.mkdir(parents=True, exist_ok=True)
         paths = [scen_dir / name for name in _SCENARIO_FILES]
         _write_fit_report(x, prov, paths[0], scenario=label)
-        mi_maps[label] = pairwise_mi_map(x, grid, cfg.axis, cfg.family, scenario=label)
         io.write_mi_map_csv(mi_maps[label], prov, paths[1])
-        seed = derive_seed(cfg.seed, "omii", label)
-        omii_cfg = OmiiConfig(cfg.family, cfg.theta, cfg.n_shuffles, seed)
-        networks[label] = _write_network(
-            x, cfg.axis, omii_cfg, {"scenario": label}, prov, grid, paths[2:]
-        )
+        _write_network(networks[label], prov, grid, paths[2:])
         written += paths
 
     for label, _ in cfg.scenarios:
@@ -192,7 +189,7 @@ def _cmd_pairwise_mi(args) -> int:
     grid = io.load_grid_csv(args.grid)
     axis = Axis(args.axis)
     family = Family(args.family)
-    mi_map = pairwise_mi_map(x, grid, axis, family, scenario=args.scenario)
+    mi_map = pairwise_mi_map(_axis_matrix(x, axis, grid), grid, axis, family, args.scenario)
     config = {
         "verb": "pairwise-mi",
         "input": str(args.input),
@@ -221,7 +218,8 @@ def _cmd_omii(args) -> int:
     }
     grid = io.load_grid_csv(args.grid) if args.grid else None
     paths = [f"{args.out_prefix}{suffix}" for suffix in (".json", ".dot", "_degrees.csv")]
-    _write_network(x, axis, cfg, {}, io.provenance(config, args.seed), grid, paths)
+    net = infer_network(_axis_matrix(x, axis), cfg, {"axis": axis.value})
+    _write_network(net, io.provenance(config, args.seed), grid, paths)
     return 0
 
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from miinet import Axis, neighbor_pairs, standardize
+from miinet import Axis, ChannelId, TimeSeriesMatrix, core, neighbor_pairs, standardize
 from miinet.cli import RunConfig, build_fit_report, load_generator_spec, main, run_pipeline
 from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetError, ParseError
 from miinet import io as mio
@@ -1205,6 +1205,114 @@ def test_pipeline_rejects_labels_that_break_the_bundle(tmp_path, capsys, label):
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ValueError"
     assert not list(out.parent.rglob("*"))
+
+
+@pytest.mark.parametrize("label", ["run_config.json", "diff_b_vs_d"])
+def test_pipeline_rejects_labels_that_name_bundle_entries(tmp_path, capsys, label):
+    cfg = run_config(tmp_path, baseline_label="b", scenarios=())
+    record = cfg.baseline_path
+    with pytest.raises(ValueError):
+        run_pipeline(dataclasses.replace(cfg, scenarios=(("d", record), (label, record))))
+    out = tmp_path / "bundle"
+    code = main(
+        ["pipeline", "--baseline", f"b={record}", "--scenario", f"d={record}", "--scenario",
+         f"{label}={record}", "--grid", cfg.grid_path, "--axis", "lateral", "--family",
+         "gaussian", "--n-shuffles", "25", "--seed", "99", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+    assert not out.exists()
+
+
+def test_pipeline_computes_one_covariance_per_scenario(tmp_path, monkeypatch):
+    cfg = run_config(tmp_path)
+    calls = []
+    original = core.regularize_covariance
+
+    def counting(cov):
+        calls.append(cov.shape)
+        return original(cov)
+
+    monkeypatch.setattr(core, "regularize_covariance", counting)
+    run_pipeline(cfg)
+    assert calls == [(4, 4), (4, 4)]
+
+
+def mi_rows(path: Path) -> list[str]:
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_lateral_mi_reads_only_the_lateral_channels(tmp_path):
+    """A duplicated vertical channel forces a ridge that the lateral MI must not see."""
+    grid = small_grid_csv(tmp_path)
+    data = np.random.default_rng(31).standard_normal((1200, 7))
+    data[:, 1:4] += 0.6 * data[:, :3]
+    channels = [ChannelId(s, axis) for axis in (Axis.LATERAL, Axis.VERTICAL) for s in range(1, 5)]
+    both = TimeSeriesMatrix(data[:, [0, 1, 2, 3, 4, 5, 6, 6]], tuple(channels))
+    records = {"both": tmp_path / "both.csv", "lateral": tmp_path / "lateral.csv"}
+    mio.write_timeseries_csv(both, records["both"])
+    mio.write_timeseries_csv(both.select(range(4)), records["lateral"])
+    maps = {}
+    for name, record in records.items():
+        maps[name] = tmp_path / f"{name}_mi.csv"
+        assert main(
+            ["pairwise-mi", "--input", str(record), "--grid", str(grid), "--axis", "lateral",
+             "--family", "gaussian", "--seed", "1", "--out", str(maps[name])]
+        ) == 0
+    out = tmp_path / "out"
+    assert main(
+        ["pipeline", "--baseline", f"b={records['both']}", "--grid", str(grid), "--axis",
+         "lateral", "--family", "gaussian", "--n-shuffles", "10", "--seed", "1", "--out",
+         str(out)]
+    ) == 0
+    expected = mi_rows(maps["lateral"])
+    assert mi_rows(maps["both"]) == expected
+    assert mi_rows(out / "b" / "pairwise_mi.csv") == expected
+
+
+@pytest.mark.parametrize(
+    "grid_text, n_channels, error",
+    [
+        ("1,0,0\n2,0,1\n3,1,0\n4,1,1\n5,2,0\n", 4, "MissingChannel"),  # sensor 5 has none
+        ("1,0,0\n", 1, "ValueError"),  # oMII needs two channels
+    ],
+    ids=["grid-sensor-off-axis", "one-sensor-axis"],
+)
+def test_pipeline_that_fails_to_compute_writes_nothing(
+    tmp_path, capsys, grid_text, n_channels, error
+):
+    grid = write(tmp_path / "grid.csv", "sensor_index,row,col\n" + grid_text)
+    record = tmp_path / "record.csv"
+    data = np.random.default_rng(5).standard_normal((600, n_channels))
+    mio.write_timeseries_csv(make_matrix(data), record)
+    out = tmp_path / "out"
+    code = main(
+        ["pipeline", "--baseline", f"b={record}", "--grid", str(grid), "--axis", "lateral",
+         "--family", "gaussian", "--n-shuffles", "10", "--seed", "1", "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, error", [("pairwise-mi", "MissingChannel"), ("pipeline", "MissingChannel"),
+                    ("omii", "MiinetError")]
+)
+def test_an_axis_without_channels_keeps_its_error_name(tmp_path, capsys, verb, error):
+    grid, record, _ = pipeline_inputs(tmp_path)  # lateral channels only
+    out = tmp_path / "out"
+    argv = {
+        "pairwise-mi": ["--input", str(record), "--grid", str(grid), "--out", str(out)],
+        "pipeline": ["--baseline", f"b={record}", "--grid", str(grid), "--out", str(out)],
+        "omii": ["--input", str(record), "--out-prefix", str(out)],
+    }[verb]
+    assert main([verb, *argv, "--axis", "vertical", "--family", "gaussian", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == error
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_pipeline_missing_file_rejected(tmp_path):
