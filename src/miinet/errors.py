@@ -81,7 +81,7 @@ class EmptyFile(MiinetError):
 
 
 class MalformedNetwork(MiinetError):
-    """A network JSON payload lacks a required field."""
+    """A network JSON payload lacks or mis-shapes a field, or repeats a node or an edge."""
 
 
 class NetworkInferenceError(MiinetError):

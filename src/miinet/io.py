@@ -421,29 +421,40 @@ def _field(record, key: str, where: str, kind=None, error=MalformedNetwork, defa
     return value
 
 
+def _reject_repeats(values, message: str) -> None:
+    """Raise MalformedNetwork for the first value already listed, `message` given k and it."""
+    seen = set()
+    for k, value in enumerate(values):
+        if value in seen:
+            raise MalformedNetwork(message.format(k=k, value=value))
+        seen.add(value)
+
+
 def network_from_payload(payload: dict) -> InteractionNetwork:
     """Inverse of network_to_payload; a missing or mis-shaped field raises MalformedNetwork.
 
-    Node indices must be distinct and every edge endpoint must be one of them.
+    Node indices and names must be distinct, and every edge endpoint must be
+    one of the indices. An edge listed twice or a self-loop is rejected too.
     """
     nodes = _field(payload, "nodes", "network", _LIST)
     edges = _field(payload, "edges", "network", _LIST)
     metadata = _field(payload, "metadata", "network", _OBJECT, default={})
     indices = tuple(_field(n, "index", f"node {k}", _INDEX) for k, n in enumerate(nodes))
-    if len(set(indices)) != len(indices):
-        k = next(k for k, i in enumerate(indices) if i in indices[:k])
-        raise MalformedNetwork(f"node {k} 'index' {indices[k]} is already listed")
+    _reject_repeats(indices, "node {k} 'index' {value} is already listed")
+    names = tuple(_field(n, "name", f"node {k}", _TEXT) for k, n in enumerate(nodes))
+    _reject_repeats(names, "node {k} 'name' {value!r} is already listed")
     node = ("a node index", lambda v: _INDEX[1](v) and v in indices)
     edge_fields = (("source", node), ("target", node), ("weight", _NUMBER), ("threshold", _NUMBER))
-    return InteractionNetwork(
-        indices,
-        tuple(_field(n, "name", f"node {k}", _TEXT) for k, n in enumerate(nodes)),
-        tuple(
-            Edge(*(_field(e, key, f"edge {k}", kind) for key, kind in edge_fields))
-            for k, e in enumerate(edges)
-        ),
-        dict(metadata),
+    parsed = tuple(
+        Edge(*(_field(e, key, f"edge {k}", kind) for key, kind in edge_fields))
+        for k, e in enumerate(edges)
     )
+    for k, e in enumerate(parsed):
+        if e.source == e.target:
+            raise MalformedNetwork(f"edge {k} is a self-loop on node {e.source}")
+    pairs = ((e.source, e.target) for e in parsed)
+    _reject_repeats(pairs, "edge {k} {value[0]} -> {value[1]} is already listed")
+    return InteractionNetwork(indices, names, parsed, dict(metadata))
 
 
 def write_network_json(net: InteractionNetwork, prov: dict, path) -> None:

@@ -12,12 +12,14 @@ factorization and one kernel call per conditioning-set size. `discover`,
 `remove` and `shuffle_test` are the one-target calls of the same functions. A
 batch that fails fails every target it carried.
 
-Each call draws one bank of Ns permutations, fixed by (seed, Ns, T), and
-every shuffle test of the call takes its nulls from it, so target order
-changes no result and each test is still an exact permutation test. Only j is
-shuffled, so the nulls need just the covariances of j's Ns shuffled copies
-with (*K, i): columns of one Ns x N table per channel, built on j's first
-test and dropped with the call. The nulls' variance is j's ridged diagonal
+Each call builds one private design from the matrix: its regularized
+covariance, T, the config, one bank of Ns permutations fixed by (seed, Ns, T),
+and the centred columns. Every shuffle test of the call takes its nulls from
+that bank, so target order changes no result and each test is still an exact
+permutation test. Only j is shuffled, so a test needs just the covariances of
+j and of j's Ns shuffled copies with (*K, i): columns of one (1 + Ns) x N row
+block per tested channel, cov[j] on top of j's null table, built on j's first
+test and freed with the call. The nulls' variance is j's ridged diagonal
 entry, so they read the same regularized covariance as the actual CMI.
 
 Both families share one numeric path: a family's CMI given |K| = k is the
@@ -133,72 +135,61 @@ def _null_table(centered: np.ndarray, j: int, bank: np.ndarray) -> np.ndarray:
     return centered[:, j].copy()[bank] @ centered / (centered.shape[0] - 1)
 
 
-class _Nulls:
-    """One call's permutation bank and the per-channel null tables built from it."""
+class _Design:
+    """One oMII call's covariance, T, config, permutation bank and per-channel row blocks."""
 
     def __init__(self, x: TimeSeriesMatrix, cfg: OmiiConfig):
-        self.x, self.cfg = x, cfg
-        self.bank = _permutations(cfg.seed, cfg.n_shuffles, x.n_samples)
+        self.cov, self.t, self.cfg = x.covariance, x.n_samples, cfg
+        self.bank = _permutations(cfg.seed, cfg.n_shuffles, self.t)
         self.centered = x.data - x.data.mean(axis=0)
-        self.tables: dict[int, np.ndarray] = {}
+        self.rows: dict[int, np.ndarray] = {}
 
-    def table(self, j: int) -> np.ndarray:
-        if j not in self.tables:
-            self.tables[j] = _null_table(self.centered, j, self.bank)
-        return self.tables[j]
+    def factor(self, orders: np.ndarray) -> np.ndarray:
+        """The (A, m, m) Cholesky factors of cov[order, order] over the rows of `orders`."""
+        return cholesky(self.cov[orders[:, :, None], orders[:, None, :]])
 
+    def cmis(self, orders: np.ndarray, partners: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """Gaussian I(i_a; j_a | K_a) and its Ns shuffled nulls for a batch of tests, (A, 1 + Ns).
 
-def _factor(cov: np.ndarray, orders: np.ndarray) -> np.ndarray:
-    """The (A, m, m) Cholesky factors of cov[order, order] over the rows of `orders`."""
-    return cholesky(cov[orders[:, :, None], orders[:, None, :]])
-
-
-def _test_cmis(
-    nulls: _Nulls, orders: np.ndarray, partners: np.ndarray, factor: np.ndarray
-) -> np.ndarray:
-    """Gaussian I(i_a; j_a | K_a) and its Ns shuffled nulls for a batch of tests, (A, 1 + Ns).
-
-    Row a of `orders` is (*K_a, i_a), `partners[a]` is j_a, and `factor` is
-    `_factor(cov, orders)`; every K_a has the same size. Column 0 is j_a's
-    actual CMI given (*K_a, i_a), the other columns its shuffled copies'.
-    """
-    cov = nulls.x.covariance
-    rows = np.stack(
-        [np.vstack((cov[j, order], nulls.table(j)[:, order])) for j, order in zip(partners, orders)]
-    )
-    return gaussian_cmi(factor, rows, cov[partners, partners][:, None])
+        Row a of `orders` is (*K_a, i_a), `partners[a]` is j_a, and `factor` is
+        `self.factor(orders)`; every K_a has the same size. Column 0 is j_a's
+        actual CMI given (*K_a, i_a), the other columns its shuffled copies'.
+        """
+        for j in partners.tolist():
+            if j not in self.rows:
+                self.rows[j] = np.vstack((self.cov[j], _null_table(self.centered, j, self.bank)))
+        block = np.stack([self.rows[j][:, order] for j, order in zip(partners.tolist(), orders)])
+        return gaussian_cmi(factor, block, self.cov[partners, partners][:, None])
 
 
 def _shuffle_tests(
-    nulls: _Nulls, orders: np.ndarray, partners: np.ndarray, factor: np.ndarray
+    design: _Design, orders: np.ndarray, partners: np.ndarray, factor: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pass flags, actual CMIs and thresholds of a batch of `_test_cmis`, family values.
+    """Pass flags, actual CMIs and thresholds of a batch of `design.cmis`, family values.
 
     A test passes iff its actual CMI strictly exceeds the
     floor((1-theta)*Ns)-th smallest of its nulls.
     """
-    x, cfg = nulls.x, nulls.cfg
     k = orders.shape[1] - 1
-    if k + 2 >= x.n_samples:
-        raise ConditionSetTooLarge(f"|K|+2 = {k + 2} >= T = {x.n_samples}")
-    cmis = _test_cmis(nulls, orders, partners, factor) + cmi_offset(cfg.family, k)
+    if k + 2 >= design.t:
+        raise ConditionSetTooLarge(f"|K|+2 = {k + 2} >= T = {design.t}")
+    cmis = design.cmis(orders, partners, factor) + cmi_offset(design.cfg.family, k)
     actual = cmis[:, 0]
-    thresholds = np.sort(cmis[:, 1:], axis=1)[:, cfg.threshold_rank - 1]
+    thresholds = np.sort(cmis[:, 1:], axis=1)[:, design.cfg.threshold_rank - 1]
     return actual > thresholds, actual, thresholds
 
 
 def _discover(
-    nulls: _Nulls, targets: Sequence[int]
+    design: _Design, targets: Sequence[int]
 ) -> tuple[list[ParentSet], list[tuple[int, Exception]]]:
     """Discovery for every target at once, one stacked round at a time.
 
     Ties in a target's argmax break toward the lowest channel index.
     """
-    x = nulls.x
-    n = x.n_channels
+    cov = design.cov
+    n = cov.shape[0]
     if n < 2:
         raise ValueError("need at least 2 channels")
-    cov = x.covariance
     found: dict[int, list[Edge]] = {int(i): [] for i in targets}
     failures: list[tuple[int, Exception]] = []
     active = np.array(list(found), dtype=np.intp)
@@ -212,12 +203,12 @@ def _discover(
         mask[index[:, None], orders] = False
         candidates = np.nonzero(mask)[1].reshape(active.size, n - 1 - r)
         try:
-            factor = _factor(cov, orders)
+            factor = design.factor(orders)
             cmis = gaussian_cmi(
                 factor, cov[candidates[:, :, None], orders[:, None, :]], cov.diagonal()[candidates]
             )
             best = candidates[index, np.argmax(cmis, axis=1)]
-            passed, actual, thresholds = _shuffle_tests(nulls, orders, best, factor)
+            passed, actual, thresholds = _shuffle_tests(design, orders, best, factor)
         except MiinetError as exc:  # the batch fails every target it carried
             failures.extend((int(i), exc) for i in active)
             for i in active:
@@ -234,7 +225,7 @@ def _discover(
 
 
 def _remove(
-    nulls: _Nulls, discovered: Sequence[ParentSet]
+    design: _Design, discovered: Sequence[ParentSet]
 ) -> tuple[list[ParentSet], list[tuple[int, Exception]]]:
     """Removal for every target at once, one admission step at a time.
 
@@ -242,7 +233,6 @@ def _remove(
     without j, and drops j when the test fails; the kept set shrinks within
     the pass. The tests of one step are batched by conditioning-set size.
     """
-    cov = nulls.x.covariance
     kept = {p.target: list(p.parents) for p in discovered}
     failures: list[tuple[int, Exception]] = []
     for s in range(max((len(p.parents) for p in discovered), default=0)):
@@ -256,7 +246,7 @@ def _remove(
             orders = np.array([(*rest, i) for i, _, rest in group], dtype=np.intp)
             partners = np.array([j for _, j, _ in group], dtype=np.intp)
             try:
-                passed = _shuffle_tests(nulls, orders, partners, _factor(cov, orders))[0]
+                passed = _shuffle_tests(design, orders, partners, design.factor(orders))[0]
             except MiinetError as exc:  # the batch fails every target it carried
                 for i, _, _ in group:
                     failures.append((i, exc))
@@ -301,8 +291,9 @@ def shuffle_test(
     if not all(0 <= c < x.n_channels for c in channels):
         raise ValueError(f"channel indices {list(channels)} outside 0..{x.n_channels - 1}")
     orders = np.array([(*cond, i)], dtype=np.intp)
+    design = _Design(x, cfg)
     passed, actual, thresholds = _shuffle_tests(
-        _Nulls(x, cfg), orders, np.array([j]), _factor(x.covariance, orders)
+        design, orders, np.array([j]), design.factor(orders)
     )
     return ShuffleTestResult(bool(passed[0]), float(actual[0]), float(thresholds[0]))
 
@@ -312,7 +303,7 @@ def discover(x: TimeSeriesMatrix, i: int, cfg: OmiiConfig) -> ParentSet:
 
     Ties in the argmax break toward the lowest channel index.
     """
-    return _raise_first(_discover(_Nulls(x, cfg), [int(i)]))
+    return _raise_first(_discover(_Design(x, cfg), [int(i)]))
 
 
 def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) -> ParentSet:
@@ -322,7 +313,7 @@ def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) 
     """
     if discovered.target != int(i):
         raise ValueError("parent set belongs to a different target")
-    return _raise_first(_remove(_Nulls(x, cfg), [discovered]))
+    return _raise_first(_remove(_Design(x, cfg), [discovered]))
 
 
 def infer_network(
@@ -333,9 +324,9 @@ def infer_network(
     Every target that a failing batch carried is reported in one
     NetworkInferenceError, never a silent partial network.
     """
-    nulls = _Nulls(x, cfg)
-    discovered, failures = _discover(nulls, range(x.n_channels))
-    pruned, removal_failures = _remove(nulls, discovered)
+    design = _Design(x, cfg)
+    discovered, failures = _discover(design, range(x.n_channels))
+    pruned, removal_failures = _remove(design, discovered)
     failures = sorted(failures + removal_failures, key=lambda failure: failure[0])
     if failures:
         raise NetworkInferenceError(failures)

@@ -179,7 +179,9 @@ def star_coupling(n: int, weight: float, hub: int = 0) -> np.ndarray:
 
 
 def random_dag_coupling(n: int, density: float, weight: float, seed: int) -> np.ndarray:
-    """ER DAG: each pair i<j carries edge i -> j with the given probability."""
+    """ER DAG: each pair i<j carries edge i -> j with probability `density` in [0, 1]."""
+    if not 0.0 <= density <= 1.0:
+        raise ValueError(f"density must be in [0, 1], got {density!r}")
     rng = np.random.default_rng(seed)
     a = np.zeros((n, n))
     for i in range(n):

@@ -66,6 +66,11 @@ def test_laplace_entropy_constant_d2_vs_radial_oracle():
     assert abs(laplace_entropy_constant(2) - oracles.laplace_entropy_2d_radial_identity()) < 1e-10
 
 
+def test_laplace_entropy_constant_d3_closed_form():
+    c3 = 3.0 + math.log(2.0 * math.pi) - np.euler_gamma - 0.5 * math.log(2.0)
+    assert abs(laplace_entropy_constant(3) - c3) < 1e-12
+
+
 def test_laplace_entropy_constant_domain():
     with pytest.raises(ValueError):
         laplace_entropy_constant(0)
@@ -77,11 +82,11 @@ def test_laplace_entropy_constant_bits_pinned():
     # exact reprs of the radial quadrature: a change to its grid, its density
     # or the Bessel-K evaluation shows here before it reaches any estimate
     pinned = {
-        2: "2.648736243774291",
-        3: "3.9140878112396758",
-        6: "7.578491969433735",
-        32: "37.73466449739083",
-        100: "115.15387072613724",
+        2: "2.6487362437541293",
+        3: "3.914087811227787",
+        6: "7.578491969421076",
+        32: "37.73466449737702",
+        100: "115.15387072612282",
     }
     assert {d: repr(laplace_entropy_constant(d)) for d in pinned} == pinned
 

@@ -766,7 +766,9 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
      ({"noise_scale": True}, "'noise_scale'"),
      ({"edges": [{"source": 1, "target": 2, "weight": float("nan")}]}, "'weight'"),
      ({"edges": None, "random_dag": {"density": 0.3, "weight": float("inf"), "graph_seed": 2}},
-      "'weight'")],
+      "'weight'"),
+     ({"edges": None, "random_dag": {"density": 7.5, "weight": 0.4, "graph_seed": 2}},
+      "density must be in [0, 1], got 7.5")],
 )
 def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     spec = json.loads(generator_json(tmp_path).read_text())
@@ -780,6 +782,15 @@ def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     record = json.loads(err)
     assert record["error"] == "ValueError" and field in record["message"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("density", [7.5, -0.1, float(np.nextafter(1.0, 2.0))])
+def test_generator_spec_rejects_density_outside_unit_interval(tmp_path, density):
+    spec = json.loads(generator_json(tmp_path).read_text())
+    del spec["edges"]
+    spec["random_dag"] = {"density": density, "weight": 0.4, "graph_seed": 2}
+    with pytest.raises(ValueError, match="density must be in"):
+        load_generator_spec(write(tmp_path / "bad.json", json.dumps(spec)))
 
 
 @pytest.mark.parametrize("kind", ["var", "contemporaneous"])
@@ -953,6 +964,42 @@ def test_network_payload_missing_edge_field_rejected(key):
     }
     with pytest.raises(MalformedNetwork, match=f"edge 1 has no '{key}'"):
         mio.network_from_payload(payload)
+
+
+def network_payload(names, edges):
+    return {
+        "nodes": [{"index": k, "name": name} for k, name in enumerate(names)],
+        "edges": [{"source": a, "target": b, "weight": w, "threshold": 0.1} for a, b, w in edges],
+    }
+
+
+@pytest.mark.parametrize(
+    "names, edges, message",
+    [
+        (("s1_lat", "s2_lat"), [(0, 1, 0.5), (0, 1, 0.9)], "edge 1 0 -> 1 is already listed"),
+        (("s1_lat", "s2_lat"), [(0, 1, 0.5), (1, 1, 0.9)], "edge 1 is a self-loop on node 1"),
+        (("s1_lat", "s1_lat"), [(0, 1, 0.5)], "node 1 'name' 's1_lat' is already listed"),
+    ],
+)
+def test_network_payload_rejects_repeats_and_self_loops(names, edges, message):
+    with pytest.raises(MalformedNetwork, match=message):
+        mio.network_from_payload(network_payload(names, edges))
+
+
+def test_network_diff_verb_rejects_an_edge_listed_twice(tmp_path, capsys):
+    good = write(tmp_path / "good.json", json.dumps(network_payload(("a", "b"), [(0, 1, 0.5)])))
+    twice = network_payload(("a", "b"), [(0, 1, 0.5), (0, 1, 0.9)])
+    bad = write(tmp_path / "bad.json", json.dumps(twice))
+    code = main(
+        ["diff", "--kind", "network", "--baseline", str(good), "--comparison", str(bad),
+         "--out", str(tmp_path / "diff.json")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "MalformedNetwork" and "edge 1 0 -> 1" in record["message"]
+    assert not (tmp_path / "diff.json").exists()
 
 
 def test_network_diff_verb_rejects_malformed_network(tmp_path, capsys):

@@ -37,8 +37,8 @@ def independent_matrix(seed, t=1000, n=2):
 def null_cmis(x, i, j, cond, cfg):
     """The Ns Gaussian nulls of one shuffle test, from the batched test path."""
     orders = np.array([(*cond, i)])
-    factor = omii._factor(x.covariance, orders)
-    return omii._test_cmis(omii._Nulls(x, cfg), orders, np.array([j]), factor)[0, 1:]
+    design = omii._Design(x, cfg)
+    return design.cmis(orders, np.array([j]), design.factor(orders))[0, 1:]
 
 
 def test_omii_config_validation():
@@ -472,18 +472,18 @@ def test_null_cmis_match_reference_on_ridge(family):
 
 def test_infer_network_builds_one_table_per_tested_channel(monkeypatch):
     built, tested = [], set()
-    build, test_cmis = omii._null_table, omii._test_cmis
+    build, test_cmis = omii._null_table, omii._Design.cmis
 
     def counting_build(centered, j, bank):
         built.append(j)
         return build(centered, j, bank)
 
-    def recording_tests(nulls, orders, partners, factor):
+    def recording_tests(design, orders, partners, factor):
         tested.update(partners.tolist())
-        return test_cmis(nulls, orders, partners, factor)
+        return test_cmis(design, orders, partners, factor)
 
     monkeypatch.setattr(omii, "_null_table", counting_build)
-    monkeypatch.setattr(omii, "_test_cmis", recording_tests)
+    monkeypatch.setattr(omii._Design, "cmis", recording_tests)
     x = generate_contemporaneous(GeneratorSpec(6, 2000, star_coupling(6, 0.6), seed=31))
     net = infer_network(x, OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=37))
     assert net.edges
@@ -611,7 +611,7 @@ def test_discovery_stacks_each_round_into_one_candidate_and_one_test_call(monkey
 
     monkeypatch.setattr(omii, "cholesky", counting_factor)
     monkeypatch.setattr(omii, "gaussian_cmi", counting_kernel)
-    found, failures = omii._discover(omii._Nulls(x, cfg), range(x.n_channels))
+    found, failures = omii._discover(omii._Design(x, cfg), range(x.n_channels))
     assert not failures
     lengths = [len(p.parents) for p in found]
     # round r carries every target that admitted r parents, while candidates remain
@@ -625,7 +625,7 @@ def test_discovery_stacks_each_round_into_one_candidate_and_one_test_call(monkey
 def test_failing_batch_fails_every_target_it_carried(monkeypatch):
     x = generate_contemporaneous(GeneratorSpec(5, 2000, coupling_from_edges(5, [(0, 1, 0.8)]), seed=83))
     cfg = OmiiConfig(GAUSS, theta=0.05, n_shuffles=60, seed=89)
-    found, _ = omii._discover(omii._Nulls(x, cfg), range(x.n_channels))
+    found, _ = omii._discover(omii._Design(x, cfg), range(x.n_channels))
     carried = [p.target for p in found if p.parents]  # the targets of discovery round 1
     assert 0 < len(carried) < x.n_channels
     tests = omii._shuffle_tests
