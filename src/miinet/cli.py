@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import io
 from .core import Axis, TimeSeriesMatrix, standardize
-from .distributions import fit_errors
+from .distributions import column_fit_errors
 from .errors import MiinetError, MissingChannel
 from .estimators import Family
 from .io import load_generator_spec
@@ -77,18 +77,18 @@ class RunConfig:
 
 def build_fit_report(x: TimeSeriesMatrix) -> dict:
     """Per-channel l1 errors of the standardized data against both baselines."""
-    channels = []
-    for k, ch in enumerate(x.channels):
-        n_bins, err_n, err_l = fit_errors(x.data[:, k])
-        channels.append(
-            {
-                "channel": ch.name,
-                "n_bins": n_bins,
-                "l1_error_normal": err_n,
-                "l1_error_laplace": err_l,
-                "better_fit": "laplace" if err_l < err_n else "normal",
-            }
+    channels = [
+        {
+            "channel": ch.name,
+            "n_bins": n_bins,
+            "l1_error_normal": err_n,
+            "l1_error_laplace": err_l,
+            "better_fit": "laplace" if err_l < err_n else "normal",
+        }
+        for ch, n_bins, err_n, err_l in zip(
+            x.channels, *(column.tolist() for column in column_fit_errors(x.data))
         )
+    ]
     laplace_better = sum(ch["better_fit"] == "laplace" for ch in channels)
     return {"channels": channels, "laplace_better_fraction": laplace_better / x.n_channels}
 

@@ -31,7 +31,7 @@ class DomainError(MiinetError):
 
 
 class EmptyHistogram(MiinetError):
-    """An empirical distribution with no mass was supplied."""
+    """A channel that cannot be binned: under 2 samples, one value, or an unfit range."""
 
 
 class ConditionSetTooLarge(MiinetError):

@@ -233,15 +233,16 @@ def _remove(
     without j, and drops j when the test fails; the kept set shrinks within
     the pass. The tests of one step are batched by conditioning-set size.
     """
-    kept = {p.target: list(p.parents) for p in discovered}
+    admitted = [(p.target, p.parents) for p in discovered]
+    kept = {i: list(parents) for i, parents in admitted}
     failures: list[tuple[int, Exception]] = []
-    for s in range(max((len(p.parents) for p in discovered), default=0)):
+    for s in range(max((len(parents) for _, parents in admitted), default=0)):
         groups: dict[int, list[tuple[int, int, list[int]]]] = {}
-        for p in discovered:
-            if len(p.parents) > s and p.target in kept:
-                j = p.parents[s]
-                rest = sorted(q for q in kept[p.target] if q != j)
-                groups.setdefault(len(rest), []).append((p.target, j, rest))
+        for i, parents in admitted:
+            if len(parents) > s and i in kept:
+                j = parents[s]
+                rest = sorted(q for q in kept[i] if q != j)
+                groups.setdefault(len(rest), []).append((i, j, rest))
         for group in groups.values():
             orders = np.array([(*rest, i) for i, _, rest in group], dtype=np.intp)
             partners = np.array([j for _, j, _ in group], dtype=np.intp)

@@ -1,11 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from miinet import bessel_k, fit_errors, log_bessel_k
-from miinet.distributions import _l1_errors, _reference_pdfs, standard_laplace_logpdf
-from miinet.errors import DomainError, EmptyHistogram
+from miinet.distributions import (
+    _BLOCK,
+    _l1_errors,
+    _reference_pdfs,
+    column_fit_errors,
+    standard_laplace_logpdf,
+)
+from miinet.errors import DomainError, EmptyHistogram, NonFinite
 from miinet.estimators import Family, entropy_of_covariance
 
 from conftest import make_matrix
@@ -153,6 +162,72 @@ def test_empirical_distribution_bin_clipping(rng):
 def test_empirical_distribution_errors():
     with pytest.raises(EmptyHistogram):
         fit_errors(np.ones(100))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, 5e-324] * 50,  # the Freedman-Diaconis width underflows to 0: 256 bins
+        [1.0, float(np.nextafter(1.0, 2.0))] * 50,  # 24 bins inside one ulp
+        [0.0, 5e-322] * 50,  # 24 bins fit, but their densities overflow to inf
+    ],
+    ids=["width-underflows", "one-ulp-range", "densities-overflow"],
+)
+def test_fit_errors_range_too_narrow_for_its_bins(values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmptyHistogram):
+            fit_errors(values)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_errors_non_finite_sample(bad):
+    with pytest.raises(NonFinite) as info:
+        fit_errors([0.0, 1.0, bad, 2.0])
+    assert info.value.t == 2
+
+
+def _fit_input(seed: int, t: int, n: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((t, n))
+    if kind == "integer":  # samples on bin edges
+        data = np.round(3.0 * data)
+    elif kind == "iqr0":  # over 80% of each column tied: 256 bins
+        data[: 4 * t // 5 + 1] = 0.25
+    elif kind == "ties":  # runs of ties at the minimum and the maximum
+        data = np.clip(data, -0.5, 0.5)
+    elif kind == "edges":  # samples on and one ulp beside the bin edges np.histogram draws
+        for column in data.T:
+            lo, hi = column.min(), column.max()
+            edges = np.linspace(lo, hi, oracles.fit_errors_reference(column)[0] + 1)
+            near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+            column[1 : near.size + 1] = np.clip(near, lo, hi)[: column.size - 1]
+    flat = data.max(axis=0) == data.min(axis=0)
+    data[-1, flat] += 1.0
+    return data
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.sampled_from([2, 3, 50, 1442, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5]),
+    n=st.integers(1, 13),
+    kind=st.sampled_from(["normal", "integer", "iqr0", "ties", "edges"]),
+)
+@example(seed=1, t=2, n=1, kind="normal")
+@example(seed=2, t=1442, n=13, kind="iqr0")  # 11 columns a block, then 2
+@example(seed=3, t=3 * _BLOCK + 5, n=2, kind="integer")  # split along the samples
+@example(seed=4, t=1442, n=5, kind="edges")
+def test_column_fit_errors_match_the_per_column_reference_bit_for_bit(seed, t, n, kind):
+    data = _fit_input(seed, t, n, kind)
+    n_bins, normal, laplace = column_fit_errors(data)
+    expected = [oracles.fit_errors_reference(data[:, c]) for c in range(n)]
+    assert n_bins.tolist() == [e[0] for e in expected]
+    assert normal.tobytes() == np.array([e[1] for e in expected]).tobytes()
+    assert laplace.tobytes() == np.array([e[2] for e in expected]).tobytes()
+    assert fit_errors(data[:, 0]) == expected[0]
+    if kind == "iqr0" and t >= 50:
+        assert set(n_bins.tolist()) == {256}
 
 
 # ------------------------------------------------------------ fit errors

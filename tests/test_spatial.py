@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from miinet import Axis, mi_map_diff, neighbor_pairs, network_diff, pairwise_mi_map
-from miinet.errors import EdgeSetMismatch, MissingChannel, NodeSetMismatch
+from miinet.core import ChannelId, TimeSeriesMatrix
+from miinet.errors import ConditionSetTooLarge, EdgeSetMismatch, MissingChannel, NodeSetMismatch
 from miinet.distributions import laplace_entropy_constant
-from miinet.estimators import Family
+from miinet.estimators import Family, mutual_information
 from miinet.omii import Edge, InteractionNetwork
 from miinet.spatial import PairwiseMIMap, SensorGrid
 from miinet.synthetic import GeneratorSpec, coupling_from_edges, generate_contemporaneous
@@ -88,6 +89,24 @@ def test_pairwise_mi_map_missing_channel():
         pairwise_mi_map(x, grid, Axis.LATERAL, GAUSS)
     with pytest.raises(MissingChannel):
         pairwise_mi_map(grid_coupled_matrix(grid, 0.5, 3), grid, Axis.VERTICAL, GAUSS)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_pairwise_mi_map_is_per_pair_mutual_information_bit_for_bit(family):
+    grid = SensorGrid({1: (0, 0), 2: (0, 1), 4: (1, 0), 5: (1, 1), 6: (1, 2), 9: (2, 2)})
+    data = grid_coupled_matrix(SensorGrid.full(3, 3), 0.6, seed=11, t=600).data
+    # columns in falling sensor order, so each pair's columns come (max, min)
+    lateral = tuple(ChannelId(s, Axis.LATERAL) for s in range(9, 0, -1))
+    x = TimeSeriesMatrix(data, lateral)
+    columns = x.axis_channel_indices(Axis.LATERAL)
+    mi_map = pairwise_mi_map(x, grid, Axis.LATERAL, family)
+    expected = [mutual_information(x, columns[a], columns[b], family) for a, b in mi_map.edges]
+    assert mi_map.edges == tuple(neighbor_pairs(grid))
+    assert np.array(mi_map.values).tobytes() == np.array(expected).tobytes()
+    with pytest.raises(MissingChannel):
+        pairwise_mi_map(x.select(list(range(8))), grid, Axis.LATERAL, family)  # no sensor 1
+    with pytest.raises(ConditionSetTooLarge):
+        pairwise_mi_map(TimeSeriesMatrix(data[:2], lateral), grid, Axis.LATERAL, family)
 
 
 def test_pairwise_mi_map_laplace_null_edges_at_floor():
