@@ -51,10 +51,11 @@ class RunConfig:
         taken = {".", "..", "run_config.json", *(f"diff_{labels[0]}_vs_{l}" for l in labels[1:])}
         for label in labels:
             surrogate = any("\ud800" <= ch <= "\udfff" for ch in label)  # undecodable argv bytes
-            if not label or label in taken or surrogate or any(ch in label for ch in "/\\ "):
+            one_line = label.splitlines() == [label]  # also false for ""
+            if not one_line or label in taken or surrogate or any(ch in label for ch in "/\\ "):
                 raise ValueError(
-                    f"label {label!r} must be non-empty UTF-8 text, no slashes/spaces, and"
-                    " not ., .., run_config.json or a diff directory's name"
+                    f"label {label!r} must be one non-empty line of UTF-8 text, no slashes or"
+                    " spaces, and not ., .., run_config.json or a diff directory's name"
                 )
         for path in [self.baseline_path, self.grid_path] + [p for _, p in self.scenarios]:
             if not Path(path).is_file():

@@ -12,10 +12,11 @@ fixes the entropy of every fitted Laplace, comes from a radial quadrature of
 that density.
 
 The fit report compares each standardized channel with two fixed densities,
-N(0, 1) and the unit-variance Laplace: `column_fit_errors` bins every column
-of a matrix in one pass over contiguous blocks of its transpose, at most
-16,384 cells at a time, and returns the relative l1 error of each density
-on each column's bins. `fit_errors` is its one-column case.
+N(0, 1) and the unit-variance Laplace: `column_fit_errors` sorts each block
+of whole columns of a matrix once, at most 16,384 cells unless one column is
+longer, counts each column's bins by `np.searchsorted` on its sorted samples,
+and returns the relative l1 error of each density on each column's bins.
+`fit_errors` is its one-column case.
 """
 
 from __future__ import annotations
@@ -236,8 +237,8 @@ def laplace_entropy_constant(d: int) -> float:
 
 _MIN_BINS = 24
 _MAX_BINS = 256
-# Cells binned at a time: a block of whole columns, or a run of one column's
-# samples when it is longer. Larger blocks bin faster but raise peak memory.
+# Cells sorted at a time: a block of whole columns, or one column when it is
+# longer. Larger blocks take fewer numpy calls but raise peak memory.
 _BLOCK = 16_384
 
 
@@ -256,10 +257,13 @@ def fit_errors(values) -> tuple[int, float, float]:
 def column_fit_errors(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`fit_errors` of every column of a (T, N) matrix: three length-N arrays.
 
-    Bit for bit what `np.percentile` and `np.histogram` give column by column:
-    the percentiles and bins are taken on contiguous blocks of the transpose,
-    at most `_BLOCK` cells binned at a time, and the l1 sums on the columns
-    that share a bin count. Raises NonFinite for a NaN or an inf, and
+    Bit for bit what `np.percentile` and `np.histogram` give column by column.
+    Each block of whole columns, at most `_BLOCK` cells unless one column is
+    longer, is sorted once. A column's range is its first and last sorted
+    value and its edges are `np.linspace(lo, hi, n_bins + 1)`, as in
+    `np.histogram`; bin k counts the samples in [e_k, e_k+1), the last bin
+    closed, by `np.searchsorted` on the sorted column. The l1 sums run on the
+    columns that share a bin count. Raises NonFinite for a NaN or an inf, and
     EmptyHistogram for fewer than 2 samples or a column whose range is empty,
     overflows, or is too narrow for its bins.
     """
@@ -271,80 +275,40 @@ def column_fit_errors(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise EmptyHistogram("need at least 2 samples")
     n_bins = np.empty(n_cols, dtype=np.intp)
     edges = np.empty((n_cols, _MAX_BINS + 1))
-    counts = np.empty((n_cols, _MAX_BINS + 1), dtype=np.intp)
+    below = np.full((n_cols, _MAX_BINS + 1), t)  # samples below each edge; t past the last bin
     per_block = max(1, _BLOCK // t)
     for c0 in range(0, n_cols, per_block):
         cols = slice(c0, c0 + per_block)
-        block = np.ascontiguousarray(data[:, cols].T)
-        lo, hi, span = _row_ranges(block, c0)
+        block = np.sort(data[:, cols].T, axis=1)
+        lo, hi = block[:, 0], block[:, -1]  # -inf sorts first, inf and NaN last
+        bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+        if bad.size:
+            c = c0 + int(bad[0])
+            raise NonFinite(c, int(np.flatnonzero(~np.isfinite(data[:, c]))[0]))
+        span = hi - lo
+        bad = np.flatnonzero((span == 0.0) | np.isinf(span))
+        if bad.size:
+            c = int(bad[0])
+            reason = "all samples identical" if span[c] == 0.0 else "range overflows float64"
+            raise EmptyHistogram(f"column {c0 + c}: {reason}")
         q75, q25 = np.percentile(block, [75.0, 25.0], axis=1)
         with np.errstate(divide="ignore", over="ignore"):  # x / 0 = inf: 256 bins
             fd = np.ceil(span / (2.0 * (q75 - q25) * t ** (-1.0 / 3.0)))
         n_bins[cols] = np.clip(fd, _MIN_BINS, _MAX_BINS)
-        edges[cols] = _bin_edges(lo, hi, n_bins[cols], c0)
-        counts[cols] = _bin_counts(block, lo, span, edges[cols], n_bins[cols])
+        for c, row in enumerate(block, start=c0):
+            b = n_bins[c]
+            edges[c, :b + 1] = np.linspace(row[0], row[-1], b + 1)
+            if np.any(edges[c, 1:b + 1] <= edges[c, :b]):
+                raise EmptyHistogram(f"column {c}: range too narrow for {b} bins")
+            below[c, :b] = np.searchsorted(row, edges[c, :b])
     normal, laplace = np.empty(n_cols), np.empty(n_cols)
     for b in set(n_bins.tolist()):
         rows = np.flatnonzero(n_bins == b)
         group = edges[rows, :b + 1]
         with np.errstate(over="ignore"):  # densities of overflowing size fail in `_l1_errors`
-            densities = counts[rows, :b] / (t * np.diff(group, axis=1))
+            densities = np.diff(below[rows, :b + 1], axis=1) / (t * np.diff(group, axis=1))
         normal[rows], laplace[rows] = _l1_errors(group, densities)
     return n_bins, normal, laplace
-
-
-def _row_ranges(block: np.ndarray, c0: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(min, max, max - min) of each row of `block`, whose row c is column c0 + c.
-
-    Raises NonFinite for a NaN or an inf, and EmptyHistogram for a row of one
-    value or one whose range overflows.
-    """
-    lo, hi = block.min(axis=1), block.max(axis=1)
-    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
-    if bad.size:
-        c = int(bad[0])
-        raise NonFinite(c0 + c, int(np.flatnonzero(~np.isfinite(block[c]))[0]))
-    span = hi - lo
-    bad = np.flatnonzero((span == 0.0) | np.isinf(span))
-    if bad.size:
-        c = int(bad[0])
-        reason = "all samples identical" if span[c] == 0.0 else "range overflows float64"
-        raise EmptyHistogram(f"column {c0 + c}: {reason}")
-    return lo, hi, span
-
-
-def _bin_edges(lo: np.ndarray, hi: np.ndarray, n_bins: np.ndarray, c0: int) -> np.ndarray:
-    """Row c holds `np.linspace(lo[c], hi[c], n_bins[c] + 1)`, then padding to 257 entries."""
-    edges = np.arange(_MAX_BINS + 1) * ((hi - lo) / n_bins)[:, None] + lo[:, None]
-    edges[np.arange(lo.size), n_bins] = hi
-    narrow = (edges[:, 1:] <= edges[:, :-1]) & (np.arange(_MAX_BINS) < n_bins[:, None])
-    bad = np.flatnonzero(narrow.any(axis=1))
-    if bad.size:
-        c = int(bad[0])
-        raise EmptyHistogram(f"column {c0 + c}: range too narrow for {n_bins[c]} bins")
-    return edges
-
-
-def _bin_counts(block, lo, span, edges, n_bins) -> np.ndarray:
-    """Row c: `np.histogram` counts of `block[c]` over `edges[c]`, by its own arithmetic.
-
-    A sample's bin is its offset over the bin width, then moved down or up
-    by one where float rounding put it across an edge. Runs of at most
-    `_BLOCK` cells are binned at a time.
-    """
-    n = n_bins[:, None]
-    base = np.arange(block.shape[0])[:, None] * edges.shape[1]
-    flat = edges.ravel()
-    counts = np.zeros(edges.size, dtype=np.intp)
-    for s in range(0, block.shape[1], _BLOCK):
-        chunk = block[:, s:s + _BLOCK]
-        index = ((chunk - lo[:, None]) / span[:, None] * n).astype(np.intp)
-        index -= index == n
-        index += base
-        index -= chunk < flat[index]
-        index += (chunk >= flat[1:][index]) & (index != base + n - 1)  # the bin's upper edge
-        counts += np.bincount(index.ravel(), minlength=counts.size)
-    return counts.reshape(edges.shape)
 
 
 def _reference_pdfs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

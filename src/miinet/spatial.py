@@ -72,6 +72,8 @@ class PairwiseMIMap:
             raise ValueError("edges/values length mismatch")
         if any(not np.isfinite(v) for v in self.values):
             raise ValueError("MI values must be finite")
+        if self.scenario.splitlines() not in ([], [self.scenario]):  # a `# scenario=` note line
+            raise ValueError(f"scenario {self.scenario!r} must not contain a line break")
         object.__setattr__(self, "axis", Axis(self.axis))
 
 
@@ -172,14 +174,4 @@ def network_diff(baseline: InteractionNetwork, comparison: InteractionNetwork) -
         RetainedEdge(k[0], k[1], base_edges[k].weight, comp_edges[k].weight)
         for k in sorted(base_edges.keys() & comp_edges.keys())
     )
-    # partition identities, checked on every call
-    lost_keys = {(e.source, e.target) for e in lost}
-    gained_keys = {(e.source, e.target) for e in gained}
-    retained_keys = {(e.source, e.target) for e in retained}
-    if lost_keys & gained_keys:
-        raise AssertionError("lost and gained overlap")
-    if lost_keys | retained_keys != base_edges.keys():
-        raise AssertionError("lost + retained != baseline edges")
-    if gained_keys | retained_keys != comp_edges.keys():
-        raise AssertionError("gained + retained != comparison edges")
     return NetworkDiff(lost, gained, retained)

@@ -187,6 +187,16 @@ def test_fit_errors_non_finite_sample(bad):
     assert info.value.t == 2
 
 
+@pytest.mark.parametrize("t, n", [(50, 4), (1442, 13)], ids=["one-block", "second-block"])
+def test_column_fit_errors_name_the_non_finite_channel(t, n):
+    data = np.random.default_rng(0).standard_normal((t, n))
+    data[7, n - 2] = math.nan
+    data[3, n - 1] = math.inf
+    with pytest.raises(NonFinite) as info:
+        column_fit_errors(data)
+    assert (info.value.channel, info.value.t) == (n - 2, 7)
+
+
 def _fit_input(seed: int, t: int, n: int, kind: str) -> np.ndarray:
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((t, n))
@@ -216,7 +226,7 @@ def _fit_input(seed: int, t: int, n: int, kind: str) -> np.ndarray:
 )
 @example(seed=1, t=2, n=1, kind="normal")
 @example(seed=2, t=1442, n=13, kind="iqr0")  # 11 columns a block, then 2
-@example(seed=3, t=3 * _BLOCK + 5, n=2, kind="integer")  # split along the samples
+@example(seed=3, t=3 * _BLOCK + 5, n=2, kind="integer")  # columns longer than a block
 @example(seed=4, t=1442, n=5, kind="edges")
 def test_column_fit_errors_match_the_per_column_reference_bit_for_bit(seed, t, n, kind):
     data = _fit_input(seed, t, n, kind)

@@ -23,6 +23,7 @@ from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetE
 from miinet import io as mio
 from miinet.omii import Edge, InteractionNetwork, OmiiConfig, infer_network
 from miinet.seeding import derive_seed
+from miinet.spatial import PairwiseMIMap
 from miinet.synthetic import GeneratorSpec, coupling_from_edges, generate_contemporaneous
 
 from conftest import make_matrix
@@ -560,8 +561,6 @@ def test_network_json_round_trip(tmp_path):
 
 
 def test_mi_map_csv_round_trip(tmp_path):
-    from miinet.spatial import PairwiseMIMap
-
     mi_map = PairwiseMIMap(Axis.LATERAL, "base", ((1, 2), (2, 3)), (0.5, -0.001))
     p = tmp_path / "map.csv"
     mio.write_mi_map_csv(mi_map, mio.provenance({}, 1), p)
@@ -629,8 +628,6 @@ MI_MAP_HEAD = "# axis=lateral\n# scenario=base\nsensor_a,sensor_b,mi,mi_raw\n1,2
 
 
 def test_mi_map_csv_accepts_utf8_bom_and_crlf(tmp_path):
-    from miinet.spatial import PairwiseMIMap
-
     p = tmp_path / "excel.csv"
     p.write_bytes(("\ufeff" + MI_MAP_HEAD).replace("\n", "\r\n").encode("utf-8"))
     assert mio.read_mi_map_csv(p) == PairwiseMIMap(Axis.LATERAL, "base", ((1, 2),), (0.5,))
@@ -918,6 +915,30 @@ def test_pairwise_mi_and_diff_verbs(tmp_path):
     )
     assert code == 0
     assert "sign_convention=comparison_minus_baseline" in diff_out.read_text()
+
+
+# every separator that str.splitlines, and so `read_mi_map_csv`, breaks a line at
+_LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _LINE_BREAKS)
+def test_pairwise_mi_rejects_a_scenario_with_a_line_break(tmp_path, capsys, brk):
+    data = tmp_path / "a.csv"
+    main(["generate", "--spec", str(generator_json(tmp_path)), "--out", str(data)])
+    out = tmp_path / "map.csv"
+    code = main(
+        ["pairwise-mi", "--input", str(data), "--grid", str(small_grid_csv(tmp_path)),
+         "--axis", "lateral", "--family", "gaussian", "--scenario", f"a{brk}b", "--seed", "3",
+         "--out", str(out)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == "ValueError"
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        PairwiseMIMap(Axis.LATERAL, f"a{brk}", (), ())
+    assert PairwiseMIMap(Axis.LATERAL, "", (), ()).scenario == ""
 
 
 def test_omii_verb_and_network_diff(tmp_path):
@@ -1279,7 +1300,7 @@ def test_pipeline_takes_a_non_ascii_label(tmp_path):
     assert (out / "diff_baseline_vs_dämage" / "network_diff.json").is_file()
 
 
-@pytest.mark.parametrize("label", [".", "..", "d\udcff"])
+@pytest.mark.parametrize("label", [".", "..", "d\udcff", "a\nb", "d\r", "\u2028d"])
 def test_pipeline_rejects_labels_that_break_the_bundle(tmp_path, capsys, label):
     cfg = run_config(tmp_path)
     out = tmp_path / "nest" / "out"
