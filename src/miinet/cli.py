@@ -52,10 +52,11 @@ class RunConfig:
         for label in labels:
             surrogate = any("\ud800" <= ch <= "\udfff" for ch in label)  # undecodable argv bytes
             one_line = label.splitlines() == [label]  # also false for ""
-            if not one_line or label in taken or surrogate or any(ch in label for ch in "/\\ "):
+            banned = any(ch in "/\\" or ch.isspace() for ch in label)
+            if not one_line or label in taken or surrogate or banned:
                 raise ValueError(
                     f"label {label!r} must be one non-empty line of UTF-8 text, no slashes or"
-                    " spaces, and not ., .., run_config.json or a diff directory's name"
+                    " whitespace, and not ., .., run_config.json or a diff directory's name"
                 )
         for path in [self.baseline_path, self.grid_path] + [p for _, p in self.scenarios]:
             if not Path(path).is_file():

@@ -1,8 +1,11 @@
 """Time-series container, standardization and covariance estimation.
 
 A matrix's data and channels are frozen at construction, and the functions
-here are pure. A matrix computes its regularized covariance once, on first
-use, and every entropy, MI, CMI and shuffle null is computed from slices of it.
+here are pure. A matrix takes a read-only, C-ordered float64 array that owns its
+memory as it is, without a copy: the caller gives that array up. Any other
+input, a writeable array or a view among them, is copied. A matrix computes its
+regularized covariance once, on first use, and every entropy, MI, CMI and
+shuffle null is computed from slices of it.
 """
 
 from __future__ import annotations
@@ -66,14 +69,18 @@ class TimeSeriesMatrix:
     """T x N matrix of channel samples with channel metadata.
 
     Rows are time samples, columns are channels. Data must be finite;
-    construction validates and freezes the array.
+    construction validates it and holds it read-only.
     """
 
     data: np.ndarray
     channels: tuple[ChannelId, ...]
 
     def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
+        data = self.data
+        if not (type(data) is np.ndarray and data.dtype == np.float64 and data.flags.c_contiguous
+                and data.flags.owndata and not data.flags.writeable):
+            data = np.array(data, dtype=np.float64, order="C")
+            data.flags.writeable = False
         if data.ndim != 2:
             raise ValueError("data must be 2-D (T x N)")
         t, n = data.shape
@@ -86,12 +93,9 @@ class TimeSeriesMatrix:
             raise ValueError(f"{len(channels)} channel ids for {n} columns")
         if len(set(channels)) != n:
             raise DuplicateChannel("channel ids must be unique")
-        bad = ~np.isfinite(data)
-        if bad.any():
-            t_bad, c_bad = np.argwhere(bad)[0]
+        if not np.isfinite(data).all():
+            t_bad, c_bad = np.argwhere(~np.isfinite(data))[0]
             raise NonFinite(channels[c_bad].name, int(t_bad))
-        data = data.copy()
-        data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "channels", channels)
 
@@ -123,7 +127,9 @@ class TimeSeriesMatrix:
     def select(self, indices: Sequence[int]) -> "TimeSeriesMatrix":
         """New matrix restricted to the given columns, order preserved."""
         idx = list(indices)
-        return TimeSeriesMatrix(self.data[:, idx], tuple(self.channels[k] for k in idx))
+        data = np.take(self.data, idx, axis=1)
+        data.flags.writeable = False
+        return TimeSeriesMatrix(data, tuple(self.channels[k] for k in idx))
 
 
 def as_integer(name: str, value) -> int:
@@ -141,7 +147,9 @@ def standardize(raw: TimeSeriesMatrix) -> TimeSeriesMatrix:
     zero = np.flatnonzero(sd == 0.0)
     if zero.size:
         raise ZeroVariance(raw.channels[zero[0]].name)
-    out = (data - mu) / sd
+    out = data - mu
+    out /= sd
+    out.flags.writeable = False
     return TimeSeriesMatrix(out, raw.channels)
 
 

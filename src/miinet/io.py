@@ -57,6 +57,7 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
     that is rejected (quoted cells, `1_0`, non-ASCII digits, ragged rows, ...) or
     whose result has the wrong width or a non-finite value is parsed again by the
     cell parser, which alone raises `ParseError`, so errors keep line and column.
+    The parsed array becomes the matrix's data without a copy.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -86,6 +87,7 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
             data = _cell_rows(fh, len(channels))
     if not len(data):
         raise EmptyFile(f"{path} has a header but no data rows")
+    data.flags.writeable = False
     return TimeSeriesMatrix(data, tuple(channels))
 
 
@@ -571,7 +573,7 @@ def read_mi_map_csv(path) -> PairwiseMIMap:
             if body.startswith("axis="):
                 axis = Axis(body.split("=", 1)[1])
             elif body.startswith("scenario="):
-                scenario = body.split("=", 1)[1]
+                scenario = raw.split("=", 1)[1]  # unstripped: a label may end in whitespace
             continue
         if not header_seen:
             if line != _MI_MAP_HEADER:

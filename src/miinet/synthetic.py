@@ -60,7 +60,9 @@ class GeneratorSpec:
 
 def _innovations(spec: GeneratorSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     if spec.innovation is Family.GAUSSIAN:
-        return rng.standard_normal((n, spec.n_channels)) * spec.noise_scale
+        eta = rng.standard_normal((n, spec.n_channels))
+        eta *= spec.noise_scale
+        return eta
     # unit-variance Laplace has b = sqrt(2)/2
     b = spec.noise_scale * math.sqrt(2.0) / 2.0
     return rng.laplace(0.0, b, size=(n, spec.n_channels))
@@ -71,9 +73,13 @@ def _channels(spec: GeneratorSpec) -> tuple[ChannelId, ...]:
 
 
 def _standardized(data: np.ndarray, spec: GeneratorSpec) -> TimeSeriesMatrix:
+    """The matrix of data's columns standardized in place; data is given up."""
     mu = data.mean(axis=0)
     sd = data.std(axis=0, ddof=1)
-    return TimeSeriesMatrix((data - mu) / sd, _channels(spec))
+    data -= mu
+    data /= sd
+    data.flags.writeable = False
+    return TimeSeriesMatrix(data, _channels(spec))
 
 
 BURN_IN = 1000
@@ -113,6 +119,7 @@ def generate_var(spec: GeneratorSpec) -> TimeSeriesMatrix:
                 with np.errstate(over="ignore", invalid="ignore"):
                     j = int(np.argmin(np.isfinite(a_t @ x[t - 1] + eta[t])))
                 raise _overflow(spec, j) from None
+        del eta
         try:
             return _standardized(x[BURN_IN:], spec)
         except FloatingPointError:  # squares past float64 in the variance
@@ -146,12 +153,12 @@ def generate_contemporaneous(spec: GeneratorSpec) -> TimeSeriesMatrix:
     """
     order = _topological_order(spec.coupling)
     rng = np.random.default_rng(spec.seed)
-    eta = _innovations(spec, rng, spec.n_samples)
-    x = np.zeros_like(eta)
+    # column j holds eta_j until x_j overwrites it; x_j reads only earlier columns
+    x = _innovations(spec, rng, spec.n_samples)
     with np.errstate(over="raise", invalid="raise"):
         for j in order:
             parents = np.nonzero(spec.coupling[:, j])[0]
-            col = eta[:, j].copy()
+            col = x[:, j].copy()
             try:
                 for k in parents:
                     col += spec.coupling[k, j] * x[:, k]

@@ -4,7 +4,8 @@ Bessel values come from quadrature of the integral representation and
 entropies from scipy-backed quadrature, so each check stays a dual route; only
 the Laplace Monte Carlo entropy scores its own draws with the package's density.
 The fit errors' reference bins one channel at a time with `np.percentile` and
-`np.histogram`.
+`np.histogram`. The standardization and generator references are the bodies
+that built a fresh array at every step, before the record path worked in place.
 """
 
 import math
@@ -15,6 +16,9 @@ from scipy.integrate import quad
 from scipy.stats import multivariate_normal
 
 from miinet.distributions import standard_laplace_logpdf
+from miinet.errors import UnstableSpec, ZeroVariance
+from miinet.estimators import Family
+from miinet.synthetic import BURN_IN, _overflow, _topological_order
 from miinet.estimators import cholesky, cmi_offset, conditional_mutual_information, gaussian_cmi
 from miinet.omii import _permutations
 
@@ -255,3 +259,70 @@ def fit_errors_reference(values) -> tuple[int, float, float]:
     mass = float(np.sum(np.abs(densities) * widths))
     return (n_bins, *(float(np.sum(np.abs(densities - q) * widths)) / mass
                       for q in (normal, laplace)))
+
+
+def standardize_reference(data, channels) -> np.ndarray:
+    """Every column to zero mean and unit variance (T-1), as a new array."""
+    mu = data.mean(axis=0)
+    sd = data.std(axis=0, ddof=1)
+    zero = np.flatnonzero(sd == 0.0)
+    if zero.size:
+        raise ZeroVariance(channels[zero[0]].name)
+    return (data - mu) / sd
+
+
+def _innovations_reference(spec, rng, n: int) -> np.ndarray:
+    if spec.innovation is Family.GAUSSIAN:
+        return rng.standard_normal((n, spec.n_channels)) * spec.noise_scale
+    b = spec.noise_scale * math.sqrt(2.0) / 2.0
+    return rng.laplace(0.0, b, size=(n, spec.n_channels))
+
+
+def _standardized_reference(data) -> np.ndarray:
+    mu = data.mean(axis=0)
+    sd = data.std(axis=0, ddof=1)
+    return (data - mu) / sd
+
+
+def generate_var_reference(spec) -> np.ndarray:
+    """`generate_var`'s data, or its UnstableSpec, with eta and x held apart."""
+    radius = float(np.max(np.abs(np.linalg.eigvals(spec.coupling))))
+    if radius >= 1.0:
+        raise UnstableSpec(f"coupling spectral radius {radius:.4f} >= 1")
+    rng = np.random.default_rng(spec.seed)
+    total = spec.n_samples + BURN_IN
+    eta = _innovations_reference(spec, rng, total)
+    x = np.zeros((total, spec.n_channels))
+    x[0] = eta[0]
+    a_t = spec.coupling.T
+    with np.errstate(over="raise", invalid="raise"):
+        for t in range(1, total):
+            try:
+                x[t] = a_t @ x[t - 1] + eta[t]
+            except FloatingPointError:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    j = int(np.argmin(np.isfinite(a_t @ x[t - 1] + eta[t])))
+                raise _overflow(spec, j) from None
+        try:
+            return _standardized_reference(x[BURN_IN:])
+        except FloatingPointError:
+            raise _overflow(spec, int(np.argmax(np.abs(x).max(axis=0)))) from None
+
+
+def generate_contemporaneous_reference(spec) -> np.ndarray:
+    """`generate_contemporaneous`'s data, or its UnstableSpec, with eta and x held apart."""
+    order = _topological_order(spec.coupling)
+    rng = np.random.default_rng(spec.seed)
+    eta = _innovations_reference(spec, rng, spec.n_samples)
+    x = np.zeros_like(eta)
+    with np.errstate(over="raise", invalid="raise"):
+        for j in order:
+            parents = np.nonzero(spec.coupling[:, j])[0]
+            col = eta[:, j].copy()
+            try:
+                for k in parents:
+                    col += spec.coupling[k, j] * x[:, k]
+                x[:, j] = (col - col.mean()) / col.std(ddof=1)
+            except FloatingPointError:
+                raise _overflow(spec, j) from None
+    return _standardized_reference(x)

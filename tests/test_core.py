@@ -12,6 +12,7 @@ from miinet.errors import DuplicateChannel, NonFinite, SingularCovariance, ZeroV
 from miinet.estimators import Family
 
 from conftest import duplicated_condition_matrix, make_matrix
+from oracles import standardize_reference
 
 
 def test_standardize_affine_example():
@@ -51,6 +52,30 @@ def test_standardize_idempotent_property(data):
     x = standardize(make_matrix(data))
     again = standardize(x)
     assert np.max(np.abs(again.data - x.data)) < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(2, 40), st.integers(1, 4)),
+        elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+    )
+)
+def test_standardize_matches_the_out_of_place_reference_bit_for_bit(data):
+    """`data - mu` then `/= sd` in place: the bytes of `(data - mu) / sd`, -0.0 too."""
+    x = make_matrix(data)
+    try:
+        expected = standardize_reference(x.data, x.channels)
+    except ZeroVariance:
+        with pytest.raises(ZeroVariance):
+            standardize(x)
+        return
+    if not np.isfinite(expected).all():  # a variance that underflows to a subnormal
+        with pytest.raises(NonFinite):
+            standardize(x)
+        return
+    assert standardize(x).data.tobytes() == expected.tobytes()
 
 
 def test_standardize_zero_variance():
@@ -182,3 +207,41 @@ def test_select_channels(rng):
     sub = x.select([2, 0])
     assert sub.channels == (x.channels[2], x.channels[0])
     np.testing.assert_array_equal(sub.data[:, 0], x.data[:, 2])
+
+
+def test_matrix_copies_a_writeable_array_or_any_view(rng):
+    """The caller keeps a writeable array, and a view's base may be written through."""
+    raw = rng.standard_normal((60, 3))
+    kept = raw.copy()
+    channels = tuple(ChannelId(k + 1, Axis.LATERAL) for k in range(3))
+    x = TimeSeriesMatrix(raw, channels)
+    raw[:] = 7.0
+    assert x.data.tobytes() == kept.tobytes()
+    np.testing.assert_array_equal(x.covariance, TimeSeriesMatrix(kept, channels).covariance)
+    raw[:] = kept
+    view = raw[:]
+    view.flags.writeable = False
+    y = TimeSeriesMatrix(view, channels)
+    raw[:] = 7.0
+    assert y.data is not view and y.data.tobytes() == kept.tobytes()
+    for data in (np.asfortranarray(kept), kept.astype(np.float32)):  # read-only, owning
+        data.flags.writeable = False
+        z = TimeSeriesMatrix(data, channels)
+        assert z.data is not data and z.data.flags.c_contiguous and z.data.dtype == np.float64
+        np.testing.assert_array_equal(z.data, data)
+
+
+def test_matrix_takes_a_read_only_array_that_owns_its_memory(rng):
+    data = rng.standard_normal((60, 3))
+    data.flags.writeable = False
+    x = make_matrix(data)
+    assert x.data is data
+
+
+def test_every_matrix_holds_read_only_data(rng):
+    x = make_matrix(rng.standard_normal((60, 4)))
+    for m in (x, x.select([3, 1]), standardize(x), standardize(x).select([0])):
+        assert not m.data.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0, 0] = 1.0
+    assert x.select([3, 1]).data.tobytes() == x.data[:, [3, 1]].tobytes()

@@ -571,6 +571,14 @@ def test_mi_map_csv_round_trip(tmp_path):
     assert text.endswith("sensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n2,3,0.0,-0.001\n")
 
 
+@pytest.mark.parametrize("scenario", [" a", "a\t", "a ", "a b", "\u3000a\xa0"])
+def test_mi_map_csv_round_trips_a_scenario_with_whitespace(tmp_path, scenario):
+    mi_map = PairwiseMIMap(Axis.VERTICAL, scenario, ((1, 2),), (0.25,))
+    p = tmp_path / "map.csv"
+    mio.write_mi_map_csv(mi_map, mio.provenance({}, 1), p)
+    assert mio.read_mi_map_csv(p) == mi_map
+
+
 PINNED_PROV = {"config_hash": "abc123", "seed": 3, "version": "9.9.9"}
 PINNED_PROV_LINES = "# config_hash=abc123\n# seed=3\n# version=9.9.9\n"
 
@@ -1300,7 +1308,8 @@ def test_pipeline_takes_a_non_ascii_label(tmp_path):
     assert (out / "diff_baseline_vs_dämage" / "network_diff.json").is_file()
 
 
-@pytest.mark.parametrize("label", [".", "..", "d\udcff", "a\nb", "d\r", "\u2028d"])
+@pytest.mark.parametrize("label", [".", "..", "d\udcff", "a\nb", "d\r", "\u2028d", "a\tb",
+                                   "a b", "d\t", " d", "d\u3000", "\xa0d"])
 def test_pipeline_rejects_labels_that_break_the_bundle(tmp_path, capsys, label):
     cfg = run_config(tmp_path)
     out = tmp_path / "nest" / "out"

@@ -1,0 +1,78 @@
+"""Traced peak memory of the record path, in records of one paper-scale matrix.
+
+numpy reports its buffers to `tracemalloc`, so the traced peak of a call counts
+every T x N array it holds at once. Each function runs once on a small input
+first, so that one-time allocations (imports, caches) stay out of the count.
+"""
+
+import math
+import tracemalloc
+
+import pytest
+
+from miinet import io as mio
+from miinet.core import standardize
+from miinet.synthetic import (
+    GeneratorSpec,
+    chain_coupling,
+    generate_contemporaneous,
+    generate_var,
+)
+
+T, N = 11536, 30  # a 90 s scenario at 128 Hz on the 30-sensor deck
+RECORD_BYTES = T * N * 8
+
+
+def traced_peak(call) -> float:
+    """The traced peak of call(), its result included, in records."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / RECORD_BYTES
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def record(tmp_path_factory):
+    """(a paper-scale scenario CSV, a 2-row CSV of the same channels, the record)."""
+    out = tmp_path_factory.mktemp("record")
+    x = generate_contemporaneous(GeneratorSpec(N, T, chain_coupling(N, 0.5), seed=3))
+    mio.write_timeseries_csv(x, out / "record.csv")
+    header = ",".join(ch.name for ch in x.channels)
+    (out / "small.csv").write_text(f"{header}\n" + "".join(
+        ",".join([cell] * N) + "\n" for cell in ("0.5", "1.5")
+    ))
+    return out / "record.csv", out / "small.csv", x
+
+
+@pytest.mark.parametrize("split_bytes", [math.inf, 0], ids=["serial", "split"])
+def test_reading_a_record_holds_at_most_one_and_three_quarter_records(
+    record, monkeypatch, split_bytes
+):
+    path, small, _ = record
+    monkeypatch.setattr(mio, "SPLIT_BYTES", split_bytes)
+    if split_bytes == 0 and not mio._can_split(path.stat().st_size):
+        pytest.skip("this host parses a body in one process")
+    mio.read_timeseries_csv(small)
+    assert traced_peak(lambda: mio.read_timeseries_csv(path)) <= 1.75
+
+
+def test_standardizing_a_read_record_holds_at_most_two_and_a_half_records(record):
+    path, small, _ = record
+    standardize(mio.read_timeseries_csv(small))
+    assert traced_peak(lambda: standardize(mio.read_timeseries_csv(path))) <= 2.5
+
+
+def test_selecting_columns_allocates_them_once(record):
+    x = record[2]
+    x.select([1, 0])
+    assert traced_peak(lambda: x.select(range(N - 1, -1, -1))) <= 1.25
+
+
+@pytest.mark.parametrize("generate", [generate_var, generate_contemporaneous])
+def test_generating_a_record_holds_at_most_two_and_three_quarter_records(generate):
+    coupling = chain_coupling(N, 0.5)
+    generate(GeneratorSpec(N, 50, coupling, seed=3))
+    spec = GeneratorSpec(N, T, coupling, seed=3)
+    assert traced_peak(lambda: generate(spec)) <= 2.75

@@ -16,6 +16,8 @@ from miinet.synthetic import (
     star_coupling,
 )
 
+from oracles import generate_contemporaneous_reference, generate_var_reference
+
 
 def excess_kurtosis(col: np.ndarray) -> float:
     z = (col - col.mean()) / col.std()
@@ -145,3 +147,39 @@ def test_coupling_from_edges_validation():
         coupling_from_edges(3, [(0, 3, 0.5)])
     with pytest.raises(ValueError):
         coupling_from_edges(3, [(1, 1, 0.5)])
+
+
+_GENERATORS = [(generate_var, generate_var_reference),
+               (generate_contemporaneous, generate_contemporaneous_reference)]
+
+
+@pytest.mark.parametrize("generate, reference", _GENERATORS, ids=["var", "contemporaneous"])
+@pytest.mark.parametrize("innovation", [Family.GAUSSIAN, Family.LAPLACE])
+@pytest.mark.parametrize("noise_scale", [1.0, 0.37])
+def test_generators_match_the_out_of_place_reference_bit_for_bit(
+    generate, reference, innovation, noise_scale
+):
+    """In place or not, each element goes through the same operations: equal bytes, -0.0 too."""
+    coupling = random_dag_coupling(6, 0.5, 0.6, seed=4)
+    spec = GeneratorSpec(6, 700, coupling, innovation, noise_scale, seed=11)
+    x = generate(spec)
+    assert x.data.tobytes() == reference(spec).tobytes()
+    assert not x.data.flags.writeable
+
+
+def test_var_with_a_cycle_matches_the_out_of_place_reference_bit_for_bit():
+    coupling = coupling_from_edges(3, [(0, 1, 0.5), (1, 2, -0.7), (2, 0, 0.6)])
+    spec = GeneratorSpec(3, 500, coupling, Family.LAPLACE, 0.37, seed=2)
+    assert generate_var(spec).data.tobytes() == generate_var_reference(spec).tobytes()
+
+
+@pytest.mark.parametrize("generate, reference", _GENERATORS, ids=["var", "contemporaneous"])
+@pytest.mark.parametrize("edges", [[(0, 1, 1e308)], [(0, 1, 1e160)],
+                                   [(0, 1, 0.5), (1, 2, -1e308)]])
+def test_overflowing_generators_raise_the_reference_message(generate, reference, edges):
+    spec = GeneratorSpec(3, 300, coupling_from_edges(3, edges), seed=5)
+    with pytest.raises(UnstableSpec) as ours:
+        generate(spec)
+    with pytest.raises(UnstableSpec) as theirs:
+        reference(spec)
+    assert str(ours.value) == str(theirs.value)
