@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DuplicateChannel, NonFinite, SingularCovariance, ZeroVariance
+from .errors import DuplicateChannel, NonFinite, SingularCovariance, VarianceOverflow, ZeroVariance
 
 
 class Axis(str, enum.Enum):
@@ -140,10 +140,18 @@ def as_integer(name: str, value) -> int:
 
 
 def standardize(raw: TimeSeriesMatrix) -> TimeSeriesMatrix:
-    """Map every column to zero mean and unit variance (T-1 denominator)."""
+    """Map every column to zero mean and unit variance (T-1 denominator).
+
+    A constant column raises ZeroVariance, and one whose mean or variance
+    overflows float64 (samples near 1e200 or beyond) VarianceOverflow.
+    """
     data = raw.data
-    mu = data.mean(axis=0)
-    sd = data.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = data.mean(axis=0)
+        sd = data.std(axis=0, ddof=1)
+    wide = np.flatnonzero(~np.isfinite(sd))
+    if wide.size:
+        raise VarianceOverflow(raw.channels[wide[0]].name)
     zero = np.flatnonzero(sd == 0.0)
     if zero.size:
         raise ZeroVariance(raw.channels[zero[0]].name)

@@ -22,6 +22,14 @@ class ZeroVariance(MiinetError):
         super().__init__(f"channel {channel} has zero variance")
 
 
+class VarianceOverflow(MiinetError):
+    """A column's variance is past the range of float64, so it cannot be standardized."""
+
+    def __init__(self, channel):
+        self.channel = channel
+        super().__init__(f"channel {channel} has a variance that overflows float64")
+
+
 class SingularCovariance(MiinetError):
     """Covariance could not be regularized to positive definiteness."""
 

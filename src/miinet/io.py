@@ -29,6 +29,7 @@ from . import __version__
 from .core import Axis, ChannelId, TimeSeriesMatrix
 from .errors import DuplicateChannel, EmptyFile, MalformedNetwork, ParseError
 from .estimators import Family
+from . import floatrepr as fr
 from .floatrepr import csv_lines as _csv_lines
 from .omii import DegreeDistribution, Edge, InteractionNetwork
 from .spatial import MIMapDiff, NetworkDiff, PairwiseMIMap, SensorGrid, neighbor_pairs
@@ -45,22 +46,36 @@ def _number(cell: str, line_no: int, col: int, parse=float):
     except ValueError:
         finite = False
     if not finite:
+        _check_utf8(cell, line_no, col)
         raise ParseError(line_no, col, f"expected a finite {parse.__name__}, got {cell!r}")
     return value
+
+
+def _check_utf8(cell: str, line_no: int, col: int) -> None:
+    """ParseError if the cell holds a byte that is not UTF-8, read as a lone surrogate."""
+    try:
+        cell.encode()
+    except UnicodeEncodeError as exc:
+        byte = ord(cell[exc.start]) - 0xDC00
+        raise ParseError(line_no, col, f"byte 0x{byte:02x} is not UTF-8") from None
 
 
 def read_timeseries_csv(path) -> TimeSeriesMatrix:
     """Parse a scenario CSV: header of s<index>_<lat|vert> names, one row per sample.
 
-    The body is parsed with `np.loadtxt`: by the caller and one forked child, one
-    share of the lines each, when `_can_split` allows, else in one call. A body
-    that is rejected (quoted cells, `1_0`, non-ASCII digits, ragged rows, ...) or
-    whose result has the wrong width or a non-finite value is parsed again by the
-    cell parser, which alone raises `ParseError`, so errors keep line and column.
-    The parsed array becomes the matrix's data without a copy.
+    The body is read in blocks of whole lines by `floatrepr.parse_block`: by the
+    caller and one forked child, one half of the bytes each, when the body has
+    READ_SPLIT_BYTES and `_can_fork` allows, else in one process. It parses the
+    cells in repr's fixed form in numpy, exactly as `float` reads them, and
+    hands the rest to `float`. A body it rejects (quotes, blank lines, lone CRs,
+    ragged rows, bytes that are not UTF-8, a cell `float` rejects, too many odd
+    cells, ...) goes to `np.loadtxt`, and one that call rejects or could read
+    differently to the cell parser, which alone raises `ParseError`, so errors
+    keep line and column. A byte that is not UTF-8 is a ParseError at its cell or
+    header name. The parsed array becomes the matrix's data without a copy.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         # readline, not iteration, so that tell() can mark the first data line
         try:
             _, header = next(_csv_rows(iter(fh.readline, ""), 1))
@@ -71,12 +86,14 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
             try:
                 channels.append(ChannelId.from_name(name.strip()))
             except ValueError as exc:
+                _check_utf8(name, 1, col)
                 raise ParseError(1, col, str(exc)) from None
         if len(set(channels)) != len(channels):
             raise DuplicateChannel(f"{path} repeats a channel name")
         if fh.seekable():
+            # a byte offset, unless the decoder state it carries puts it past 2^64
             body = fh.tell()
-            data = _split_rows(path, fh, body, len(channels))
+            data = _block_rows(path, body, len(channels)) if body < 1 << 64 else None
             if data is None:
                 fh.seek(body)
                 data = _bulk_rows(fh, len(channels))
@@ -91,25 +108,30 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
     return TimeSeriesMatrix(data, tuple(channels))
 
 
-# Bodies of this many bytes or more are parsed or formatted by the caller and one
-# forked child, one share each. On a shared 2-core Xeon a split read breaks even at
-# 0.6-1 MB and a split write at 0.9-1.2 MB of CSV (30 x 1,500-2,000 cells); a fork,
-# exit and reap costs about 2.4 ms. A split writes a 30 x 11,536 record in 0.09 s
-# instead of 0.13 s, and a 60 x 1,442 one in 0.028 s instead of 0.036-0.040 s.
+# Bodies of this many bytes or more are formatted by the caller and one forked child,
+# one share each. On a shared 2-core Xeon a split write breaks even at 0.9-1.2 MB of
+# CSV (30 x 1,500-2,000 cells); a fork, exit and reap costs about 2.4 ms. A split
+# writes a 30 x 11,536 record in 0.09 s instead of 0.13 s, and a 60 x 1,442 one in
+# 0.028 s instead of 0.036-0.040 s.
 SPLIT_BYTES = 1 << 20
+# Bodies of this many bytes or more are read by the caller and one forked child, one
+# half each. On the same Xeon a split read pays from 1.2-2 MB, as the second core
+# allows: forking, copy-on-write faults and reaping cost 5-10 ms, and two processes
+# run at 1.6-1.75x the speed of one. A 60 x 1,442 record (1.7 MB) reads in 24 ms in
+# one process and 33 ms split, a 30 x 11,536 one (6.8 MB) in 92 ms and 61 ms.
+READ_SPLIT_BYTES = 1 << 21
 # a float64 repr and its comma: the writer's estimate of body bytes per cell
 _CELL_BYTES = 20
 
 
-def _can_split(body_bytes: int) -> bool:
-    """True when a body this large pays for one forked child on this host.
+def _can_fork() -> bool:
+    """True when one forked child can share the work on this host.
 
     That needs os.fork, at least two usable cores and Python before 3.12, which
     warns on a fork while other threads (a BLAS pool) run.
     """
     return (
-        body_bytes >= SPLIT_BYTES
-        and sys.version_info < (3, 12)
+        sys.version_info < (3, 12)
         and hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
@@ -168,51 +190,51 @@ def _read_into(fd: int, array: np.ndarray) -> bool:
     return True
 
 
-def _split_rows(path: Path, fh, body: int, n_cols: int) -> np.ndarray | None:
-    """The body parsed in two shares of lines, or None to leave it to _bulk_rows.
+def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
+    """The bytes of the file from `body` on, parsed by parse_block; None leaves them to _bulk_rows.
 
-    The caller parses lines [0, m) from fh while a forked child reopens the path,
-    skips m lines and sends its row count and float64 rows through a pipe. Both
-    shares are lines of the same text iterator, so they join to what one
-    _bulk_rows call returns. None when the host or the size does not call for a
-    split, or when either share is rejected or the child fails.
+    The lines are counted first, so that the array is allocated once. When
+    `_can_fork` allows, a forked child parses the bytes after the first line end
+    past the midpoint into its copy of the array and sends those rows through a
+    pipe, while the caller parses the bytes before. None when any block is
+    rejected, the child fails or the file changes while it is read.
     """
-    if not _can_split(os.fstat(fh.fileno()).st_size):
-        return None
-    m = _caller_lines(fh, body)
+    with path.open("rb", buffering=0) as raw:
+        size = os.fstat(raw.fileno()).st_size
+        if size <= body:  # no body, or a file (in /proc, say) whose size is not its length
+            return None
+        split = size - body >= READ_SPLIT_BYTES and _can_fork()
+        mid = _midline(raw, body, size) if split else size
+        ours, theirs = fr.count_lines(raw, body, mid), fr.count_lines(raw, mid, size)
+        if ours is None or theirs is None:
+            return None
+        data = np.empty((ours + theirs, n_cols))
 
-    def parse_rest(pipe):
-        with path.open(newline="", encoding="utf-8-sig") as theirs:
-            theirs.seek(body)
-            rest = _bulk_rows(itertools.islice(theirs, m, None), n_cols)
-        if rest is not None:
-            pipe.write(np.int64(len(rest)).tobytes())
-            pipe.write(rest.data)
+        def parse_rest(pipe):
+            with path.open("rb", buffering=0) as own:
+                if fr.parse_lines(own, mid, size, data[ours:]):
+                    pipe.write(data[ours:].data)
 
-    try:
-        pid, pipe = _fork(parse_rest)
-    except OSError:
-        return None
-    data = None
-    try:
-        ours = _bulk_rows(itertools.islice(fh, m), n_cols)
-        count = np.zeros(1, np.int64)
-        if ours is not None and _read_into(pipe, count):
-            data = np.empty((len(ours) + int(count[0]), n_cols))
-            data[: len(ours)] = ours
-            if not _read_into(pipe, data[len(ours):]):
-                data = None
-    finally:
-        if not _reap(pid, pipe, data is not None):
-            data = None
-    return data
+        try:
+            pid, pipe = _fork(parse_rest) if mid < size else (None, None)
+        except OSError:  # no child: this process parses it all
+            pid = None
+        if pid is None:
+            return data if fr.parse_lines(raw, body, size, data) else None
+        done = False
+        try:
+            done = fr.parse_lines(raw, body, mid, data[:ours]) and _read_into(pipe, data[ours:])
+        finally:
+            done = _reap(pid, pipe, done) and done
+    return data if done else None
 
 
-def _caller_lines(fh, body: int) -> int:
-    """About half of the body's lines, estimated from its size and its first line."""
-    m = os.fstat(fh.fileno()).st_size // (2 * max(len(fh.readline()), 1))
-    fh.seek(body)
-    return m
+def _midline(raw, body: int, size: int) -> int:
+    """The offset after the first line end at or past the middle of bytes [body, size), or size."""
+    middle = (body + size) // 2
+    raw.seek(middle)
+    found = raw.read(fr.BLOCK_BYTES).find(b"\n")
+    return size if found < 0 else middle + found + 1
 
 
 def _bulk_rows(lines, n_cols: int) -> np.ndarray | None:
@@ -278,7 +300,7 @@ def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
     """Header plus one row per sample, cells as float repr, CRLF line ends.
 
     The bytes of `csv.writer(fh).writerows(x.data.tolist())`, formatted a block
-    of rows at a time by `_csv_lines`. When `_can_split` allows, a forked child
+    of rows at a time by `_csv_lines`. When `_can_fork` allows, a forked child
     formats the second half of the rows while the caller writes the first; the
     caller copies the child's bytes after its own, or formats those rows itself
     if the child fails.
@@ -286,7 +308,7 @@ def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
     rows = x.data
     with Path(path).open("wb") as fh:
         fh.write((",".join(ch.name for ch in x.channels) + "\r\n").encode())
-        if fh.seekable() and _can_split(rows.size * _CELL_BYTES):
+        if fh.seekable() and rows.size * _CELL_BYTES >= SPLIT_BYTES and _can_fork():
             rows = _write_split(fh, rows)
         fh.writelines(_csv_lines(rows))
 

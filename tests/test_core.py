@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from miinet import Axis, ChannelId, TimeSeriesMatrix, entropy, standardize
 from miinet.core import regularize_covariance
-from miinet.errors import DuplicateChannel, NonFinite, SingularCovariance, ZeroVariance
+from miinet.errors import (
+    DuplicateChannel, NonFinite, SingularCovariance, VarianceOverflow, ZeroVariance,
+)
 from miinet.estimators import Family
 
 from conftest import duplicated_condition_matrix, make_matrix
@@ -82,6 +85,18 @@ def test_standardize_zero_variance():
     x = make_matrix(np.column_stack([np.ones(10), np.arange(10.0)]))
     with pytest.raises(ZeroVariance):
         standardize(x)
+
+
+@pytest.mark.parametrize("column", [[1e200, -1e200, 3e200], [1.7e308, 1.7e308, 1.6e308]])
+def test_standardize_rejects_a_variance_that_overflows(column):
+    """Samples near 1e200 square past float64: a typed error naming the channel, not a
+    column of -0.0 behind a RuntimeWarning."""
+    x = make_matrix(np.column_stack([[1.0, 2.0, 0.5], column]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VarianceOverflow) as err:
+            standardize(x)
+    assert err.value.channel == "s2_lat"
 
 
 def test_nonfinite_rejected_at_construction():

@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from miinet import Axis, ChannelId, TimeSeriesMatrix, core, neighbor_pairs, standardize
 from miinet.cli import RunConfig, build_fit_report, load_generator_spec, main, run_pipeline
 from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetError, ParseError
+from miinet import floatrepr as fr
 from miinet import io as mio
 from miinet.omii import Edge, InteractionNetwork, OmiiConfig, infer_network
 from miinet.seeding import derive_seed
@@ -128,6 +129,27 @@ def test_timeseries_csv_cells_are_float_repr(tmp_path):
     np.testing.assert_array_equal(mio.read_timeseries_csv(p).data, x.data)
 
 
+@pytest.mark.parametrize("text, position", [
+    (b"s1_lat,s2_l\xffat\n1.0,2.0\n", (1, 2)),
+    (b"s1_lat,s2_lat\n1.0,2.0\n3.0,4\xe9.0\n", (3, 2)),
+    (b"s1_lat,s2_lat\r\n1.5,2.5\r\n-3.5\xff,4.25\r\n", (3, 1)),
+])
+def test_ingest_reports_a_byte_that_is_not_utf8(tmp_path, text, position):
+    p = tmp_path / "x.csv"
+    p.write_bytes(text)
+    with pytest.raises(ParseError) as err:
+        mio.read_timeseries_csv(p)
+    assert (err.value.line, err.value.col) == position
+    assert "is not UTF-8" in str(err.value)
+
+
+def test_ingest_does_not_trust_a_file_size_of_zero(tmp_path):
+    """A seekable file that reports size 0, as files in /proc do, still reads whole."""
+    p = write(tmp_path / "x.csv", "s1_lat,s2_lat\n1.5,2.5\n3.5,4.5\n")
+    with mock.patch.object(mio.os, "fstat", lambda fd: os.stat_result((0,) * 10)):
+        np.testing.assert_array_equal(mio.read_timeseries_csv(p).data, [[1.5, 2.5], [3.5, 4.5]])
+
+
 def test_ingest_accepts_utf8_bom_and_crlf(tmp_path):
     p = tmp_path / "excel.csv"
     p.write_bytes("\ufeffs1_lat,s2_lat\r\n1.0,2.0\r\n3.0,4.5\r\n".encode("utf-8"))
@@ -150,9 +172,10 @@ def read_through_pipe(data: bytes):
 def test_ingest_from_a_pipe():
     x = read_through_pipe(b"s1_lat,s2_lat\n1.0,2.0\n3.0,4.5\n")
     np.testing.assert_array_equal(x.data, [[1.0, 2.0], [3.0, 4.5]])
-    with pytest.raises(ParseError) as err:
-        read_through_pipe(b"s1_lat\n1.0\nx\n")
-    assert (err.value.line, err.value.col) == (3, 1)
+    for bad in (b"x", b"\xff"):
+        with pytest.raises(ParseError) as err:
+            read_through_pipe(b"s1_lat\n1.0\n" + bad + b"\n")
+        assert (err.value.line, err.value.col) == (3, 1)
 
 
 def assert_written_as_csv_writer(x: TimeSeriesMatrix, path: Path, label=""):
@@ -219,7 +242,8 @@ def test_well_formed_body_skips_the_cell_parser(tmp_path):
     x = make_matrix(np.random.default_rng(5).standard_normal((50, 3)))
     p = tmp_path / "x.csv"
     mio.write_timeseries_csv(x, p)
-    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
+    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")), \
+            mock.patch.object(mio, "_bulk_rows", side_effect=AssertionError("np.loadtxt ran")):
         np.testing.assert_array_equal(mio.read_timeseries_csv(p).data, x.data)
 
 
@@ -273,8 +297,8 @@ def read_outcome(path):
     return "ok", x.data.shape, x.data.tobytes()
 
 
-# bodies that float() and np.loadtxt may judge differently: odd cells, blank lines,
-# \r-only line ends, a BOM
+# bodies that float(), np.loadtxt and the block parser may judge differently: odd cells,
+# blank lines, \r-only line ends, a BOM, no last line end, cells at the parser's limits
 ODD_BODIES = [
     's1_lat,s2_lat\n"1.5",2\n3,4\n',
     "s1_lat,s2_lat\n1_0,2\n3,4\n",
@@ -294,6 +318,16 @@ ODD_BODIES = [
     "s1_lat\n\n\n",
     "\ufeffs1_lat,s2_lat\r\n1,2\r\n3,4\r\n",
     '\ufeffs1_lat,s2_lat\r\n"1",2\r\n3,4\r\n',
+    "s1_lat,s2_lat,s3_lat\n7.38258248760424e-05,1e-05,+1.5\n007.5,1.,.5\n",
+    "s1_lat,s2_lat\n-0.0,0.0\n7414522648373449.0,-7414522648373449.0\n",
+    "s1_lat,s2_lat\n123456789012.345678901234,-0.00000000000000000000001\n1.5,2.5\n",
+    "s1_lat,s2_lat\n1234567890123.456789012345,0.000000000000000000000001\n1.5,2.5\n",
+    "s1_lat,s2_lat\n1.5,2.5\n-3.5,4.25",
+    "s1_lat,s2_lat\r\n1.5,2.5\r\n-3.5,4.25",
+    "s1_lat,s2_lat\n1.5,2.5\r3.5,4.5\n",
+    "s1_lat,s2_lat\n1.5,2.5\n\n3.5,4.5\n",
+    "s1_lat\n" + "1e-05\n" * 17 + "0.5\n",
+    "s1_lat\n" + "1e-05\n" * 16 + "0.5\n",
 ]
 
 
@@ -303,21 +337,46 @@ def odd_bodies(test):
     return test
 
 
+def no_block_parser():
+    return mock.patch.object(mio, "_block_rows", return_value=None)
+
+
+def cell_parser_only():
+    """The reader with the block parser and np.loadtxt both off."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(no_block_parser())
+    stack.enter_context(mock.patch.object(mio, "_bulk_rows", return_value=None))
+    return stack
+
+
 @settings(max_examples=300, deadline=None)
 @given(text=scenario_csv_text())
 @odd_bodies
 def test_bulk_reader_agrees_with_cell_parser(tmp_path_factory, text):
-    """Same array bit for bit, or the same error, with and without np.loadtxt."""
+    """Same array bit for bit, or the same error, from the block parser, from np.loadtxt
+    and from the cell parser alone."""
     path = tmp_path_factory.mktemp("differential") / "x.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(mio, "_bulk_rows", return_value=None):
+    with cell_parser_only():
         cell_parser = read_outcome(path)
+    with no_block_parser():
+        assert read_outcome(path) == cell_parser
     assert read_outcome(path) == cell_parser
 
 
 needs_fork = pytest.mark.skipif(
-    not mio._can_split(mio.SPLIT_BYTES), reason="the split path needs os.fork and two cores"
+    not mio._can_fork(), reason="the split path needs os.fork and two cores"
 )
+
+
+def after_lines(m: int):
+    """A stand-in for _midline that splits after the body's first m LF line ends."""
+    def midline(raw, body, size):
+        raw.seek(body)
+        ends = [body] + [body + k + 1 for k, byte in enumerate(raw.read()) if byte == ord("\n")]
+        return ends[m] if m < len(ends) else size
+
+    return midline
 
 
 @needs_fork
@@ -327,29 +386,48 @@ needs_fork = pytest.mark.skipif(
 @odd_bodies
 def test_split_reader_agrees_with_cell_parser(tmp_path_factory, m, text):
     """Caller lines [0, m), child the rest: what the cell parser gives, and a split
-    that succeeds exactly when one np.loadtxt call over the body does."""
+    that succeeds whenever the block parser in one process does."""
     path = tmp_path_factory.mktemp("split") / "x.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(mio, "_bulk_rows", return_value=None):
+    with cell_parser_only():
         cell_parser = read_outcome(path)
-    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
+    with mock.patch.object(mio, "_bulk_rows", side_effect=AssertionError("np.loadtxt ran")):
         try:
             read_outcome(path)
-            one_call = True
+            one_process = True
         except AssertionError:
-            one_call = False
-    real_split_rows, splits = mio._split_rows, []
+            one_process = False
+    real_block_rows, splits = mio._block_rows, []
 
-    def split_rows(*args):
-        splits.append(real_split_rows(*args))
+    def block_rows(*args):
+        splits.append(real_block_rows(*args))
         return splits[-1]
 
-    with mock.patch.object(mio, "SPLIT_BYTES", 0), \
-            mock.patch.object(mio, "_caller_lines", return_value=m), \
-            mock.patch.object(mio, "_split_rows", split_rows):
+    with mock.patch.object(mio, "READ_SPLIT_BYTES", 0), \
+            mock.patch.object(mio, "_midline", after_lines(m)), \
+            mock.patch.object(mio, "_block_rows", block_rows):
         assert read_outcome(path) == cell_parser
-    assert [split is not None for split in splits] == ([one_call] if splits else [])
+    assert all(split is not None for split in splits) or not one_process
     assert_no_children()
+
+
+def test_split_read_halves_the_bytes_at_a_line_end(tmp_path):
+    """A first line far longer than the rest does not skew the shares: the split falls at
+    the first line end past the body's byte midpoint."""
+    header = ",".join(f"s{k}_lat" for k in range(1, 41))
+    narrow = ",".join(["1.5"] * 40) + "\n"
+    path = write(tmp_path / "x.csv", header + "\n" + ",".join(["-123456789012.34567890123"] * 40)
+                 + "\n" + narrow * 300)
+    body, size = len(header) + 1, path.stat().st_size
+    with path.open("rb") as raw:
+        mid = mio._midline(raw, body, size)
+    assert path.read_bytes()[mid - 1] == ord("\n")
+    assert 0 <= (mid - body) - (size - mid) < 2 * len(narrow)
+    with mock.patch.object(mio, "READ_SPLIT_BYTES", float("inf")):
+        serial = read_outcome(path)
+    with mock.patch.object(mio, "READ_SPLIT_BYTES", 0):
+        assert read_outcome(path) == serial
+    assert serial[:2] == ("ok", (301, 40))
 
 
 def assert_no_children():
@@ -362,13 +440,15 @@ def test_paper_scale_record_round_trips_the_same_through_both_paths(tmp_path):
     """30 channels x 11,536 samples, 90 s at 128 Hz: the size `miinet generate` writes."""
     x = make_matrix(np.random.default_rng(11).standard_normal((11_536, 30)))
     serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
-    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
+    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")), \
+            mock.patch.object(mio, "READ_SPLIT_BYTES", float("inf")):
         mio.write_timeseries_csv(x, serial)
         serial_back = mio.read_timeseries_csv(serial).data
-    with mock.patch.object(mio, "_bulk_rows", wraps=mio._bulk_rows) as bulk:
+    with mock.patch.object(fr, "parse_lines", wraps=fr.parse_lines) as share, \
+            mock.patch.object(mio, "_bulk_rows", side_effect=AssertionError("np.loadtxt ran")):
         mio.write_timeseries_csv(x, split)
         split_back = mio.read_timeseries_csv(split).data
-    assert bulk.call_count == 1  # the caller's share; the child's call is not seen here
+    assert share.call_count == 1  # the caller's share; the child's call is not seen here
     assert split.read_bytes() == serial.read_bytes()
     assert split_back.tobytes() == serial_back.tobytes() == x.data.tobytes()
     assert_no_children()
@@ -376,7 +456,7 @@ def test_paper_scale_record_round_trips_the_same_through_both_paths(tmp_path):
 
 def big_body(tmp_path, bad_line=None) -> Path:
     """A 4-channel, 3,000-row CSV with a bad cell in column 2 of `bad_line`."""
-    rows = [f"{k},{k + 0.5},{-k},{k / 7}" for k in range(3000)]
+    rows = [f"{k}.0,{k + 0.5},{-k / 3},{k / 7}" for k in range(3000)]
     if bad_line is not None:
         rows[bad_line - 2] = rows[bad_line - 2].replace(",", ",x", 1)
     return write(tmp_path / "big.csv", "s1_lat,s2_lat,s3_lat,s4_lat\n" + "\n".join(rows) + "\n")
@@ -412,16 +492,15 @@ CHILD_FATES = ["works", "exits 3", "dies mid-pipe", "is reaped unseen"]
 @pytest.mark.parametrize("child", CHILD_FATES)
 def test_split_read_leaves_no_child_and_matches_serial(tmp_path, bad_line, child):
     path = big_body(tmp_path, bad_line)
-    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
+    with mock.patch.object(mio, "READ_SPLIT_BYTES", float("inf")):
         serial = read_outcome(path)
     patches = {
         "works": contextlib.nullcontext(),
-        "exits 3": mock.patch.object(mio, "_bulk_rows", child_exits_3(mio._bulk_rows)),
+        "exits 3": mock.patch.object(fr, "parse_lines", child_exits_3(fr.parse_lines)),
         "dies mid-pipe": mock.patch.object(mio, "_fork", dying_fork),
         "is reaped unseen": ignored_sigchld(),
     }
-    with mock.patch.object(mio, "SPLIT_BYTES", 0), patches[child], \
-            mock.patch.object(mio, "_caller_lines", return_value=1500):
+    with mock.patch.object(mio, "READ_SPLIT_BYTES", 0), patches[child]:
         assert read_outcome(path) == serial
     assert_no_children()
     assert serial[0] == "ok" if bad_line is None else serial == ("ParseError", bad_line, 2)
@@ -431,17 +510,16 @@ def test_split_read_leaves_no_child_and_matches_serial(tmp_path, bad_line, child
 def test_split_read_kills_a_child_whose_rows_are_not_wanted(tmp_path):
     """The caller's share is rejected, so it does not wait for a child that stalls."""
     path = big_body(tmp_path, bad_line=10)
-    parent, bulk_rows = os.getpid(), mio._bulk_rows
+    parent, parse_lines = os.getpid(), fr.parse_lines
 
     def stalling(*args):
         if os.getpid() != parent:
             time.sleep(60)
-        return bulk_rows(*args)
+        return parse_lines(*args)
 
     start = time.perf_counter()
-    with mock.patch.object(mio, "SPLIT_BYTES", 0), \
-            mock.patch.object(mio, "_bulk_rows", stalling), \
-            mock.patch.object(mio, "_caller_lines", return_value=1500):
+    with mock.patch.object(mio, "READ_SPLIT_BYTES", 0), \
+            mock.patch.object(fr, "parse_lines", stalling):
         assert read_outcome(path) == ("ParseError", 10, 2)
     assert time.perf_counter() - start < 30
     assert_no_children()
@@ -486,6 +564,7 @@ def test_no_fork_without_a_second_core_or_os_fork(tmp_path, monkeypatch, no_spli
     x = make_matrix(np.random.default_rng(7).standard_normal((3000, 4)))
     path = tmp_path / "x.csv"
     monkeypatch.setattr(mio, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(mio, "READ_SPLIT_BYTES", 0)
     if no_split == "one core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
@@ -1122,6 +1201,25 @@ def test_fit_report_verb_reports_an_oversized_cell(tmp_path, capsys):
     record = json.loads(err)
     assert record["error"] == "ParseError"
     assert record["message"].startswith("line 3, column 1:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("s1_lat,s2_lat\n1.0,1e200\n2.0,-1e200\n0.5,3e200\n", "VarianceOverflow",
+     "channel s2_lat has a variance that overflows float64"),
+    (b"s1_lat,s2_lat\n1.0,2.0\n3.0,\xff4.0\n", "ParseError",
+     "line 3, column 2: byte 0xff is not UTF-8"),
+])
+def test_fit_report_reports_an_unusable_record(tmp_path, capsys, text, error, message):
+    """One typed JSON error record and no report, with no warning on the way."""
+    data, out = tmp_path / "x.csv", tmp_path / "fit.json"
+    data.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["fit-report", "--input", str(data), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error, "message": message}
     assert not out.exists()
 
 
