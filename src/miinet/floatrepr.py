@@ -1,25 +1,18 @@
-"""CSV text of float64 rows in numpy: written as `repr` and `csv.writer` do, read as `float` does.
+"""CSV text of float64 rows in numpy, written as `repr` and `csv.writer` write it.
 
 `repr` writes x in fixed notation when 1e-4 <= |x| < 1e16, with the shortest
 digits that read back as x (of those, the closest to x, ties to even). Those
 cells are formatted here a block at a time; zeros, subnormals and the cells
 written in scientific notation go to `repr` itself. The digits are found as
 Ryu finds them (Adams 2018, "Ryu: fast float-to-string conversion"), on exact
-integers instead of Ryu's approximate 128-bit powers of 5.
-
-`parse_block` is the inverse: cells in that fixed form, -?D+.D+ with at most
-24 digits, are converted with byte-parallel (SWAR) arithmetic on 64-bit words
-(Lemire 2021, "Number Parsing at a Gigabyte per Second") and rounded once,
-exactly (Clinger 1990, "How to read floating point numbers accurately"); any
-other cell goes to `float` itself. Both sides keep to explicit np.uint64
-scalars, so that numpy's type promotion before NEP 50 computes the same bits.
+integers instead of Ryu's approximate 128-bit powers of 5. `floatparse` reads
+such text back. Both keep to explicit np.uint64 scalars, so that numpy's type
+promotion before NEP 50 computes the same bits.
 """
 
 from __future__ import annotations
 
-import csv
 import itertools
-import math
 
 import numpy as np
 
@@ -234,262 +227,3 @@ def _shifted_bytes(words: np.ndarray, k) -> np.ndarray:
     out[0] = words[0] << bits
     out[1:] = (words[1:] << bits) | ((words[:-1] >> _U(1)) >> (_U(63) - bits))
     return out
-
-
-# Reading: CSV lines of numbers are parsed a block of whole lines at a time, held in a
-# buffer after PAD bytes. Blocks of 256 KB read no faster than 64 KB ones, and raise
-# the peak RSS of a process that reads records by about 0.6 MB.
-BLOCK_BYTES = 1 << 16
-PAD = 32
-# a cell in fixed form has at most 24 digits, the three words of a slot, and at most
-# 22 after the point: 5^22 < 2^53
-_MAX_DIGITS, _MAX_FRACTION = 8 * _SLOT_WORDS, 22
-_ZEROS = _U(0x30303030_30303030)  # ASCII "0" in every byte
-_HIGH_BITS = _U(0x80808080_80808080)
-# _LAST[n]: the words of a 24-byte window whose last n bytes are all ones
-_LAST = _columns([bytes(_MAX_DIGITS - n) + b"\xff" * n for n in range(_MAX_DIGITS + 1)]).T.copy()
-_POW5 = np.array([5**f for f in range(_MAX_FRACTION + 1)], np.uint64)
-_POW5_FLOAT = _POW5.astype(np.float64)
-# indexed by f + 23 * negative: the signed divisors 10^f, and the scales 2^-f, all exact
-_POW10_SIGNED = np.array([s * 10**f for s in (1, -1) for f in range(_MAX_FRACTION + 1)], float)
-_POW2_SIGNED = np.array([s * 0.5**f for s in (1, -1) for f in range(_MAX_FRACTION + 1)])
-_HIDDEN = _U(1 << 52)
-# indexed by e % 128 for the biased exponent e of a guess M 2^(k+2), k = e - 1077, which
-# is 1024 to 1100: the shifts that make m 2^-k and 4 M 5^f 2^k whole numbers
-_UP = np.array([max(53 - e, 0) for e in range(128)], np.uint64)
-_DOWN = np.array([min(max(e - 53, 0) + 2, 63) for e in range(128)], np.uint64)
-_HALF = _DOWN - _U(1)  # and half an ulp in the residual's units
-
-
-def _blocks(raw, start: int, stop: int):
-    """(buffer, end) for each block of whole lines of bytes [start, stop) of raw.
-
-    The block is buffer[PAD:end], in one buffer reused from block to block; a
-    last line without a line end gets one. The last item is None if a line does
-    not fit in a block or the file ends before `stop`.
-    """
-    buf = bytearray(PAD + BLOCK_BYTES + 1)  # and the added line end
-    view = memoryview(buf)
-    raw.seek(start)
-    pos, fill = start, PAD
-    while pos < stop or fill > PAD:
-        want = min(stop - pos, BLOCK_BYTES - (fill - PAD))
-        got = raw.readinto(view[fill:fill + want]) if want else 0
-        if want and not got:
-            yield None
-            return
-        pos, fill = pos + got, fill + got
-        if pos < stop:
-            cut = buf.rfind(b"\n", PAD, fill) + 1
-            if not cut:
-                yield None
-                return
-        else:
-            if buf[fill - 1] != ord("\n"):
-                buf[fill] = ord("\n")
-                fill += 1
-            cut = fill
-        yield buf, cut
-        rest = fill - cut
-        buf[PAD:PAD + rest] = buf[cut:fill]
-        fill = PAD + rest
-
-
-def count_lines(raw, start: int, stop: int) -> int | None:
-    """The lines of bytes [start, stop) of the binary file raw, or None if _blocks fails."""
-    total = 0
-    for block in _blocks(raw, start, stop):
-        if block is None:
-            return None
-        buf, end = block
-        total += np.count_nonzero(np.frombuffer(buf, np.uint8, end - PAD, PAD) == ord("\n"))
-    return total
-
-
-def parse_lines(raw, start: int, stop: int, out: np.ndarray) -> bool:
-    """Parse the lines of bytes [start, stop) of raw into exactly the rows of `out`.
-
-    False if _blocks fails, parse_block rejects a block or the rows do not fill `out`.
-    """
-    row = 0
-    for block in _blocks(raw, start, stop):
-        rows = None if block is None else parse_block(*block, out[row:])
-        if rows is None:
-            return False
-        row += rows
-    return row == len(out)
-
-
-def parse_block(buf: bytearray, end: int, out: np.ndarray) -> int | None:
-    """Parse the CSV lines in buf[PAD:end] into the first rows of `out`: how many, or None.
-
-    Each line ends in LF or CRLF and holds out.shape[1] cells, which go into the
-    C-contiguous float64 array `out` as `float` reads them: cells in repr's fixed
-    form here, the rest by `float` itself, one at a time. None rejects the block:
-    it holds a quote, a lone CR, a blank line, a line of another width, a cell
-    of more bytes than csv.field_size_limit(), one that `float` rejects or reads
-    as NaN or infinity, or more than 16 + 1% odd cells. Without those, csv.reader
-    splits the lines into the same cells.
-    """
-    text = np.frombuffer(buf, np.uint8, end - PAD, PAD)
-    marks = np.flatnonzero(text <= ord("."))  # separators, points, signs, CRs, odd bytes
-    kind = text[marks]
-    ends = marks.compress((kind == ord(",")) | (kind == ord("\n")))
-    dots = marks.compress(kind == ord("."))
-    lf, cr = np.count_nonzero(kind == ord("\n")), np.count_nonzero(kind == ord("\r"))
-    del marks, kind  # each del here and below lowers the peak of a read, 1.33 to 1.22 records
-    n_cols = out.shape[1]
-    rows = len(ends) // n_cols
-    if (rows > len(out) or len(ends) != rows * n_cols or lf != rows
-            or buf.find(b'"', PAD, end) >= 0
-            or not (text[ends[n_cols - 1::n_cols]] == ord("\n")).all()):
-        return None
-    carriage = text[ends - 1] == ord("\r")  # the CR of a CRLF
-    if cr != np.count_nonzero(carriage[n_cols - 1::n_cols]):
-        return None
-    starts = np.empty_like(ends)
-    starts[0] = 0
-    starts[1:] = ends[:-1] + 1
-    stops = ends - carriage
-    if (stops - starts).max() > csv.field_size_limit():
-        return None
-    values = out[:rows].reshape(-1)
-    odd = np.flatnonzero(~_fixed_cells(buf, end, text, dots, starts, stops, values))
-    if len(odd) > 16 + len(ends) // 100:
-        return None
-    for k, start, stop in zip(odd.tolist(), starts[odd].tolist(), stops[odd].tolist()):
-        try:
-            value = float(buf[PAD + start:PAD + stop].decode())
-        except ValueError:  # UnicodeDecodeError among them
-            return None
-        if not math.isfinite(value):
-            return None
-        values[k] = value
-    return rows
-
-
-def _fixed_cells(buf, end, text, dots, starts, stops, values) -> np.ndarray:
-    """Mask of the cells in repr's fixed form -?D+.D+ that are parsed into `values` here.
-
-    With the points taken out of the block, the digits of each such cell end
-    its 24-byte window; the bytes before them count as "0", and SWAR arithmetic
-    checks and converts the three words (Lemire 2021). m / 10^f for the m and f
-    so found is rounded once: in one float64 division when m <= 2^53 (Clinger
-    1990), else by _nearest.
-    """
-    if not len(dots):
-        return np.zeros(len(stops), bool)
-    if len(dots) == len(stops) and (dots < stops).all() and (dots[1:] > stops[:-1]).all():
-        point, single = dots, True  # one per cell: the common case
-        before = np.arange(1, len(stops) + 1)
-    else:
-        before = np.searchsorted(dots, stops)  # the points before each cell's end
-        point = dots.take(before - 1, mode="clip")
-        single = before - np.searchsorted(dots, starts) == 1
-    negative = text[starts] == ord("-")
-    whole = point - starts - negative  # digits before the point
-    fraction = stops - point - 1  # and after it
-    digits = whole + fraction
-    fixed = (((whole - 1).view(np.uint64) < _MAX_DIGITS)
-             & ((fraction - 1).view(np.uint64) < _MAX_FRACTION)
-             & (digits <= _MAX_DIGITS) & single)
-    cells = np.flatnonzero(fixed)
-    f, digits, negative = fraction[cells], digits[cells], negative[cells]
-    last = (stops - before)[cells]  # where each cell's digits end once the points are out
-    del whole, fraction, before, point
-    pointless = buf[PAD - _MAX_DIGITS:end].replace(b".", b"")  # after 24 NULs of PAD
-    windows = np.ndarray((len(pointless) - _MAX_DIGITS + 1,), f"V{_MAX_DIGITS}", pointless,
-                         0, (1,))[last]
-    del pointless, last
-    words = windows.view("<u8").astype(np.uint64, copy=False)  # _SLOT_WORDS a cell
-    words ^= _ZEROS
-    words &= np.take(_LAST, digits, 0).reshape(-1)  # digit values, 0 before them
-    bad = words + _U(0x76767676_76767676)
-    bad |= words
-    bad &= _HIGH_BITS
-    bad = bad.reshape(-1, _SLOT_WORDS)
-    sure = (bad[:, 0] | bad[:, 1] | bad[:, 2]) == _U(0)
-    del bad
-    chunks = _eight_digits(words).reshape(-1, _SLOT_WORDS)
-    m = chunks[:, 0] * _U(10**16)
-    m += chunks[:, 1] * _U(10**8)
-    m += chunks[:, 2]  # mod 2^64
-    wide = (chunks[:, 0] >= 1844) & sure  # m may reach 2^64
-    hard = np.flatnonzero(wide | (m > _U(1 << 53)))
-    x = m.astype(np.float64)  # rounded once if not wide
-    if wide.any():
-        wide = np.flatnonzero(wide)
-        x[wide] = _wide_float(chunks[wide].T)
-    del chunks, words
-    signed = f + negative * (_MAX_FRACTION + 1)
-    guess = x.take(hard)
-    x /= _POW10_SIGNED[signed]
-    f = f.take(hard)
-    guess /= _POW5_FLOAT[f]
-    sure[hard] &= _nearest(m.take(hard), guess, f)
-    x[hard] = guess * _POW2_SIGNED[signed.take(hard)]
-    values[cells] = x
-    fixed[cells] = sure
-    return fixed
-
-
-def _eight_digits(x: np.ndarray) -> np.ndarray:
-    """x, whose bytes are digits 0-9, leading first, made the little-endian numbers they spell.
-
-    The inverse of _digit_bytes, in place: tens and units join in each byte, then
-    pairs of those in each 32-bit lane, in two multiplies (Lemire 2021).
-    """
-    lanes = _U(0x000000FF_000000FF)
-    units = x >> _U(8)
-    x *= _TEN
-    x += units
-    units = x >> _U(16)
-    units &= lanes
-    units *= _U(1 + (10_000 << 32))
-    x &= lanes
-    x *= _U(100 + (1_000_000 << 32))
-    x += units
-    x >>= _U(32)
-    return x
-
-
-def _wide_float(chunks: np.ndarray) -> np.ndarray:
-    """m = chunks[0] 10^16 + chunks[1] 10^8 + chunks[2] < 10^24 rounded once to float64.
-
-    m is held in 128 bits; its top 64 bits, with a sticky bit for any below them,
-    round as m does.
-    """
-    high, low = _mul128(chunks[0], _U(10**16))
-    rest = chunks[1] * _U(10**8) + chunks[2]
-    low += rest
-    high += low < rest
-    shift = np.frexp(high.astype(np.float64))[1]  # the bit length of high
-    s = shift.astype(np.uint64)
-    top = ((high << _U(1)) << (_U(63) - s)) | (low >> s)
-    top |= (low & ((_U(1) << s) - _U(1))) != 0
-    return np.ldexp(top.astype(np.float64), shift)
-
-
-def _nearest(m: np.ndarray, guess: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Round guess in place to m / 5^f, to nearest, ties to even; whether that is certain.
-
-    guess, float64 m / 5^f with m rounded once, lies within 1.5 ulp of the
-    quotient. For guess = M 2^(k+2), 2^52 <= M < 2^53, the residual
-    m 2^-k - 4 M 5^f (both sides shifted up to whole numbers) is below 2^56, so
-    that m mod 2^64 gives it exactly. It says on which side of the midpoints to
-    the neighbours the quotient lies, and the guess moves at most one ulp: up
-    past M + 1/2, down past M - 1/2, or past M - 1/4 when M = 2^52 and the ulp
-    below is half as wide. At 1.5 ulp or more the result is not certain, and
-    `float` reads that cell.
-    """
-    p = _POW5[f]
-    bits = guess.view(np.uint64)
-    exponent = ((bits >> _U(52)) & _U(127)).astype(np.intp)
-    mant = (bits & _U((1 << 52) - 1)) | _HIDDEN
-    residual = ((m << _UP[exponent]) - ((mant * p) << _DOWN[exponent])).view(np.int64)
-    half = (p << _HALF[exponent]).view(np.int64)
-    low = half >> (mant == _HIDDEN)  # the same below the guess
-    odd = (mant & _U(1)) == _U(1)
-    bits += (residual > half) | ((residual == half) & odd)
-    bits -= (residual < -low) | ((residual == -low) & odd)
-    return (residual < half * 3) & (residual > low * -3)

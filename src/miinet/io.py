@@ -29,7 +29,7 @@ from . import __version__
 from .core import Axis, ChannelId, TimeSeriesMatrix
 from .errors import DuplicateChannel, EmptyFile, MalformedNetwork, ParseError
 from .estimators import Family
-from . import floatrepr as fr
+from . import floatparse as fp
 from .floatrepr import csv_lines as _csv_lines
 from .omii import DegreeDistribution, Edge, InteractionNetwork
 from .spatial import MIMapDiff, NetworkDiff, PairwiseMIMap, SensorGrid, neighbor_pairs
@@ -63,16 +63,17 @@ def _check_utf8(cell: str, line_no: int, col: int) -> None:
 def read_timeseries_csv(path) -> TimeSeriesMatrix:
     """Parse a scenario CSV: header of s<index>_<lat|vert> names, one row per sample.
 
-    The body is read in blocks of whole lines by `floatrepr.parse_block`: by the
+    The body is read in blocks of whole lines by `floatparse.parse_block`: by the
     caller and one forked child, one half of the bytes each, when the body has
-    READ_SPLIT_BYTES and `_can_fork` allows, else in one process. It parses the
+    SPLIT_BYTES and `_can_fork` allows, else in one process. It parses the
     cells in repr's fixed form in numpy, exactly as `float` reads them, and
     hands the rest to `float`. A body it rejects (quotes, blank lines, lone CRs,
-    ragged rows, bytes that are not UTF-8, a cell `float` rejects, too many odd
-    cells, ...) goes to `np.loadtxt`, and one that call rejects or could read
-    differently to the cell parser, which alone raises `ParseError`, so errors
-    keep line and column. A byte that is not UTF-8 is a ParseError at its cell or
-    header name. The parsed array becomes the matrix's data without a copy.
+    ragged rows, bytes that are not UTF-8, a cell `float` rejects, more cells
+    for `float` than `floatparse.odd_budget` allows, ...) goes to `np.loadtxt`,
+    and one that call rejects or could read differently to the cell parser,
+    which alone raises `ParseError`, so errors keep line and column. A byte
+    that is not UTF-8 is a ParseError at its cell or header name. The parsed
+    array becomes the matrix's data without a copy.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -108,18 +109,15 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
     return TimeSeriesMatrix(data, tuple(channels))
 
 
-# Bodies of this many bytes or more are formatted by the caller and one forked child,
-# one share each. On a shared 2-core Xeon a split write breaks even at 0.9-1.2 MB of
-# CSV (30 x 1,500-2,000 cells); a fork, exit and reap costs about 2.4 ms. A split
-# writes a 30 x 11,536 record in 0.09 s instead of 0.13 s, and a 60 x 1,442 one in
-# 0.028 s instead of 0.036-0.040 s.
-SPLIT_BYTES = 1 << 20
-# Bodies of this many bytes or more are read by the caller and one forked child, one
-# half each. On the same Xeon a split read pays from 1.2-2 MB, as the second core
-# allows: forking, copy-on-write faults and reaping cost 5-10 ms, and two processes
-# run at 1.6-1.75x the speed of one. A 60 x 1,442 record (1.7 MB) reads in 24 ms in
-# one process and 33 ms split, a 30 x 11,536 one (6.8 MB) in 92 ms and 61 ms.
-READ_SPLIT_BYTES = 1 << 21
+# Bodies of this many bytes or more are written, and read, by the caller and one forked
+# child, one half each. On a shared 2-core Xeon, forking, copy-on-write faults and
+# reaping cost 5-10 ms in a process that has forked many times, where a split pays from
+# about 1.7 MB, and more in a fresh one: a `miinet` call writes and reads a 60 x 1,442
+# record (1.7 MB) in 33-47 / 22-29 ms in one process against 39-62 / 26-46 ms split,
+# and 60 x 3,500 (4.1 MB) or 30 x 5,900 (3.5 MB) records still lose split, while a
+# 30 x 11,536 one (6.8 MB) writes in 131-184 ms against 92-145 ms and reads in 73-101
+# against 66-104 ms.
+SPLIT_BYTES = 1 << 21
 # a float64 repr and its comma: the writer's estimate of body bytes per cell
 _CELL_BYTES = 20
 
@@ -196,34 +194,41 @@ def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
     The lines are counted first, so that the array is allocated once. When
     `_can_fork` allows, a forked child parses the bytes after the first line end
     past the midpoint into its copy of the array and sends those rows through a
-    pipe, while the caller parses the bytes before. None when any block is
-    rejected, the child fails or the file changes while it is read.
+    pipe, with the count of its cells that went to `float`, while the caller
+    parses the bytes before. None when any block is rejected, the body has more
+    cells for `float` than `floatparse.odd_budget` allows, the child fails or the
+    file changes while it is read.
     """
     with path.open("rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
         if size <= body:  # no body, or a file (in /proc, say) whose size is not its length
             return None
-        split = size - body >= READ_SPLIT_BYTES and _can_fork()
+        split = size - body >= SPLIT_BYTES and _can_fork()
         mid = _midline(raw, body, size) if split else size
-        ours, theirs = fr.count_lines(raw, body, mid), fr.count_lines(raw, mid, size)
+        ours, theirs = fp.count_lines(raw, body, mid), fp.count_lines(raw, mid, size)
         if ours is None or theirs is None:
             return None
         data = np.empty((ours + theirs, n_cols))
+        budget = fp.odd_budget(data.size)
 
         def parse_rest(pipe):
             with path.open("rb", buffering=0) as own:
-                if fr.parse_lines(own, mid, size, data[ours:]):
+                odd = fp.parse_lines(own, mid, size, data[ours:], budget)
+                if odd is not None:
                     pipe.write(data[ours:].data)
+                    pipe.write(np.int64(odd).tobytes())
 
         try:
             pid, pipe = _fork(parse_rest) if mid < size else (None, None)
         except OSError:  # no child: this process parses it all
             pid = None
         if pid is None:
-            return data if fr.parse_lines(raw, body, size, data) else None
-        done = False
+            return data if fp.parse_lines(raw, body, size, data, budget) is not None else None
+        done, their_odd = False, np.zeros(1, np.int64)
         try:
-            done = fr.parse_lines(raw, body, mid, data[:ours]) and _read_into(pipe, data[ours:])
+            odd = fp.parse_lines(raw, body, mid, data[:ours], budget)
+            done = (odd is not None and _read_into(pipe, data[ours:])
+                    and _read_into(pipe, their_odd) and odd + int(their_odd[0]) <= budget)
         finally:
             done = _reap(pid, pipe, done) and done
     return data if done else None
@@ -233,7 +238,7 @@ def _midline(raw, body: int, size: int) -> int:
     """The offset after the first line end at or past the middle of bytes [body, size), or size."""
     middle = (body + size) // 2
     raw.seek(middle)
-    found = raw.read(fr.BLOCK_BYTES).find(b"\n")
+    found = raw.read(fp.BLOCK_BYTES).find(b"\n")
     return size if found < 0 else middle + found + 1
 
 

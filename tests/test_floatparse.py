@@ -1,11 +1,11 @@
-"""The block parser of `miinet.floatrepr` against `float`, bit for bit."""
+"""The block parser of `miinet.floatparse` against `float`, bit for bit."""
 
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from miinet import floatrepr as fr
+from miinet import floatparse as fp
 
 CELLS = 200_000
 DRAWS = 210_000  # some fall outside the fixed range
@@ -14,17 +14,18 @@ DRAWS = 210_000  # some fall outside the fixed range
 def parse(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """(values, mask of the cells parsed in numpy) of cells given one a line to parse_block."""
     values = np.empty((len(cells), 1))
-    masks, fixed_cells = [], fr._fixed_cells
+    masks, fixed_cells = [], fp._fixed_cells
 
     def spy(*args):
         masks.append(fixed_cells(*args))
         return masks[-1]
 
-    step = fr.BLOCK_BYTES // 32  # lines of at most 26 bytes and a line end
-    with mock.patch.object(fr, "_fixed_cells", spy):
+    step = fp.BLOCK_BYTES // 32  # lines of at most 26 bytes and a line end
+    with mock.patch.object(fp, "_fixed_cells", spy):
         for k in range(0, len(cells), step):
-            block = bytearray(fr.PAD) + "".join(c + "\n" for c in cells[k:k + step]).encode()
-            assert fr.parse_block(block, len(block), values[k:]) == len(cells[k:k + step])
+            block = bytearray(fp.PAD) + "".join(c + "\n" for c in cells[k:k + step]).encode()
+            rows, _ = fp.parse_block(block, len(block), values[k:], step)
+            assert rows == len(cells[k:k + step])
     return values.ravel(), np.concatenate(masks)
 
 

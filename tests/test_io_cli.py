@@ -20,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from miinet import Axis, ChannelId, TimeSeriesMatrix, core, neighbor_pairs, standardize
 from miinet.cli import RunConfig, build_fit_report, load_generator_spec, main, run_pipeline
 from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetError, ParseError
-from miinet import floatrepr as fr
+from miinet import floatparse as fp
 from miinet import io as mio
 from miinet.omii import Edge, InteractionNetwork, OmiiConfig, infer_network
 from miinet.seeding import derive_seed
@@ -326,8 +326,11 @@ ODD_BODIES = [
     "s1_lat,s2_lat\r\n1.5,2.5\r\n-3.5,4.25",
     "s1_lat,s2_lat\n1.5,2.5\r3.5,4.5\n",
     "s1_lat,s2_lat\n1.5,2.5\n\n3.5,4.5\n",
-    "s1_lat\n" + "1e-05\n" * 17 + "0.5\n",
-    "s1_lat\n" + "1e-05\n" * 16 + "0.5\n",
+    # 41 of 100 cells for float, the body's odd-cell budget (16 + 25%), then 42, then 42
+    # spread so that each share of a split stays within the budget and the sum does not
+    "s1_lat\n" + "1e-05\n" * 41 + "0.5\n" * 59,
+    "s1_lat\n" + "1e-05\n" * 42 + "0.5\n" * 58,
+    "s1_lat\n" + "0.5\n1e-05\n" * 42 + "0.5\n" * 16,
 ]
 
 
@@ -386,28 +389,26 @@ def after_lines(m: int):
 @odd_bodies
 def test_split_reader_agrees_with_cell_parser(tmp_path_factory, m, text):
     """Caller lines [0, m), child the rest: what the cell parser gives, and a split
-    that succeeds whenever the block parser in one process does."""
+    that succeeds exactly when the block parser in one process does."""
     path = tmp_path_factory.mktemp("split") / "x.csv"
     path.write_bytes(text.encode("utf-8"))
     with cell_parser_only():
         cell_parser = read_outcome(path)
-    with mock.patch.object(mio, "_bulk_rows", side_effect=AssertionError("np.loadtxt ran")):
-        try:
-            read_outcome(path)
-            one_process = True
-        except AssertionError:
-            one_process = False
-    real_block_rows, splits = mio._block_rows, []
+    real_block_rows, one_process, splits = mio._block_rows, [], []
 
-    def block_rows(*args):
-        splits.append(real_block_rows(*args))
-        return splits[-1]
+    def recording(results):
+        def block_rows(*args):
+            results.append(real_block_rows(*args))
+            return results[-1]
 
-    with mock.patch.object(mio, "READ_SPLIT_BYTES", 0), \
-            mock.patch.object(mio, "_midline", after_lines(m)), \
-            mock.patch.object(mio, "_block_rows", block_rows):
+        return mock.patch.object(mio, "_block_rows", block_rows)
+
+    with recording(one_process):
+        read_outcome(path)
+    with mock.patch.object(mio, "SPLIT_BYTES", 0), \
+            mock.patch.object(mio, "_midline", after_lines(m)), recording(splits):
         assert read_outcome(path) == cell_parser
-    assert all(split is not None for split in splits) or not one_process
+    assert [split is not None for split in splits] == [rows is not None for rows in one_process]
     assert_no_children()
 
 
@@ -423,9 +424,9 @@ def test_split_read_halves_the_bytes_at_a_line_end(tmp_path):
         mid = mio._midline(raw, body, size)
     assert path.read_bytes()[mid - 1] == ord("\n")
     assert 0 <= (mid - body) - (size - mid) < 2 * len(narrow)
-    with mock.patch.object(mio, "READ_SPLIT_BYTES", float("inf")):
+    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
         serial = read_outcome(path)
-    with mock.patch.object(mio, "READ_SPLIT_BYTES", 0):
+    with mock.patch.object(mio, "SPLIT_BYTES", 0):
         assert read_outcome(path) == serial
     assert serial[:2] == ("ok", (301, 40))
 
@@ -440,11 +441,10 @@ def test_paper_scale_record_round_trips_the_same_through_both_paths(tmp_path):
     """30 channels x 11,536 samples, 90 s at 128 Hz: the size `miinet generate` writes."""
     x = make_matrix(np.random.default_rng(11).standard_normal((11_536, 30)))
     serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
-    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")), \
-            mock.patch.object(mio, "READ_SPLIT_BYTES", float("inf")):
+    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
         mio.write_timeseries_csv(x, serial)
         serial_back = mio.read_timeseries_csv(serial).data
-    with mock.patch.object(fr, "parse_lines", wraps=fr.parse_lines) as share, \
+    with mock.patch.object(fp, "parse_lines", wraps=fp.parse_lines) as share, \
             mock.patch.object(mio, "_bulk_rows", side_effect=AssertionError("np.loadtxt ran")):
         mio.write_timeseries_csv(x, split)
         split_back = mio.read_timeseries_csv(split).data
@@ -492,15 +492,15 @@ CHILD_FATES = ["works", "exits 3", "dies mid-pipe", "is reaped unseen"]
 @pytest.mark.parametrize("child", CHILD_FATES)
 def test_split_read_leaves_no_child_and_matches_serial(tmp_path, bad_line, child):
     path = big_body(tmp_path, bad_line)
-    with mock.patch.object(mio, "READ_SPLIT_BYTES", float("inf")):
+    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
         serial = read_outcome(path)
     patches = {
         "works": contextlib.nullcontext(),
-        "exits 3": mock.patch.object(fr, "parse_lines", child_exits_3(fr.parse_lines)),
+        "exits 3": mock.patch.object(fp, "parse_lines", child_exits_3(fp.parse_lines)),
         "dies mid-pipe": mock.patch.object(mio, "_fork", dying_fork),
         "is reaped unseen": ignored_sigchld(),
     }
-    with mock.patch.object(mio, "READ_SPLIT_BYTES", 0), patches[child]:
+    with mock.patch.object(mio, "SPLIT_BYTES", 0), patches[child]:
         assert read_outcome(path) == serial
     assert_no_children()
     assert serial[0] == "ok" if bad_line is None else serial == ("ParseError", bad_line, 2)
@@ -510,7 +510,7 @@ def test_split_read_leaves_no_child_and_matches_serial(tmp_path, bad_line, child
 def test_split_read_kills_a_child_whose_rows_are_not_wanted(tmp_path):
     """The caller's share is rejected, so it does not wait for a child that stalls."""
     path = big_body(tmp_path, bad_line=10)
-    parent, parse_lines = os.getpid(), fr.parse_lines
+    parent, parse_lines = os.getpid(), fp.parse_lines
 
     def stalling(*args):
         if os.getpid() != parent:
@@ -518,8 +518,8 @@ def test_split_read_kills_a_child_whose_rows_are_not_wanted(tmp_path):
         return parse_lines(*args)
 
     start = time.perf_counter()
-    with mock.patch.object(mio, "READ_SPLIT_BYTES", 0), \
-            mock.patch.object(fr, "parse_lines", stalling):
+    with mock.patch.object(mio, "SPLIT_BYTES", 0), \
+            mock.patch.object(fp, "parse_lines", stalling):
         assert read_outcome(path) == ("ParseError", 10, 2)
     assert time.perf_counter() - start < 30
     assert_no_children()
@@ -564,7 +564,6 @@ def test_no_fork_without_a_second_core_or_os_fork(tmp_path, monkeypatch, no_spli
     x = make_matrix(np.random.default_rng(7).standard_normal((3000, 4)))
     path = tmp_path / "x.csv"
     monkeypatch.setattr(mio, "SPLIT_BYTES", 0)
-    monkeypatch.setattr(mio, "READ_SPLIT_BYTES", 0)
     if no_split == "one core":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))

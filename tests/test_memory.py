@@ -51,7 +51,7 @@ def test_reading_a_record_holds_at_most_one_and_three_quarter_records(
     record, monkeypatch, split_bytes
 ):
     path, small, _ = record
-    monkeypatch.setattr(mio, "READ_SPLIT_BYTES", split_bytes)
+    monkeypatch.setattr(mio, "SPLIT_BYTES", split_bytes)
     if split_bytes == 0 and not mio._can_fork():
         pytest.skip("this host parses a body in one process")
     mio.read_timeseries_csv(small)
