@@ -1,13 +1,16 @@
 """CSV text of float64 rows parsed in numpy, each cell exactly as `float` reads it.
 
-`parse_block` inverts `floatrepr`: cells in repr's fixed form, -?D+.D+ with at
-most 24 digits, are converted with byte-parallel (SWAR) arithmetic on 64-bit
-words (Lemire 2021, "Number Parsing at a Gigabyte per Second") and rounded
-once, exactly (Clinger 1990, "How to read floating point numbers
-accurately"); any other cell goes to `float` itself. It is a module of its
-own, apart from the formatter, because a process compiles each module from
-source when bytecode is not cached, and one module of both halves raised the
-peak RSS of the laplace-mc benchmark run by about 0.3 MB.
+`parse_block` reads decimal cells, -?D+(.D*)?([eE][+-]?D+)? with at most 24
+digits before any exponent (repr's forms, and printf's %d, %e, %f and %g): the
+digits make an integer m, checked and converted with byte-parallel (SWAR)
+arithmetic on 64-bit words (Lemire 2021, "Number Parsing at a Gigabyte per
+Second"), and m / 10^f, f = (digits after the point) - (exponent), is rounded
+once, exactly, when 0 <= f <= 22, or -22 <= f < 0 and m <= 2^53 (Clinger 1990,
+"How to read floating point numbers accurately"). Any other cell goes to
+`float` itself. It is a module of its own, apart from the formatter, because a
+process compiles each module from source when bytecode is not cached, and one
+module of both halves raised the peak RSS of the laplace-mc benchmark run by
+about 0.3 MB.
 """
 
 from __future__ import annotations
@@ -23,37 +26,27 @@ from .floatrepr import _SLOT_WORDS, _TEN, _U, _columns, _mul128
 # the peak RSS of a process that reads records by about 0.6 MB.
 BLOCK_BYTES = 1 << 16
 PAD = 32
-# A body in which more than 16 cells plus this share of its cells go to `float` is left
-# to np.loadtxt. On a shared 2-core Xeon, a 30 x 11,536 record whose odd cells are
-# repr's 22-byte e-notation read in 92 / 134 / 169 / 186 / 207 ms here at 0 / 10 / 20 /
-# 25 / 30% odd cells against np.loadtxt's 184-201 ms (faster in 15, 15, 15, 14 and 1 of
-# 15 interleaved reads), and at 50 / 100% in 256 / 408 ms; odd cells of 1-4 digits
-# cross over near 30% too. The floor of 16 costs `float` under 10 us, a twentieth of
-# this parser's start-up on a small body, and keeps bodies with a few odd cells here.
-ODD_SHARE = 0.25
-# a cell in fixed form has at most 24 digits, the three words of a slot, and at most
-# 22 after the point: 5^22 < 2^53
-_MAX_DIGITS, _MAX_FRACTION = 8 * _SLOT_WORDS, 22
+# a cell read here has at most 24 digits before its exponent, the three words of a
+# slot, and |f| <= 22: 5^22 < 2^53
+_MAX_DIGITS, _MAX_F = 8 * _SLOT_WORDS, 22
 _ZEROS = _U(0x30303030_30303030)  # ASCII "0" in every byte
 _HIGH_BITS = _U(0x80808080_80808080)
 # _LAST[n]: the words of a 24-byte window whose last n bytes are all ones
 _LAST = _columns([bytes(_MAX_DIGITS - n) + b"\xff" * n for n in range(_MAX_DIGITS + 1)]).T.copy()
-_POW5 = np.array([5**f for f in range(_MAX_FRACTION + 1)], np.uint64)
+_POW5 = np.array([5**f for f in range(_MAX_F + 1)], np.uint64)
 _POW5_FLOAT = _POW5.astype(np.float64)
-# indexed by f + 23 * negative: the signed divisors 10^f, and the scales 2^-f, all exact
-_POW10_SIGNED = np.array([s * 10**f for s in (1, -1) for f in range(_MAX_FRACTION + 1)], float)
-_POW2_SIGNED = np.array([s * 0.5**f for s in (1, -1) for f in range(_MAX_FRACTION + 1)])
+# indexed by f + 22 + 45 * negative for f = -22..22, all exact: the factors 10^-f (f < 0),
+# and the signed divisors 10^f (1 for f < 0) and scales 2^-f
+_SCALES = [(s, f) for s in (1, -1) for f in range(-_MAX_F, _MAX_F + 1)]
+_TIMES = np.array([10**max(-f, 0) for s, f in _SCALES], float)
+_OVER = np.array([s * 10**max(f, 0) for s, f in _SCALES], float)
+_POW2_SIGNED = np.array([s * 0.5**max(f, 0) for s, f in _SCALES])
 _HIDDEN = _U(1 << 52)
 # indexed by e % 128 for the biased exponent e of a guess M 2^(k+2), k = e - 1077, which
-# is 1024 to 1100: the shifts that make m 2^-k and 4 M 5^f 2^k whole numbers
+# is 1024 to 1102: the shifts that make m 2^-k and 4 M 5^f 2^k whole numbers
 _UP = np.array([max(53 - e, 0) for e in range(128)], np.uint64)
 _DOWN = np.array([min(max(e - 53, 0) + 2, 63) for e in range(128)], np.uint64)
 _HALF = _DOWN - _U(1)  # and half an ulp in the residual's units
-
-
-def odd_budget(cells: int) -> int:
-    """How many of a body's `cells` may go to `float` before np.loadtxt should read it."""
-    return 16 + int(cells * ODD_SHARE)
 
 
 def _blocks(raw, start: int, stop: int):
@@ -101,32 +94,26 @@ def count_lines(raw, start: int, stop: int) -> int | None:
     return total
 
 
-def parse_lines(raw, start: int, stop: int, out: np.ndarray, budget: int) -> int | None:
-    """Parse the lines of bytes [start, stop) of raw into exactly the rows of `out`.
-
-    Returns how many cells went to `float`, or None if _blocks fails, parse_block
-    rejects a block, more than `budget` cells go to `float` or the rows do not
-    fill `out`.
-    """
-    row = odd = 0
+def parse_lines(raw, start: int, stop: int, out: np.ndarray) -> bool:
+    """Parse bytes [start, stop) of raw into exactly the rows of `out`: False if that fails."""
+    row = 0
     for block in _blocks(raw, start, stop):
-        parsed = None if block is None else parse_block(*block, out[row:], budget - odd)
-        if parsed is None:
-            return None
-        row, odd = row + parsed[0], odd + parsed[1]
-    return odd if row == len(out) else None
+        rows = None if block is None else parse_block(*block, out[row:])
+        if rows is None:
+            return False
+        row += rows
+    return row == len(out)
 
 
-def parse_block(buf: bytearray, end: int, out: np.ndarray, budget: int) -> tuple[int, int] | None:
-    """Parse the CSV lines in buf[PAD:end] into the first rows of `out`.
+def parse_block(buf: bytearray, end: int, out: np.ndarray) -> int | None:
+    """Parse the CSV lines in buf[PAD:end] into the first rows of `out`; how many.
 
     Each line ends in LF or CRLF and holds out.shape[1] cells, which go into the
-    C-contiguous float64 array `out` as `float` reads them: cells in repr's fixed
-    form here, the rest by `float` itself. Returns (rows, cells read by `float`),
-    or None to reject the block: it holds a quote, a lone CR, a blank line, a
-    line of another width, a cell of more bytes than csv.field_size_limit(), one
-    that `float` rejects or reads as NaN or infinity, or more than `budget` cells
-    for `float`. Without those, csv.reader splits the lines into the same cells.
+    C-contiguous float64 array `out` as `float` reads them: decimal cells here,
+    the rest by `float` itself. None rejects the block: it holds a quote, a lone
+    CR, a blank line, a line of another width, a cell of more bytes than
+    csv.field_size_limit(), or one that `float` rejects or reads as NaN or
+    infinity. Without those, csv.reader splits the lines into the same cells.
     """
     text = np.frombuffer(buf, np.uint8, end - PAD, PAD)
     marks = np.flatnonzero(text <= ord("."))  # separators, points, signs, CRs, odd bytes
@@ -151,9 +138,7 @@ def parse_block(buf: bytearray, end: int, out: np.ndarray, budget: int) -> tuple
     if (stops - starts).max() > csv.field_size_limit():
         return None
     values = out[:rows].reshape(-1)
-    odd = np.flatnonzero(~_fixed_cells(buf, end, text, dots, starts, stops, values))
-    if len(odd) > budget:
-        return None
+    odd = np.flatnonzero(~_decimal_cells(buf, end, text, dots, starts, stops, values))
     cells = list(map(buf.__getitem__, map(slice, (starts[odd] + PAD).tolist(),
                                           (stops[odd] + PAD).tolist())))
     try:
@@ -165,38 +150,45 @@ def parse_block(buf: bytearray, end: int, out: np.ndarray, budget: int) -> tuple
     if not np.isfinite(x).all():
         return None
     values[odd] = x
-    return rows, len(odd)
+    return rows
 
 
-def _fixed_cells(buf, end, text, dots, starts, stops, values) -> np.ndarray:
-    """Mask of the cells in repr's fixed form -?D+.D+ that are parsed into `values` here.
+def _decimal_cells(buf, end, text, dots, starts, stops, values) -> np.ndarray:
+    """Mask of the cells -?D+(.D*)?([eE][+-]?D+)? that are parsed into `values` here.
 
-    With the points taken out of the block, the digits of each such cell end
-    its 24-byte window; the bytes before them count as "0", and SWAR arithmetic
-    checks and converts the three words (Lemire 2021). m / 10^f for the m and f
-    so found is rounded once: in one float64 division when m <= 2^53 (Clinger
-    1990), else by _nearest.
+    A cell's mantissa ends at its e or E, else at the cell's end. With the
+    points taken out of the block, the mantissa's digits end its 24-byte window;
+    the bytes before them count as "0", and SWAR arithmetic checks and converts
+    the three words to m (Lemire 2021). m / 10^f is rounded once (Clinger 1990):
+    for m <= 2^53, in one float64 division by 10^f when f >= 0 and one product
+    with 10^-f when f < 0, both exact; for m > 2^53 and f >= 0, by _nearest.
     """
+    mantissa_end, powered, formed = stops, None, True
+    if buf.find(b"e", PAD, end) >= 0 or buf.find(b"E", PAD, end) >= 0:
+        powered, at, exponent = _exponents(buf, end, text, stops)
+        mantissa_end = stops.copy()
+        mantissa_end[powered] = at
     if not len(dots):
-        return np.zeros(len(stops), bool)
-    if len(dots) == len(stops) and (dots < stops).all() and (dots[1:] > stops[:-1]).all():
-        point, single = dots, True  # one per cell: the common case
-        before = np.arange(1, len(stops) + 1)
+        before, point, points = 0, mantissa_end, 0  # the points before each cell's end
+    elif len(dots) == len(stops) and (dots < stops).all() and (dots[1:] > stops[:-1]).all():
+        before, point, points = np.arange(1, len(stops) + 1), dots, 1  # one a cell: repr's
     else:
-        before = np.searchsorted(dots, stops)  # the points before each cell's end
-        point = dots.take(before - 1, mode="clip")
-        single = before - np.searchsorted(dots, starts) == 1
+        before = np.searchsorted(dots, stops)
+        points = before - np.searchsorted(dots, starts)
+        point = np.where(points == 1, dots.take(before - 1, mode="clip"), mantissa_end)
+        formed = points <= 1
     negative = text[starts] == ord("-")
     whole = point - starts - negative  # digits before the point
-    fraction = stops - point - 1  # and after it
-    digits = whole + fraction
-    fixed = (((whole - 1).view(np.uint64) < _MAX_DIGITS)
-             & ((fraction - 1).view(np.uint64) < _MAX_FRACTION)
-             & (digits <= _MAX_DIGITS) & single)
+    shift = mantissa_end - point + (_MAX_F - points)  # f + 22: digits after the point + 22
+    digits = whole + shift - _MAX_F
+    if powered is not None:
+        shift[powered] -= exponent
+    fixed = (((whole - 1).view(np.uint64) < _MAX_DIGITS) & (digits <= _MAX_DIGITS)
+             & (shift.view(np.uint64) <= 2 * _MAX_F) & formed)
     cells = np.flatnonzero(fixed)
-    f, digits, negative = fraction[cells], digits[cells], negative[cells]
-    last = (stops - before)[cells]  # where each cell's digits end once the points are out
-    del whole, fraction, before, point
+    shift, digits, negative = shift[cells], digits[cells], negative[cells]
+    last = (mantissa_end - before)[cells]  # where each mantissa ends once the points are out
+    del whole, before, point, mantissa_end
     pointless = buf[PAD - _MAX_DIGITS:end].replace(b".", b"")  # after 24 NULs of PAD
     windows = np.ndarray((len(pointless) - _MAX_DIGITS + 1,), f"V{_MAX_DIGITS}", pointless,
                          0, (1,))[last]
@@ -204,10 +196,7 @@ def _fixed_cells(buf, end, text, dots, starts, stops, values) -> np.ndarray:
     words = windows.view("<u8").astype(np.uint64, copy=False)  # _SLOT_WORDS a cell
     words ^= _ZEROS
     words &= np.take(_LAST, digits, 0).reshape(-1)  # digit values, 0 before them
-    bad = words + _U(0x76767676_76767676)
-    bad |= words
-    bad &= _HIGH_BITS
-    bad = bad.reshape(-1, _SLOT_WORDS)
+    bad = _non_digits(words).reshape(-1, _SLOT_WORDS)
     sure = (bad[:, 0] | bad[:, 1] | bad[:, 2]) == _U(0)
     del bad
     chunks = _eight_digits(words).reshape(-1, _SLOT_WORDS)
@@ -215,22 +204,59 @@ def _fixed_cells(buf, end, text, dots, starts, stops, values) -> np.ndarray:
     m += chunks[:, 1] * _U(10**8)
     m += chunks[:, 2]  # mod 2^64
     wide = (chunks[:, 0] >= 1844) & sure  # m may reach 2^64
-    hard = np.flatnonzero(wide | (m > _U(1 << 53)))
+    big = wide | (m > _U(1 << 53))
     x = m.astype(np.float64)  # rounded once if not wide
     if wide.any():
         wide = np.flatnonzero(wide)
         x[wide] = _wide_float(chunks[wide].T)
     del chunks, words
-    signed = f + negative * (_MAX_FRACTION + 1)
+    signed = shift + negative * (2 * _MAX_F + 1)
+    if powered is not None:  # f < 0 too: m 10^-f, rounded once if m <= 2^53, else float's
+        low = np.flatnonzero(shift < _MAX_F)
+        x[low] *= _TIMES[signed[low]]
+        sure[low] &= ~big[low]
+        big[low] = False
+    hard = np.flatnonzero(big)
+    f = shift.take(hard) - _MAX_F
+    del shift, big
     guess = x.take(hard)
-    x /= _POW10_SIGNED[signed]
-    f = f.take(hard)
+    x /= _OVER[signed]
     guess /= _POW5_FLOAT[f]
     sure[hard] &= _nearest(m.take(hard), guess, f)
     x[hard] = guess * _POW2_SIGNED[signed.take(hard)]
     values[cells] = x
     fixed[cells] = sure
     return fixed
+
+
+def _exponents(buf, end, text, stops):
+    """(the cells with an exponent [+-]?D{1,8} after an e or E, where that is, its value).
+
+    Only the span from the block's first e to its last is scanned. Any other
+    cell's mantissa ends at its end, so that an e in it fails the digit check.
+    """
+    lo = min(k for k in (buf.find(b"e", PAD, end), buf.find(b"E", PAD, end)) if k >= 0) - PAD
+    hi = max(buf.rfind(b"e", PAD, end), buf.rfind(b"E", PAD, end)) + 1 - PAD
+    es = np.flatnonzero((text[lo:hi] | 0x20) == ord("e")) + lo
+    cell = np.searchsorted(stops, es)  # the cell of each
+    sign, ends = text[es + 1], stops[cell]
+    n = ends - es - 1 - ((sign == ord("+")) | (sign == ord("-")))  # its digits, >= 0
+    windows = np.ndarray((len(buf) - 7,), "V8", buf, 0, (1,))[ends + (PAD - 8)]
+    words = windows.view("<u8").astype(np.uint64, copy=False)
+    words ^= _ZEROS
+    words &= _LAST[np.minimum(n, 8), -1]
+    formed = ((n - 1).view(np.uint64) < 8) & (_non_digits(words) == _U(0))
+    value = _eight_digits(words).view(np.int64)
+    np.negative(value, out=value, where=sign == ord("-"))
+    return cell[formed], es[formed], value[formed]  # one a cell: an e before another fails
+
+
+def _non_digits(words: np.ndarray) -> np.ndarray:
+    """The high bit of each byte of words that is not a digit value 0-9, 0 elsewhere."""
+    bad = words + _U(0x76767676_76767676)
+    bad |= words
+    bad &= _HIGH_BITS
+    return bad
 
 
 def _eight_digits(x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ import numbers
 import os
 import signal
 import sys
-import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -65,15 +64,14 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
 
     The body is read in blocks of whole lines by `floatparse.parse_block`: by the
     caller and one forked child, one half of the bytes each, when the body has
-    SPLIT_BYTES and `_can_fork` allows, else in one process. It parses the
-    cells in repr's fixed form in numpy, exactly as `float` reads them, and
-    hands the rest to `float`. A body it rejects (quotes, blank lines, lone CRs,
-    ragged rows, bytes that are not UTF-8, a cell `float` rejects, more cells
-    for `float` than `floatparse.odd_budget` allows, ...) goes to `np.loadtxt`,
-    and one that call rejects or could read differently to the cell parser,
-    which alone raises `ParseError`, so errors keep line and column. A byte
-    that is not UTF-8 is a ParseError at its cell or header name. The parsed
-    array becomes the matrix's data without a copy.
+    SPLIT_BYTES and `_can_fork` allows, else in one process. It parses decimal
+    cells, -?D+(.D*)?([eE][+-]?D+)?, in numpy, exactly as `float` reads them,
+    and hands the rest to `float`. A body it rejects (quotes, interior blank
+    lines, lone CRs, ragged rows, bytes that are not UTF-8, a cell `float`
+    rejects, ...) goes to the cell parser, which alone raises `ParseError`, so
+    errors keep line and column. A byte that is not UTF-8 is a ParseError at
+    its cell or header name. The parsed array becomes the matrix's data without
+    a copy.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -91,17 +89,10 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
                 raise ParseError(1, col, str(exc)) from None
         if len(set(channels)) != len(channels):
             raise DuplicateChannel(f"{path} repeats a channel name")
-        if fh.seekable():
-            # a byte offset, unless the decoder state it carries puts it past 2^64
-            body = fh.tell()
-            data = _block_rows(path, body, len(channels)) if body < 1 << 64 else None
-            if data is None:
-                fh.seek(body)
-                data = _bulk_rows(fh, len(channels))
-            if data is None:
-                fh.seek(body)
-                data = _cell_rows(fh, len(channels))
-        else:  # a pipe cannot be rewound for the cell parser
+        # a byte offset, unless its decoder state puts it past 2^64; a pipe cannot be reread
+        body = fh.tell() if fh.seekable() else 1 << 64
+        data = _block_rows(path, body, len(channels)) if body < 1 << 64 else None
+        if data is None:
             data = _cell_rows(fh, len(channels))
     if not len(data):
         raise EmptyFile(f"{path} has a header but no data rows")
@@ -169,11 +160,11 @@ def _reap(pid: int, read_fd: int, wanted: bool) -> bool:
     True if the child exited 0 by itself.
     """
     os.close(read_fd)
-    if not wanted:
-        os.kill(pid, signal.SIGKILL)
     try:
+        if not wanted:
+            os.kill(pid, signal.SIGKILL)
         return os.waitpid(pid, 0)[1] == 0
-    except ChildProcessError:  # SIGCHLD ignored: the child was reaped unseen
+    except (ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: reaped unseen
         return False
 
 
@@ -189,18 +180,20 @@ def _read_into(fd: int, array: np.ndarray) -> bool:
 
 
 def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
-    """The bytes of the file from `body` on, parsed by parse_block; None leaves them to _bulk_rows.
+    """The bytes of the file from `body` on, parsed by parse_block; None leaves them to _cell_rows.
 
-    The lines are counted first, so that the array is allocated once. When
+    The CRs and LFs that end the body, blank lines that csv skips, are left out,
+    and the lines are counted first, so that the array is allocated once. When
     `_can_fork` allows, a forked child parses the bytes after the first line end
     past the midpoint into its copy of the array and sends those rows through a
-    pipe, with the count of its cells that went to `float`, while the caller
-    parses the bytes before. None when any block is rejected, the body has more
-    cells for `float` than `floatparse.odd_budget` allows, the child fails or the
-    file changes while it is read.
+    pipe, while the caller parses the bytes before. None when any block is
+    rejected, the child fails or the file changes while it is read.
     """
     with path.open("rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
+        tail = max(body, size - fp.BLOCK_BYTES)
+        raw.seek(tail)
+        size = tail + len(raw.read(max(size - tail, 0)).rstrip(b"\r\n"))
         if size <= body:  # no body, or a file (in /proc, say) whose size is not its length
             return None
         split = size - body >= SPLIT_BYTES and _can_fork()
@@ -209,26 +202,21 @@ def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
         if ours is None or theirs is None:
             return None
         data = np.empty((ours + theirs, n_cols))
-        budget = fp.odd_budget(data.size)
 
         def parse_rest(pipe):
             with path.open("rb", buffering=0) as own:
-                odd = fp.parse_lines(own, mid, size, data[ours:], budget)
-                if odd is not None:
+                if fp.parse_lines(own, mid, size, data[ours:]):
                     pipe.write(data[ours:].data)
-                    pipe.write(np.int64(odd).tobytes())
 
         try:
             pid, pipe = _fork(parse_rest) if mid < size else (None, None)
         except OSError:  # no child: this process parses it all
             pid = None
         if pid is None:
-            return data if fp.parse_lines(raw, body, size, data, budget) is not None else None
-        done, their_odd = False, np.zeros(1, np.int64)
+            return data if fp.parse_lines(raw, body, size, data) else None
+        done = False
         try:
-            odd = fp.parse_lines(raw, body, mid, data[:ours], budget)
-            done = (odd is not None and _read_into(pipe, data[ours:])
-                    and _read_into(pipe, their_odd) and odd + int(their_odd[0]) <= budget)
+            done = fp.parse_lines(raw, body, mid, data[:ours]) and _read_into(pipe, data[ours:])
         finally:
             done = _reap(pid, pipe, done) and done
     return data if done else None
@@ -240,36 +228,6 @@ def _midline(raw, body: int, size: int) -> int:
     raw.seek(middle)
     found = raw.read(fp.BLOCK_BYTES).find(b"\n")
     return size if found < 0 else middle + found + 1
-
-
-def _bulk_rows(lines, n_cols: int) -> np.ndarray | None:
-    """The lines as one finite n_cols-wide array, or None to leave them to _cell_rows.
-
-    No rows at all (blank lines only) give a (0, n_cols) array.
-    """
-    with warnings.catch_warnings():
-        # a body of blank lines only, which the caller reports as EmptyFile
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            data = np.loadtxt(_loadtxt_lines(lines), delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            return None
-    if not data.size:
-        return data.reshape(0, n_cols)
-    if data.shape[1] != n_cols or not np.isfinite(data).all():
-        return None
-    return data
-
-
-def _loadtxt_lines(fh):
-    """fh's lines, stopping with ValueError at one that holds \\x1c-\\x1f.
-
-    np.loadtxt strips those four from a cell as whitespace; float() rejects them.
-    """
-    for line in fh:
-        if "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
-            raise ValueError("an information separator in the body")
-        yield line
 
 
 def _csv_rows(lines, first_line: int):
@@ -352,13 +310,15 @@ def _write_split(fh, rows: np.ndarray) -> np.ndarray:
 def load_grid_csv(path) -> SensorGrid:
     """Grid layout file: header sensor_index,row,col then one sensor per row."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
         rows = _csv_rows(fh, 1)
         try:
             _, header = next(rows)
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
         if [h.strip().lower() for h in header] != ["sensor_index", "row", "col"]:
+            for col, name in enumerate(header, start=1):
+                _check_utf8(name, 1, col)
             raise ParseError(1, 1, "expected header sensor_index,row,col")
         positions = {}
         for line_no, row in rows:
@@ -490,8 +450,16 @@ def write_network_json(net: InteractionNetwork, prov: dict, path) -> None:
     write_json(network_to_payload(net, prov), path)
 
 
+def _read_json(path, error):
+    """The JSON value in the file; a byte that is not UTF-8 raises `error` naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8") from None
+
+
 def read_network_json(path) -> InteractionNetwork:
-    return network_from_payload(json.loads(Path(path).read_text(encoding="utf-8-sig")))
+    return network_from_payload(_read_json(path, MalformedNetwork))
 
 
 def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
@@ -500,10 +468,10 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     Coupling comes from one of: explicit "edges" (1-based sensor indices),
     a "grid_layout" CSV whose neighbor pairs are coupled low->high sensor
     with "edge_weight", or a "random_dag" block. Weights, "density" and
-    "noise_scale" must be finite JSON numbers. A missing or mis-shaped field
-    raises ValueError naming it.
+    "noise_scale" must be finite JSON numbers. A missing or mis-shaped field,
+    or a byte that is not UTF-8, raises ValueError naming it.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    raw = _read_json(path, ValueError)
     if not isinstance(raw, dict):
         raise ValueError("generator spec must be a JSON object")
     field = functools.partial(_field, error=ValueError)
@@ -586,16 +554,19 @@ def write_mi_map_csv(mi_map: PairwiseMIMap, prov: dict, path) -> None:
 
 
 def read_mi_map_csv(path) -> PairwiseMIMap:
+    """A map written by write_mi_map_csv; a byte that is not UTF-8 is a ParseError there."""
     path = Path(path)
     axis = None
     scenario = ""
     edges, values = [], []
     header_seen = False
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8-sig").splitlines(), start=1):
+    text = path.read_text(encoding="utf-8-sig", errors="surrogateescape")
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
+            _check_utf8(raw, line_no, 1)
             body = line[1:].strip()
             if body.startswith("axis="):
                 axis = Axis(body.split("=", 1)[1])
@@ -604,6 +575,8 @@ def read_mi_map_csv(path) -> PairwiseMIMap:
             continue
         if not header_seen:
             if line != _MI_MAP_HEADER:
+                for col, name in enumerate(line.split(","), start=1):
+                    _check_utf8(name, line_no, col)
                 raise ParseError(line_no, 1, "unexpected MI map header")
             header_seen = True
             continue

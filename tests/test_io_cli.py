@@ -242,20 +242,39 @@ def test_well_formed_body_skips_the_cell_parser(tmp_path):
     x = make_matrix(np.random.default_rng(5).standard_normal((50, 3)))
     p = tmp_path / "x.csv"
     mio.write_timeseries_csv(x, p)
-    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")), \
-            mock.patch.object(mio, "_bulk_rows", side_effect=AssertionError("np.loadtxt ran")):
+    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
         np.testing.assert_array_equal(mio.read_timeseries_csv(p).data, x.data)
 
 
+@pytest.mark.parametrize("fmt", ["%d", "%.18e", "%.6e", "%.6g", "%.8f"])
+@pytest.mark.parametrize("tail", ["", "\n\n", "\r\n\r\n\r\n"], ids=["none", "lf", "crlf"])
+def test_exports_and_trailing_blank_lines_skip_the_cell_parser(tmp_path, fmt, tail):
+    """np.savetxt's formats, and a body that ends in blank lines, which csv skips."""
+    x = np.random.default_rng(8).standard_normal((200, 3)) * 1e3
+    p = tmp_path / "x.csv"
+    np.savetxt(p, x, fmt=fmt, delimiter=",", header="s1_lat,s2_lat,s3_lat", comments="")
+    p.write_bytes(p.read_bytes() + tail.encode())
+    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
+        data = mio.read_timeseries_csv(p).data
+    lines = p.read_text().split()[1:]
+    assert data.tobytes() == np.array([[float(c) for c in ln.split(",")] for ln in lines]).tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _NUMBER = st.one_of(
-    st.floats(allow_nan=False, allow_infinity=False).map(repr),
-    st.floats(allow_nan=False, allow_infinity=False).map("{:e}".format),
+    _FINITE.map(repr),
+    _FINITE.map("{:e}".format),
     st.floats(-1e3, 1e3).map("{:.5f}".format),
+    st.integers(-10**25, 10**25).map("%d".__mod__),
+    _FINITE.map("%.18e".__mod__),
+    _FINITE.map("%.6e".__mod__),
+    _FINITE.map("%.6g".__mod__),
+    _FINITE.map("%.4E".__mod__).map(lambda cell: cell.replace("E+", "E+00")),
 )
-# cells that float() and np.loadtxt may judge differently, and lines that are not rows
+# cells that float() and the block parser may judge differently, and lines that are not rows
 _ODD_CELL = st.sampled_from(
     ['"1.5"', "1_0", "nan", "inf", "-inf", "1e400", "", " ", " 2 ", "\u0661", "\x1c1", "1\xa0",
-     "+.5", "0x10"]
+     "+.5", "0x10", "1e", "1e5e5", "1e+-5", "5.", "-0"]
 )
 _ODD_LINE = st.sampled_from(["", "   ", "# note"])
 
@@ -297,8 +316,8 @@ def read_outcome(path):
     return "ok", x.data.shape, x.data.tobytes()
 
 
-# bodies that float(), np.loadtxt and the block parser may judge differently: odd cells,
-# blank lines, \r-only line ends, a BOM, no last line end, cells at the parser's limits
+# bodies that float() and the block parser may judge differently: odd cells, blank
+# lines, \r-only line ends, a BOM, no last line end, cells at the parser's limits
 ODD_BODIES = [
     's1_lat,s2_lat\n"1.5",2\n3,4\n',
     "s1_lat,s2_lat\n1_0,2\n3,4\n",
@@ -326,8 +345,11 @@ ODD_BODIES = [
     "s1_lat,s2_lat\r\n1.5,2.5\r\n-3.5,4.25",
     "s1_lat,s2_lat\n1.5,2.5\r3.5,4.5\n",
     "s1_lat,s2_lat\n1.5,2.5\n\n3.5,4.5\n",
-    # 41 of 100 cells for float, the body's odd-cell budget (16 + 25%), then 42, then 42
-    # spread so that each share of a split stays within the budget and the sum does not
+    "s1_lat,s2_lat\n1.5,2.5\n3.5,4.5\n\r\n\n",
+    "s1_lat,s2_lat\n1,-0\n007,5.\n123456789012345678901234,1234567890123456789012345\n"
+    "9007199254740993,9007199254740991\n1e22,1e23\n1e-400,1e+308\n"
+    "1.7976931348623157e308,-1E+0005\n",
+    # 41 and 42 of 100 cells in e-notation, and 42 spread over both shares of a split
     "s1_lat\n" + "1e-05\n" * 41 + "0.5\n" * 59,
     "s1_lat\n" + "1e-05\n" * 42 + "0.5\n" * 58,
     "s1_lat\n" + "0.5\n1e-05\n" * 42 + "0.5\n" * 16,
@@ -344,26 +366,16 @@ def no_block_parser():
     return mock.patch.object(mio, "_block_rows", return_value=None)
 
 
-def cell_parser_only():
-    """The reader with the block parser and np.loadtxt both off."""
-    stack = contextlib.ExitStack()
-    stack.enter_context(no_block_parser())
-    stack.enter_context(mock.patch.object(mio, "_bulk_rows", return_value=None))
-    return stack
-
-
 @settings(max_examples=300, deadline=None)
 @given(text=scenario_csv_text())
 @odd_bodies
 def test_bulk_reader_agrees_with_cell_parser(tmp_path_factory, text):
-    """Same array bit for bit, or the same error, from the block parser, from np.loadtxt
-    and from the cell parser alone."""
+    """Same array bit for bit, or the same error, from the block parser and from the
+    cell parser alone."""
     path = tmp_path_factory.mktemp("differential") / "x.csv"
     path.write_bytes(text.encode("utf-8"))
-    with cell_parser_only():
-        cell_parser = read_outcome(path)
     with no_block_parser():
-        assert read_outcome(path) == cell_parser
+        cell_parser = read_outcome(path)
     assert read_outcome(path) == cell_parser
 
 
@@ -376,7 +388,8 @@ def after_lines(m: int):
     """A stand-in for _midline that splits after the body's first m LF line ends."""
     def midline(raw, body, size):
         raw.seek(body)
-        ends = [body] + [body + k + 1 for k, byte in enumerate(raw.read()) if byte == ord("\n")]
+        ends = [body] + [body + k + 1 for k, byte in enumerate(raw.read(size - body))
+                         if byte == ord("\n")]
         return ends[m] if m < len(ends) else size
 
     return midline
@@ -392,7 +405,7 @@ def test_split_reader_agrees_with_cell_parser(tmp_path_factory, m, text):
     that succeeds exactly when the block parser in one process does."""
     path = tmp_path_factory.mktemp("split") / "x.csv"
     path.write_bytes(text.encode("utf-8"))
-    with cell_parser_only():
+    with no_block_parser():
         cell_parser = read_outcome(path)
     real_block_rows, one_process, splits = mio._block_rows, [], []
 
@@ -445,7 +458,7 @@ def test_paper_scale_record_round_trips_the_same_through_both_paths(tmp_path):
         mio.write_timeseries_csv(x, serial)
         serial_back = mio.read_timeseries_csv(serial).data
     with mock.patch.object(fp, "parse_lines", wraps=fp.parse_lines) as share, \
-            mock.patch.object(mio, "_bulk_rows", side_effect=AssertionError("np.loadtxt ran")):
+            mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
         mio.write_timeseries_csv(x, split)
         split_back = mio.read_timeseries_csv(split).data
     assert share.call_count == 1  # the caller's share; the child's call is not seen here
@@ -522,6 +535,25 @@ def test_split_read_kills_a_child_whose_rows_are_not_wanted(tmp_path):
             mock.patch.object(fp, "parse_lines", stalling):
         assert read_outcome(path) == ("ParseError", 10, 2)
     assert time.perf_counter() - start < 30
+    assert_no_children()
+
+
+@needs_fork
+@pytest.mark.parametrize("wanted", [False, True])
+def test_reap_takes_a_child_that_was_reaped_unseen(wanted):
+    """With SIGCHLD ignored, a child that exits before the caller reaps it is gone:
+    neither the kill nor the wait finds it, and _reap says the child failed."""
+    with ignored_sigchld():
+        pid, pipe = mio._fork(lambda pipe: None)
+        deadline = time.monotonic() + 30
+        while True:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+        assert mio._reap(pid, pipe, wanted) is False
     assert_no_children()
 
 
@@ -607,6 +639,19 @@ def test_grid_csv_non_integer_cell_position(tmp_path):
     with pytest.raises(ParseError) as err:
         mio.load_grid_csv(write(tmp_path / "g.csv", "sensor_index,row,col\n1,0,0\n2,x,1\n"))
     assert (err.value.line, err.value.col) == (3, 2)
+
+
+@pytest.mark.parametrize("text, position", [
+    (b"sensor_index,r\xffow,col\n1,0,0\n", (1, 2)),
+    (b"sensor_index,row,col\r\n1,0,0\r\n2,0,\xe91\r\n", (3, 3)),
+])
+def test_grid_csv_reports_a_byte_that_is_not_utf8(tmp_path, text, position):
+    p = tmp_path / "g.csv"
+    p.write_bytes(text)
+    with pytest.raises(ParseError) as err:
+        mio.load_grid_csv(p)
+    assert (err.value.line, err.value.col) == position
+    assert "is not UTF-8" in str(err.value)
 
 
 # ----------------------------------------------------------- fit report
@@ -717,6 +762,20 @@ def test_mi_map_csv_accepts_utf8_bom_and_crlf(tmp_path):
     p = tmp_path / "excel.csv"
     p.write_bytes(("\ufeff" + MI_MAP_HEAD).replace("\n", "\r\n").encode("utf-8"))
     assert mio.read_mi_map_csv(p) == PairwiseMIMap(Axis.LATERAL, "base", ((1, 2),), (0.5,))
+
+
+@pytest.mark.parametrize("old, new, position", [
+    (b"scenario=base", b"scenario=ba\xffse", (2, 1)),
+    (b"sensor_b,mi", b"sensor_b,m\xffi", (3, 3)),
+    (b"1,2,0.5,0.5", b"1,2,0.5,0.5\xe9", (4, 4)),
+])
+def test_mi_map_csv_reports_a_byte_that_is_not_utf8(tmp_path, old, new, position):
+    p = tmp_path / "map.csv"
+    p.write_bytes(MI_MAP_HEAD.encode().replace(old, new))
+    with pytest.raises(ParseError) as err:
+        mio.read_mi_map_csv(p)
+    assert (err.value.line, err.value.col) == position
+    assert "is not UTF-8" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -912,6 +971,23 @@ def test_json_inputs_accept_utf8_bom(tmp_path):
     spec.write_bytes(b"\xef\xbb\xbf" + spec.read_bytes())
     assert main(["generate", "--spec", str(spec), "--out", str(bommed)]) == 0
     assert bommed.read_bytes() == plain.read_bytes()
+
+
+def test_network_json_names_a_byte_that_is_not_utf8(tmp_path):
+    net = InteractionNetwork((0, 1), ("s1_lat", "s2_lat"), (Edge(0, 1, 0.42, 0.1),), {})
+    p = tmp_path / "net.json"
+    mio.write_network_json(net, mio.provenance({}, 1), p)
+    p.write_bytes(p.read_bytes().replace(b"s2_lat", b"s2_l\xffat"))
+    with pytest.raises(MalformedNetwork, match="byte 0xff is not UTF-8"):
+        mio.read_network_json(p)
+
+
+def test_generator_spec_names_a_byte_that_is_not_utf8(tmp_path):
+    spec = generator_json(tmp_path)
+    spec.write_bytes(spec.read_bytes().replace(b"gaussian", b"gauss\xe9ian"))
+    with pytest.raises(ValueError, match="byte 0xe9 is not UTF-8") as err:
+        load_generator_spec(spec)
+    assert type(err.value) is ValueError
 
 
 def test_generator_spec_grid_and_random_dag(tmp_path):

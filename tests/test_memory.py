@@ -8,6 +8,7 @@ first, so that one-time allocations (imports, caches) stay out of the count.
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from miinet import io as mio
@@ -56,6 +57,31 @@ def test_reading_a_record_holds_at_most_one_and_three_quarter_records(
         pytest.skip("this host parses a body in one process")
     mio.read_timeseries_csv(small)
     assert traced_peak(lambda: mio.read_timeseries_csv(path)) <= 1.75
+
+
+@pytest.fixture(scope="module")
+def exports(record, tmp_path_factory):
+    """The record as other tools write it: np.savetxt's %.6e, integer counts (%d), and
+    the package's own repr file followed by blank lines."""
+    path, _, x = record
+    out = tmp_path_factory.mktemp("exports")
+    header = ",".join(ch.name for ch in x.channels)
+    np.savetxt(out / "e.csv", x.data, "%.6e", ",", header=header, comments="")
+    np.savetxt(out / "d.csv", np.round(x.data * 1000), "%d", ",", header=header, comments="")
+    (out / "blank.csv").write_bytes(path.read_bytes() + b"\r\n" * 3)
+    return {"%.6e": out / "e.csv", "%d": out / "d.csv", "repr + blank lines": out / "blank.csv"}
+
+
+@pytest.mark.parametrize("export", ["%.6e", "%d", "repr + blank lines"])
+@pytest.mark.parametrize("split_bytes", [math.inf, 0], ids=["serial", "split"])
+def test_reading_an_export_holds_at_most_one_and_three_quarter_records(
+    record, exports, monkeypatch, split_bytes, export
+):
+    monkeypatch.setattr(mio, "SPLIT_BYTES", split_bytes)
+    if split_bytes == 0 and not mio._can_fork():
+        pytest.skip("this host parses a body in one process")
+    mio.read_timeseries_csv(record[1])
+    assert traced_peak(lambda: mio.read_timeseries_csv(exports[export])) <= 1.75
 
 
 def test_standardizing_a_read_record_holds_at_most_two_and_a_half_records(record):
