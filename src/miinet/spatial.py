@@ -145,6 +145,12 @@ class RetainedEdge:
 
     @property
     def delta(self) -> float:
+        """Comparison weight minus baseline weight, each the CMI at admission.
+
+        Under the Laplace family, an edge admitted at |K| = k_b in the baseline
+        and k_c in the comparison also carries delta(k_c) - delta(k_b), a
+        family constant that does not cancel; Gaussian deltas carry none.
+        """
         return self.weight_comparison - self.weight_baseline
 
 
@@ -161,7 +167,9 @@ def network_diff(baseline: InteractionNetwork, comparison: InteractionNetwork) -
     """Partition directed edges into lost / gained / retained.
 
     Both networks must map the same node indices to the same names, so that
-    networks on different axes are not compared index by index.
+    networks on different axes are not compared index by index. A retained
+    edge's `delta` carries delta(k_c) - delta(k_b) under the Laplace family
+    when the two scenarios admitted it at different |K| (see RetainedEdge).
     """
     names = [dict(zip(net.nodes, net.node_names)) for net in (baseline, comparison)]
     if names[0] != names[1]:

@@ -201,12 +201,19 @@ def random_dag_coupling(n: int, density: float, weight: float, seed: int) -> np.
 def coupling_from_edges(
     n: int, edges: list[tuple[int, int, float]]
 ) -> np.ndarray:
-    """Adjacency from explicit (source, target, weight) channel triples."""
+    """Adjacency from explicit (source, target, weight) channel triples.
+
+    An edge listed twice is refused, since only one of its weights could be kept.
+    """
     a = np.zeros((n, n))
-    for src, dst, w in edges:
+    listed = set()
+    for k, (src, dst, w) in enumerate(edges):
         if not (0 <= src < n and 0 <= dst < n):
             raise ValueError(f"edge ({src}, {dst}) outside 0..{n - 1}")
         if src == dst:
             raise ValueError("self-loops not allowed")
+        if (src, dst) in listed:
+            raise ValueError(f"edge {k} ({src}, {dst}) is already listed")
+        listed.add((src, dst))
         a[src, dst] = w
     return a

@@ -1,8 +1,11 @@
 """Independent numerical oracles used by the tests.
 
-Bessel values come from quadrature of the integral representation and
-entropies from scipy-backed quadrature, so each check stays a dual route; only
-the Laplace Monte Carlo entropy scores its own draws with the package's density.
+Bessel values come from adaptive quadrature (`scipy.integrate.quad`) of the
+integral representation that the package sums by the trapezoidal rule, so
+they check its step and tail cut but not the representation; the independent
+Bessel oracle is scipy's AMOS `kve`, which the tests call directly. Entropies
+come from scipy-backed quadrature, so each check stays a dual route; only the
+Laplace Monte Carlo entropy scores its own draws with the package's density.
 The fit errors' reference bins one channel at a time with `np.percentile` and
 `np.histogram`. The standardization and generator references are the bodies
 that built a fresh array at every step, before the record path worked in place.

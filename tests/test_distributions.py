@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,34 @@ def test_log_bessel_k_large_order_small_argument(nu, x):
     assert abs(ours / small - 1.0) < x * x / (4.0 * (nu - 1.0)) + 1e-14, (ours, small)
 
 
+def test_log_bessel_k_sweep_against_scipy_kve():
+    # scipy's kve is AMOS (Amos 1986), an algorithm apart from the package's
+    # trapezoidal rule and from oracles.bessel_k_quadrature, which integrates
+    # the same representation. The error is relative to |log K| where that
+    # exceeds 1, since log K = log(e^x K) - x carries the rounding of x. The
+    # bound is twice the 7.1e-15 that a Temme-series and Steed continued-
+    # fraction evaluation reaches on this grid.
+    xs = np.logspace(-9, math.log10(5e3), 400)
+    for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 3.5, 7.0, 14.0, 30.0, 49.0):
+        scaled = sp.kve(nu, xs)
+        finite = np.isfinite(scaled)
+        ref = np.log(scaled[finite]) - xs[finite]
+        err = np.abs(log_bessel_k(nu, xs[finite]) - ref) / np.maximum(1.0, np.abs(ref))
+        assert np.max(err) <= 1.4e-14, (nu, np.max(err))
+
+
+def test_log_bessel_k_over_the_whole_normal_range():
+    # no node overflows or warns from the least normal x to 1e300: K_1/2 in
+    # closed form, and K_0(x) = -ln(x / 2) - gamma + O(x^2 ln x) at tiny x
+    xs = np.logspace(-307, 300, 200)
+    half = 0.5 * np.log(np.pi / (2.0 * xs)) - xs
+    err = np.abs(log_bessel_k(0.5, xs) - half) / np.maximum(1.0, np.abs(half))
+    assert np.max(err) < 4e-15
+    for x in (1e-100, 1e-300, 2.3e-308):
+        ref = math.log(-math.log(x / 2.0) - np.euler_gamma)
+        assert abs(log_bessel_k(0.0, x) / ref - 1.0) < 4e-15, x
+
+
 # ------------------------------------------------- multivariate Laplace
 
 def test_mvlaplace_d2_point_value_vs_independent_evaluation():
@@ -113,8 +142,6 @@ def test_mvlaplace_d2_unit_mass():
         mass = oracles.laplace_mass_2d_tensor_grid(cov)
         assert abs(mass - 1.0) < 1e-3
     # and our Sigma = I density agrees with scipy's K_0 pointwise
-    import scipy.special as sp
-
     r = np.linalg.norm([[0.3, -0.4], [1.0, 2.0], [-2.5, 0.1]], axis=1)
     ref = (2.0 / (2.0 * math.pi)) * sp.k0(np.sqrt(2.0) * r)
     np.testing.assert_allclose(np.exp(standard_laplace_logpdf(r, 2)), ref, rtol=1e-10)

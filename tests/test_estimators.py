@@ -78,15 +78,33 @@ def test_laplace_entropy_constant_domain():
     assert all(math.isfinite(laplace_entropy_constant(d)) for d in (87, 88, 150))
 
 
+@pytest.mark.parametrize(
+    "d, exact, bound",
+    [
+        (2, 2.6487362437541664539493307088619, 3.8e-14),
+        (3, 3.9140878112278399682455313219997, 5.3e-14),
+        (6, 7.5784919694211792030620616188763, 1.1e-13),
+        (12, 14.666321412161599618333738556971, 2.0e-13),
+        (32, 37.734664497377528493272462873935, 5.2e-13),
+    ],
+)
+def test_laplace_entropy_constant_error_bound(d, exact, bound):
+    # `exact` is the same radial integral from 0 to infinity by mpmath's
+    # quadrature at 40 digits, with mpmath's own K. Each bound is the error
+    # that a Temme-series and Steed continued-fraction K left under the same
+    # radial rule, rounded up to two digits: the rule's rounding sets it
+    assert abs(laplace_entropy_constant(d) - exact) <= bound
+
+
 def test_laplace_entropy_constant_bits_pinned():
     # exact reprs of the radial quadrature: a change to its grid, its density
     # or the Bessel-K evaluation shows here before it reaches any estimate
     pinned = {
         2: "2.6487362437541293",
-        3: "3.914087811227787",
-        6: "7.578491969421076",
-        32: "37.73466449737702",
-        100: "115.15387072612282",
+        3: "3.9140878112277875",
+        6: "7.578491969421079",
+        32: "37.73466449737701",
+        100: "115.15387072612312",
     }
     assert {d: repr(laplace_entropy_constant(d)) for d in pinned} == pinned
 

@@ -904,6 +904,8 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
      ({"noise_scale": [1]}, "'noise_scale'"),
      ({"edges": None, "grid_layout": 5}, "'grid_layout'"),
      ({"edges": [{"source": 1, "target": 2, "weight": "0.5"}]}, "'weight'"),
+     ({"edges": [{"source": 1, "target": 2, "weight": 0.5}] * 2},
+      "edge 1 (0, 1) is already listed"),
      ({**COUPLING_BLOCKS["grid_layout"], "edges": None, "edge_weight": "0.5"}, "'edge_weight'"),
      ({"noise_scale": True}, "'noise_scale'"),
      ({"edges": [{"source": 1, "target": 2, "weight": float("nan")}]}, "'weight'"),

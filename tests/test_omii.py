@@ -304,6 +304,29 @@ def test_laplace_network_is_gaussian_network_shifted(coupling):
         assert abs(e.threshold - (gau_edges[e.source, e.target].threshold + delta)) < 1e-12
 
 
+def test_family_changes_no_decision():
+    # every test of one target and |K| = k adds the same delta(k) to its actual
+    # CMI and to each null, so the family moves no argmax and no comparison
+    # (short of a tie within an ulp); on this record the two networks list the
+    # same edges in the same order, Laplace values exactly Gaussian + delta(k)
+    coupling = random_dag_coupling(10, 0.35, 0.5, 3)
+    spec = GeneratorSpec(10, 1500, coupling, innovation=Family.LAPLACE, seed=41)
+    x = generate_contemporaneous(spec)
+    gau_cfg, lap_cfg = (
+        OmiiConfig(f, theta=0.1, n_shuffles=50, seed=43) for f in (GAUSS, Family.LAPLACE)
+    )
+    gau, lap = infer_network(x, gau_cfg), infer_network(x, lap_cfg)
+    assert [(e.source, e.target) for e in lap.edges] == [(e.source, e.target) for e in gau.edges]
+    rank = {}
+    for target in range(x.n_channels):
+        found = discover(x, target, gau_cfg)
+        rank.update({(p, target): k for k, p in enumerate(found.parents)})
+    assert {rank[e.source, e.target] for e in gau.edges} >= {0, 1, 2, 3}
+    for g, l in zip(gau.edges, lap.edges):
+        delta = cmi_offset(Family.LAPLACE, rank[g.source, g.target])
+        assert (l.weight, l.threshold) == (g.weight + delta, g.threshold + delta)
+
+
 def test_infer_network_wraps_only_package_errors(monkeypatch):
     x = independent_matrix(5, n=3)
     cfg = OmiiConfig(GAUSS, n_shuffles=10, seed=1)

@@ -149,6 +149,12 @@ def test_coupling_from_edges_validation():
         coupling_from_edges(3, [(1, 1, 0.5)])
 
 
+def test_coupling_from_edges_rejects_a_repeated_edge():
+    with pytest.raises(ValueError, match=r"edge 2 \(0, 1\) is already listed"):
+        coupling_from_edges(3, [(0, 1, 0.5), (1, 2, 0.4), (0, 1, 0.3)])
+    assert coupling_from_edges(2, [(0, 1, 0.5), (1, 0, 0.3)])[1, 0] == 0.3
+
+
 _GENERATORS = [(generate_var, generate_var_reference),
                (generate_contemporaneous, generate_contemporaneous_reference)]
 
