@@ -904,15 +904,15 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
      ({"noise_scale": [1]}, "'noise_scale'"),
      ({"edges": None, "grid_layout": 5}, "'grid_layout'"),
      ({"edges": [{"source": 1, "target": 2, "weight": "0.5"}]}, "'weight'"),
-     ({"edges": [{"source": 1, "target": 2, "weight": 0.5}] * 2},
-      "edge 1 (0, 1) is already listed"),
      ({**COUPLING_BLOCKS["grid_layout"], "edges": None, "edge_weight": "0.5"}, "'edge_weight'"),
      ({"noise_scale": True}, "'noise_scale'"),
      ({"edges": [{"source": 1, "target": 2, "weight": float("nan")}]}, "'weight'"),
      ({"edges": None, "random_dag": {"density": 0.3, "weight": float("inf"), "graph_seed": 2}},
       "'weight'"),
      ({"edges": None, "random_dag": {"density": 7.5, "weight": 0.4, "graph_seed": 2}},
-      "density must be in [0, 1], got 7.5")],
+      "density must be in [0, 1], got 7.5"),
+     ({"edges": [{"source": 1, "target": 2, "weight": 0.5}] * 2},
+      "edge 1 (0, 1) is already listed")],
 )
 def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     spec = json.loads(generator_json(tmp_path).read_text())
