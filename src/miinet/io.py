@@ -64,14 +64,14 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
 
     The body is read in blocks of whole lines by `floatparse.parse_block`: by the
     caller and one forked child, one half of the bytes each, when the body has
-    SPLIT_BYTES and `_can_fork` allows, else in one process. It parses decimal
-    cells, -?D+(.D*)?([eE][+-]?D+)?, in numpy, exactly as `float` reads them,
-    and hands the rest to `float`. A body it rejects (quotes, interior blank
-    lines, lone CRs, ragged rows, bytes that are not UTF-8, a cell `float`
-    rejects, ...) goes to the cell parser, which alone raises `ParseError`, so
-    errors keep line and column. A byte that is not UTF-8 is a ParseError at
-    its cell or header name. The parsed array becomes the matrix's data without
-    a copy.
+    SPLIT_BYTES and `_can_fork` allows, else in one process. A split that does
+    not finish is read again in one process. It parses decimal cells,
+    -?D+(.D*)?([eE][+-]?D+)?, in numpy, exactly as `float` reads them, and
+    hands the rest to `float`. A body it rejects (quotes, interior blank lines,
+    lone CRs, ragged rows, bytes that are not UTF-8, a cell `float` rejects,
+    ...) goes to the cell parser, which alone raises `ParseError`, so errors
+    keep line and column. A byte that is not UTF-8 is a ParseError at its cell
+    or header name. The parsed array becomes the matrix's data without a copy.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -127,18 +127,23 @@ def _can_fork() -> bool:
     )
 
 
-def _fork(work) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a forked child that runs work(pipe) on the write end.
+def _in_two(theirs, mine, take) -> bool:
+    """Run theirs(pipe) in a forked child while the caller runs mine(), then take(read_fd).
 
     The child imports nothing, collects no garbage (whose file objects could flush
-    the caller's buffers) and leaves by os._exit: 0 if work returned, 1 if it raised.
+    the caller's buffers) and leaves by os._exit: 0 if `theirs` returned, 1 if it
+    raised. The caller kills the child unless mine() and take() both returned
+    true, and always reaps it. True only when all three succeeded; False, with
+    nothing run, when os.fork fails.
     """
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except BaseException:
+    except BaseException as exc:
         os.close(read_fd)
         os.close(write_fd)
+        if isinstance(exc, OSError):
+            return False
         raise
     if pid == 0:
         code = 1
@@ -146,26 +151,23 @@ def _fork(work) -> tuple[int, int]:
             gc.disable()
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                work(pipe)
+                theirs(pipe)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    return pid, read_fd
-
-
-def _reap(pid: int, read_fd: int, wanted: bool) -> bool:
-    """Close the pipe, kill the child unless its result is `wanted`, and wait for it.
-
-    True if the child exited 0 by itself.
-    """
-    os.close(read_fd)
+    done = False
     try:
-        if not wanted:
-            os.kill(pid, signal.SIGKILL)
-        return os.waitpid(pid, 0)[1] == 0
-    except (ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: reaped unseen
-        return False
+        done = mine() and take(read_fd)
+    finally:
+        os.close(read_fd)
+        try:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            done = os.waitpid(pid, 0)[1] == 0 and done
+        except (ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: reaped unseen
+            done = False
+    return done
 
 
 def _read_into(fd: int, array: np.ndarray) -> bool:
@@ -186,8 +188,9 @@ def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
     and the lines are counted first, so that the array is allocated once. When
     `_can_fork` allows, a forked child parses the bytes after the first line end
     past the midpoint into its copy of the array and sends those rows through a
-    pipe, while the caller parses the bytes before. None when any block is
-    rejected, the child fails or the file changes while it is read.
+    pipe, while the caller parses the bytes before. A split that does not finish
+    is parsed again in one process, which returns None when a block is rejected
+    or the file changes while it is read.
     """
     with path.open("rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
@@ -196,8 +199,7 @@ def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
         size = tail + len(raw.read(max(size - tail, 0)).rstrip(b"\r\n"))
         if size <= body:  # no body, or a file (in /proc, say) whose size is not its length
             return None
-        split = size - body >= SPLIT_BYTES and _can_fork()
-        mid = _midline(raw, body, size) if split else size
+        mid = _midline(raw, body, size) if size - body >= SPLIT_BYTES and _can_fork() else size
         ours, theirs = fp.count_lines(raw, body, mid), fp.count_lines(raw, mid, size)
         if ours is None or theirs is None:
             return None
@@ -208,18 +210,10 @@ def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
                 if fp.parse_lines(own, mid, size, data[ours:]):
                     pipe.write(data[ours:].data)
 
-        try:
-            pid, pipe = _fork(parse_rest) if mid < size else (None, None)
-        except OSError:  # no child: this process parses it all
-            pid = None
-        if pid is None:
-            return data if fp.parse_lines(raw, body, size, data) else None
-        done = False
-        try:
-            done = fp.parse_lines(raw, body, mid, data[:ours]) and _read_into(pipe, data[ours:])
-        finally:
-            done = _reap(pid, pipe, done) and done
-    return data if done else None
+        if mid < size and _in_two(parse_rest, lambda: fp.parse_lines(raw, body, mid, data[:ours]),
+                                  lambda read_fd: _read_into(read_fd, data[ours:])):
+            return data
+        return data if fp.parse_lines(raw, body, size, data) else None
 
 
 def _midline(raw, body: int, size: int) -> int:
@@ -264,47 +258,35 @@ def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
 
     The bytes of `csv.writer(fh).writerows(x.data.tolist())`, formatted a block
     of rows at a time by `_csv_lines`. When `_can_fork` allows, a forked child
-    formats the second half of the rows while the caller writes the first; the
-    caller copies the child's bytes after its own, or formats those rows itself
-    if the child fails.
+    formats the second half of the rows while the caller writes the first, and
+    the caller copies the child's bytes after its own. A split that does not
+    finish is cut back to the header, and the caller writes every row itself.
     """
     rows = x.data
-    with Path(path).open("wb") as fh:
-        fh.write((",".join(ch.name for ch in x.channels) + "\r\n").encode())
-        if fh.seekable() and rows.size * _CELL_BYTES >= SPLIT_BYTES and _can_fork():
-            rows = _write_split(fh, rows)
-        fh.writelines(_csv_lines(rows))
-
-
-def _write_split(fh, rows: np.ndarray) -> np.ndarray:
-    """Write the first half of rows while a forked child formats the rest, then copy its bytes.
-
-    Returns the rows still to write: none, or the second half if the child failed.
-    """
     half = len(rows) // 2
 
     def format_rest(pipe):
         # all of it before the first write, which blocks until the caller reads
         pipe.write(b"".join(_csv_lines(rows[half:])))
 
-    try:
-        pid, pipe = _fork(format_rest)
-    except OSError:
-        return rows
-    done = False
-    try:
+    def write_first():
         fh.writelines(_csv_lines(rows[:half]))
-        start = fh.tell()
-        while chunk := os.read(pipe, 1 << 16):  # a pipe's capacity
+        return True
+
+    def copy_rest(read_fd):
+        while chunk := os.read(read_fd, 1 << 16):  # a pipe's capacity
             fh.write(chunk)
-        done = True
-    finally:
-        done = _reap(pid, pipe, done) and done
-    if done:
-        return rows[:0]
-    fh.seek(start)
-    fh.truncate()
-    return rows[half:]
+        return True
+
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(ch.name for ch in x.channels) + "\r\n").encode())
+        if fh.seekable() and rows.size * _CELL_BYTES >= SPLIT_BYTES and _can_fork():
+            start = fh.tell()
+            if _in_two(format_rest, write_first, copy_rest):
+                return
+            fh.seek(start)
+            fh.truncate()
+        fh.writelines(_csv_lines(rows))
 
 
 def load_grid_csv(path) -> SensorGrid:
@@ -483,11 +465,14 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     if sum(key in raw for key in ("edges", "grid_layout", "random_dag")) != 1:
         raise ValueError("specify exactly one of edges / grid_layout / random_dag")
     if "edges" in raw:
-        edges = []
+        sensor = (f"a sensor in 1..{n}", lambda v: _INDEX[1](v) and 1 <= v <= n)
+        weights = {}
         for k, e in enumerate(field(raw, "edges", top, _LIST)):
-            source, target = (field(e, key, f"edge {k}", _INDEX) for key in ("source", "target"))
-            edges.append((source - 1, target - 1, field(e, "weight", f"edge {k}", _NUMBER)))
-        coupling = coupling_from_edges(n, edges)
+            pair = tuple(field(e, key, f"edge {k}", sensor) for key in ("source", "target"))
+            if pair in weights:
+                raise ValueError(f"edge {k} {pair[0]} -> {pair[1]} is already listed")
+            weights[pair] = field(e, "weight", f"edge {k}", _NUMBER)
+        coupling = coupling_from_edges(n, [(a - 1, b - 1, w) for (a, b), w in weights.items()])
     elif "grid_layout" in raw:
         grid = load_grid_csv(field(raw, "grid_layout", top, _TEXT))
         if max(grid.sensors) > n:

@@ -264,6 +264,11 @@ def _remove(
     return pruned, failures
 
 
+def _check_channels(x: TimeSeriesMatrix, channels: Sequence[int]) -> None:
+    if not all(0 <= c < x.n_channels for c in channels):
+        raise ValueError(f"channel indices {list(channels)} outside 0..{x.n_channels - 1}")
+
+
 def _raise_first(results: tuple[list[ParentSet], list[tuple[int, Exception]]]) -> ParentSet:
     parent_sets, failures = results
     if failures:
@@ -289,8 +294,7 @@ def shuffle_test(
     channels = (i, j, *cond)
     if len(set(channels)) != len(channels):
         raise ValueError("i, j and the conditioning channels must all differ")
-    if not all(0 <= c < x.n_channels for c in channels):
-        raise ValueError(f"channel indices {list(channels)} outside 0..{x.n_channels - 1}")
+    _check_channels(x, channels)
     orders = np.array([(*cond, i)], dtype=np.intp)
     design = _Design(x, cfg)
     passed, actual, thresholds = _shuffle_tests(
@@ -304,6 +308,7 @@ def discover(x: TimeSeriesMatrix, i: int, cfg: OmiiConfig) -> ParentSet:
 
     Ties in the argmax break toward the lowest channel index.
     """
+    _check_channels(x, [int(i)])
     return _raise_first(_discover(_Design(x, cfg), [int(i)]))
 
 
@@ -314,6 +319,7 @@ def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) 
     """
     if discovered.target != int(i):
         raise ValueError("parent set belongs to a different target")
+    _check_channels(x, [discovered.target, *discovered.parents])
     return _raise_first(_remove(_Design(x, cfg), [discovered]))
 
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import csv
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -510,7 +511,7 @@ def test_split_read_leaves_no_child_and_matches_serial(tmp_path, bad_line, child
     patches = {
         "works": contextlib.nullcontext(),
         "exits 3": mock.patch.object(fp, "parse_lines", child_exits_3(fp.parse_lines)),
-        "dies mid-pipe": mock.patch.object(mio, "_fork", dying_fork),
+        "dies mid-pipe": mock.patch.object(mio, "_in_two", dying_fork),
         "is reaped unseen": ignored_sigchld(),
     }
     with mock.patch.object(mio, "SPLIT_BYTES", 0), patches[child]:
@@ -542,34 +543,35 @@ def test_split_read_kills_a_child_whose_rows_are_not_wanted(tmp_path):
 @pytest.mark.parametrize("wanted", [False, True])
 def test_reap_takes_a_child_that_was_reaped_unseen(wanted):
     """With SIGCHLD ignored, a child that exits before the caller reaps it is gone:
-    neither the kill nor the wait finds it, and _reap says the child failed."""
-    with ignored_sigchld():
-        pid, pipe = mio._fork(lambda pipe: None)
+    neither the kill nor the wait finds it, and _in_two says the split failed."""
+    def until_reaped_unseen():
         deadline = time.monotonic() + 30
         while True:
             try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                break
+                os.waitpid(-1, os.WNOHANG)
+            except ChildProcessError:
+                return wanted
             assert time.monotonic() < deadline
             time.sleep(0.001)
-        assert mio._reap(pid, pipe, wanted) is False
+
+    with ignored_sigchld():
+        assert mio._in_two(lambda pipe: None, until_reaped_unseen, lambda read_fd: True) is False
     assert_no_children()
 
 
-real_fork = mio._fork
+real_in_two = mio._in_two
 
 
-def dying_fork(work):
-    """_fork with a child that sends the first half of what `work` writes, then exits 3."""
+def dying_fork(theirs, mine, take):
+    """_in_two with a child that sends the first half of what `theirs` writes, then exits 3."""
     def first_half(pipe):
         sent = io.BytesIO()
-        work(sent)
+        theirs(sent)
         pipe.write(sent.getvalue()[: sent.tell() // 2])
         pipe.flush()
         os._exit(3)
 
-    return real_fork(first_half)
+    return real_in_two(first_half, mine, take)
 
 
 @needs_fork
@@ -582,7 +584,7 @@ def test_split_write_leaves_no_child_and_matches_serial(tmp_path, child):
     patches = {
         "works": contextlib.nullcontext(),
         "exits 3": mock.patch.object(mio, "_csv_lines", child_exits_3(mio._csv_lines)),
-        "dies mid-pipe": mock.patch.object(mio, "_fork", dying_fork),
+        "dies mid-pipe": mock.patch.object(mio, "_in_two", dying_fork),
         "is reaped unseen": ignored_sigchld(),
     }
     with mock.patch.object(mio, "SPLIT_BYTES", 0), patches[child]:
@@ -603,6 +605,41 @@ def test_no_fork_without_a_second_core_or_os_fork(tmp_path, monkeypatch, no_spli
         monkeypatch.delattr(os, "fork", raising=False)
     mio.write_timeseries_csv(x, path)
     np.testing.assert_array_equal(mio.read_timeseries_csv(path).data, x.data)
+
+
+def test_split_runs_in_one_process_when_fork_fails(tmp_path, monkeypatch):
+    """os.fork raising EAGAIN: the serial bytes and array, and both ends of the pipe closed."""
+    x = make_matrix(np.random.default_rng(8).standard_normal((3000, 4)))
+    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
+    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
+        mio.write_timeseries_csv(x, serial)
+        serial_back = mio.read_timeseries_csv(serial).data
+    pipes, real_pipe = [], os.pipe
+
+    def recording_pipe():
+        pipes.append(real_pipe())
+        return pipes[-1]
+
+    monkeypatch.setattr(mio, "SPLIT_BYTES", 0)
+    monkeypatch.setattr(mio, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "pipe", recording_pipe)
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError(errno.EAGAIN, "no fork")),
+                        raising=False)
+
+    def assert_pipe_closed():
+        assert len(pipes) == 1
+        for fd in pipes.pop():
+            with pytest.raises(OSError) as err:
+                os.fstat(fd)
+            assert err.value.errno == errno.EBADF
+
+    mio.write_timeseries_csv(x, split)
+    assert_pipe_closed()
+    assert split.read_bytes() == serial.read_bytes()
+    back = mio.read_timeseries_csv(split)
+    assert_pipe_closed()
+    assert back.data.tobytes() == serial_back.tobytes()
+    assert os.fork.call_count == 2
 
 
 # ------------------------------------------------------------------ grid
@@ -912,7 +949,9 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
      ({"edges": None, "random_dag": {"density": 7.5, "weight": 0.4, "graph_seed": 2}},
       "density must be in [0, 1], got 7.5"),
      ({"edges": [{"source": 1, "target": 2, "weight": 0.5}] * 2},
-      "edge 1 (0, 1) is already listed")],
+      "edge 1 1 -> 2 is already listed"),
+     ({"edges": [{"source": 0, "target": 2, "weight": 0.5}]},
+      "edge 0 'source' must be a sensor in 1..4, got 0")],
 )
 def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     spec = json.loads(generator_json(tmp_path).read_text())

@@ -85,6 +85,21 @@ def test_shuffle_test_argument_validation():
         shuffle_test(x, 0, 1, (1,), cfg)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+@pytest.mark.parametrize("call", ["shuffle_test", "discover", "remove"])
+def test_channel_indices_outside_the_matrix_are_rejected(call, bad):
+    """-1 must not wrap round to channel N-1, and N must not escape as an IndexError."""
+    x = independent_matrix(1, n=3)
+    cfg = OmiiConfig(family=GAUSS, seed=1)
+    calls = {
+        "shuffle_test": lambda: shuffle_test(x, 0, bad, (), cfg),
+        "discover": lambda: discover(x, bad, cfg),
+        "remove": lambda: remove(x, 0, ParentSet(0, (Edge(bad, 0, 0.1, 0.05),)), cfg),
+    }
+    with pytest.raises(ValueError, match=rf"channel indices \[.*{bad}.*\] outside 0\.\.2"):
+        calls[call]()
+
+
 def test_shuffle_test_deterministic():
     # seed A, then B, then A: the permutation bank of B must not leak into A
     x = independent_matrix(2, n=3)
