@@ -10,7 +10,7 @@ import argparse
 import json
 from pathlib import Path
 
-from miinet import Axis
+from miinet import Axis, OmiiConfig
 from miinet.cli import RunConfig, run_pipeline
 from miinet.io import bundled_grid_path, load_bundled_grid, write_timeseries_csv
 from miinet.spatial import neighbor_pairs
@@ -51,10 +51,7 @@ def main() -> int:
         ),
         grid_path=str(bundled_grid_path()),
         axis=Axis.LATERAL,
-        family=args.family,
-        theta=args.theta,
-        n_shuffles=args.n_shuffles,
-        seed=args.seed,
+        omii=OmiiConfig(args.family, args.theta, args.n_shuffles, args.seed),
         out_dir=str(out / "bundle"),
     )
     written = run_pipeline(cfg)

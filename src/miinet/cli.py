@@ -13,7 +13,7 @@ import argparse
 import errno
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import io
@@ -30,21 +30,17 @@ from .synthetic import generate_contemporaneous, generate_var
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Full pipeline configuration; seed is mandatory, never wall-clock."""
+    """Full pipeline configuration; `omii.seed` is the run's seed, never wall-clock."""
 
     baseline_label: str
     baseline_path: str
     scenarios: tuple[tuple[str, str], ...]
     grid_path: str
     axis: Axis
-    family: Family
-    theta: float
-    n_shuffles: int
-    seed: int
+    omii: OmiiConfig
     out_dir: str
 
     def __post_init__(self):
-        omii_cfg = OmiiConfig(self.family, self.theta, self.n_shuffles, self.seed)
         labels = [self.baseline_label] + [label for label, _ in self.scenarios]
         if len(set(labels)) != len(labels):
             raise ValueError("scenario labels must be unique")
@@ -62,18 +58,15 @@ class RunConfig:
             if not Path(path).is_file():
                 raise FileNotFoundError(f"input file {path} does not exist")
         object.__setattr__(self, "axis", Axis(self.axis))
-        object.__setattr__(self, "family", omii_cfg.family)
 
     def as_dict(self) -> dict:
+        """Every field but `out_dir`, with `OmiiConfig`'s fields as top-level keys."""
         return {
             "baseline": {"label": self.baseline_label, "path": str(self.baseline_path)},
             "scenarios": [{"label": l, "path": str(p)} for l, p in self.scenarios],
             "grid": str(self.grid_path),
             "axis": self.axis.value,
-            "family": self.family.value,
-            "theta": self.theta,
-            "n_shuffles": self.n_shuffles,
-            "seed": self.seed,
+            **asdict(self.omii),
         }
 
 
@@ -140,9 +133,8 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     mi_maps, networks = {}, {}
     for (label, _), x in zip(all_scenarios, matrices):
         sub = _axis_matrix(x, cfg.axis, grid)
-        mi_maps[label] = pairwise_mi_map(sub, grid, cfg.axis, cfg.family, scenario=label)
-        seed = derive_seed(cfg.seed, "omii", label)
-        omii_cfg = OmiiConfig(cfg.family, cfg.theta, cfg.n_shuffles, seed)
+        mi_maps[label] = pairwise_mi_map(sub, grid, cfg.axis, cfg.omii.family, scenario=label)
+        omii_cfg = replace(cfg.omii, seed=derive_seed(cfg.omii.seed, "omii", label))
         networks[label] = infer_network(sub, omii_cfg, {"scenario": label, "axis": cfg.axis.value})
 
     out_dir = Path(cfg.out_dir)
@@ -154,7 +146,7 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     for d in dirs:
         d.mkdir(parents=True, exist_ok=True)
     config_dict = cfg.as_dict()
-    prov = io.provenance(config_dict, cfg.seed)
+    prov = io.provenance(config_dict, cfg.omii.seed)
     written: list[Path] = []
     for (label, _), x in zip(all_scenarios, matrices):
         paths = [out_dir / label / name for name in _SCENARIO_FILES]
@@ -184,80 +176,62 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _provenance(args) -> dict:
+    """Provenance hashing every parsed argument but where the verb writes (--out, --out-prefix)."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "out_prefix")}
+    return io.provenance(config, getattr(args, "seed", 0))
+
+
+def _omii_config(args) -> OmiiConfig:
+    """The `OmiiConfig` of argv's options, one per field."""
+    return OmiiConfig(**{f.name: getattr(args, f.name) for f in fields(OmiiConfig)})
+
+
 def _cmd_fit_report(args) -> int:
     x = standardize(io.read_timeseries_csv(args.input))
-    config = {"verb": "fit-report", "input": str(args.input)}
-    _write_fit_report(x, io.provenance(config, args.seed), args.out)
+    _write_fit_report(x, _provenance(args), args.out)
     return 0
 
 
 def _cmd_pairwise_mi(args) -> int:
     x = standardize(io.read_timeseries_csv(args.input))
     grid = io.load_grid_csv(args.grid)
-    axis = Axis(args.axis)
-    family = Family(args.family)
+    axis, family = Axis(args.axis), Family(args.family)
     mi_map = pairwise_mi_map(_axis_matrix(x, axis, grid), grid, axis, family, args.scenario)
-    config = {
-        "verb": "pairwise-mi",
-        "input": str(args.input),
-        "grid": str(args.grid),
-        "axis": axis.value,
-        "family": family.value,
-        "seed": args.seed,
-    }
-    io.write_mi_map_csv(mi_map, io.provenance(config, args.seed), args.out)
+    io.write_mi_map_csv(mi_map, _provenance(args), args.out)
     return 0
 
 
 def _cmd_omii(args) -> int:
     x = standardize(io.read_timeseries_csv(args.input))
     axis = Axis(args.axis)
-    family = Family(args.family)
-    cfg = OmiiConfig(family, args.theta, args.n_shuffles, derive_seed(args.seed, "omii"))
-    config = {
-        "verb": "omii",
-        "input": str(args.input),
-        "axis": axis.value,
-        "family": family.value,
-        "theta": args.theta,
-        "n_shuffles": args.n_shuffles,
-        "seed": args.seed,
-    }
+    cfg = replace(_omii_config(args), seed=derive_seed(args.seed, "omii"))
     grid = io.load_grid_csv(args.grid) if args.grid else None
     paths = [f"{args.out_prefix}{suffix}" for suffix in (".json", ".dot", "_degrees.csv")]
     net = infer_network(_axis_matrix(x, axis), cfg, {"axis": axis.value})
-    _write_network(net, io.provenance(config, args.seed), grid, paths)
+    _write_network(net, _provenance(args), grid, paths)
     return 0
 
 
 def _cmd_diff(args) -> int:
-    config = {
-        "verb": "diff",
-        "kind": args.kind,
-        "baseline": str(args.baseline),
-        "comparison": str(args.comparison),
-    }
-    prov = io.provenance(config, 0)
     if args.kind == "mi-map":
         read, diff, write = io.read_mi_map_csv, mi_map_diff, io.write_mi_map_diff_csv
     else:
         read, diff, write = io.read_network_json, network_diff, io.write_network_diff_json
-    write(diff(read(args.baseline), read(args.comparison)), prov, args.out)
+    write(diff(read(args.baseline), read(args.comparison)), _provenance(args), args.out)
     return 0
 
 
 def _cmd_pipeline(args) -> int:
     scenarios = tuple(_parse_labeled(s) for s in args.scenario or [])
+    label, path = _parse_labeled(args.baseline)
     cfg = RunConfig(
-        baseline_label=_parse_labeled(args.baseline)[0],
-        baseline_path=_parse_labeled(args.baseline)[1],
+        baseline_label=label,
+        baseline_path=path,
         scenarios=scenarios,
         grid_path=args.grid,
-        axis=Axis(args.axis),
-        family=Family(args.family),
-        theta=args.theta,
-        n_shuffles=args.n_shuffles,
-        seed=args.seed,
+        axis=args.axis,
+        omii=_omii_config(args),
         out_dir=args.out,
     )
     run_pipeline(cfg)
@@ -271,9 +245,13 @@ def _parse_labeled(token: str) -> tuple[str, str]:
     return label, path
 
 
-def _add_estimator_args(parser):
+def _add_estimator_args(parser, omii: bool = False):
+    """--family and --seed; with `omii`, the rest of `OmiiConfig`'s options too."""
     parser.add_argument("--family", choices=["gaussian", "laplace"], default="laplace")
     parser.add_argument("--seed", type=int, required=True)
+    if omii:
+        parser.add_argument("--theta", type=float, default=0.1)
+        parser.add_argument("--n-shuffles", type=int, default=100)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--axis", choices=["lateral", "vertical"], required=True)
     p.add_argument("--grid", default=None, help="optional layout for DOT positions")
-    p.add_argument("--theta", type=float, default=0.1)
-    p.add_argument("--n-shuffles", type=int, default=100)
     p.add_argument("--out-prefix", required=True)
-    _add_estimator_args(p)
+    _add_estimator_args(p, omii=True)
     p.set_defaults(func=_cmd_omii)
 
     p = sub.add_parser("diff", help="diff two MI maps or two networks")
@@ -325,10 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", action="append", help="label=path, repeatable")
     p.add_argument("--grid", required=True)
     p.add_argument("--axis", choices=["lateral", "vertical"], required=True)
-    p.add_argument("--theta", type=float, default=0.1)
-    p.add_argument("--n-shuffles", type=int, default=100)
     p.add_argument("--out", required=True)
-    _add_estimator_args(p)
+    _add_estimator_args(p, omii=True)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

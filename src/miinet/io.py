@@ -102,12 +102,14 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
 
 # Bodies of this many bytes or more are written, and read, by the caller and one forked
 # child, one half each. On a shared 2-core Xeon, forking, copy-on-write faults and
-# reaping cost 5-10 ms in a process that has forked many times, where a split pays from
-# about 1.7 MB, and more in a fresh one: a `miinet` call writes and reads a 60 x 1,442
-# record (1.7 MB) in 33-47 / 22-29 ms in one process against 39-62 / 26-46 ms split,
-# and 60 x 3,500 (4.1 MB) or 30 x 5,900 (3.5 MB) records still lose split, while a
-# 30 x 11,536 one (6.8 MB) writes in 131-184 ms against 92-145 ms and reads in 73-101
-# against 66-104 ms.
+# reaping cost 5-10 ms, and more in a fresh process: a `miinet` call writes and reads a
+# 60 x 1,442 record (1.7 MB) in 33-47 / 22-29 ms in one process against 39-62 / 26-46 ms
+# split, and 60 x 3,500 (4.1 MB) or 30 x 5,900 (3.5 MB) records still lose split, while
+# a 30 x 11,536 one (6.8 MB) writes in 131-184 ms against 92-145 ms and reads in 73-101
+# against 66-104 ms. Splitting 1.7 MB records loses in the long-running benchmark worker
+# too, which runs BLAS between reads: at a 1 MiB floor, laplace-mc's `bundle_s` median
+# was 0.079 s against 0.064 s (6/6 pairs) and gaussian-paper's 0.162 against 0.134 s
+# (5/6). The cause was not traced.
 SPLIT_BYTES = 1 << 21
 # a float64 repr and its comma: the writer's estimate of body bytes per cell
 _CELL_BYTES = 20
@@ -469,6 +471,8 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
         weights = {}
         for k, e in enumerate(field(raw, "edges", top, _LIST)):
             pair = tuple(field(e, key, f"edge {k}", sensor) for key in ("source", "target"))
+            if pair[0] == pair[1]:
+                raise ValueError(f"edge {k} is a self-loop on sensor {pair[0]}")
             if pair in weights:
                 raise ValueError(f"edge {k} {pair[0]} -> {pair[1]} is already listed")
             weights[pair] = field(e, "weight", f"edge {k}", _NUMBER)

@@ -217,10 +217,7 @@ def _pipeline_config(tmp_path, out_name: str) -> RunConfig:
         scenarios=(("damage1", str(tmp_path / "dam.csv")),),
         grid_path=str(grid_csv),
         axis=Axis.LATERAL,
-        family=Family.LAPLACE,
-        theta=0.1,
-        n_shuffles=20,
-        seed=99,
+        omii=OmiiConfig(Family.LAPLACE, theta=0.1, n_shuffles=20, seed=99),
         out_dir=str(tmp_path / out_name),
     )
 

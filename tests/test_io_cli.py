@@ -1,11 +1,14 @@
+import argparse
 import contextlib
 import copy
 import csv
 import dataclasses
+import enum
 import errno
 import io
 import json
 import os
+import re
 import signal
 import time
 import warnings
@@ -19,7 +22,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from miinet import Axis, ChannelId, TimeSeriesMatrix, core, neighbor_pairs, standardize
-from miinet.cli import RunConfig, build_fit_report, load_generator_spec, main, run_pipeline
+from miinet.cli import (
+    RunConfig, _omii_config, build_fit_report, build_parser, load_generator_spec, main, run_pipeline,
+)
 from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetError, ParseError
 from miinet import floatparse as fp
 from miinet import io as mio
@@ -951,7 +956,10 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
      ({"edges": [{"source": 1, "target": 2, "weight": 0.5}] * 2},
       "edge 1 1 -> 2 is already listed"),
      ({"edges": [{"source": 0, "target": 2, "weight": 0.5}]},
-      "edge 0 'source' must be a sensor in 1..4, got 0")],
+      "edge 0 'source' must be a sensor in 1..4, got 0"),
+     ({"edges": [{"source": 1, "target": 2, "weight": 0.5},
+                 {"source": 2, "target": 2, "weight": 0.5}]},
+      "edge 1 is a self-loop on sensor 2")],
 )
 def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     spec = json.loads(generator_json(tmp_path).read_text())
@@ -1381,17 +1389,18 @@ def pipeline_inputs(tmp_path):
 
 
 def run_config(tmp_path, out_name="out", **overrides):
+    """A pipeline config on `pipeline_inputs`; overrides of `OmiiConfig` fields go to `omii`."""
     grid, base, dam = pipeline_inputs(tmp_path)
+    omii = dict(family="gaussian", theta=0.1, n_shuffles=25, seed=99)
+    for name in [f.name for f in dataclasses.fields(OmiiConfig) if f.name in overrides]:
+        omii[name] = overrides.pop(name)
     kwargs = dict(
         baseline_label="baseline",
         baseline_path=str(base),
         scenarios=(("damage1", str(dam)),),
         grid_path=str(grid),
         axis=Axis.LATERAL,
-        family="gaussian",
-        theta=0.1,
-        n_shuffles=25,
-        seed=99,
+        omii=OmiiConfig(**omii),
         out_dir=str(tmp_path / out_name),
     )
     kwargs.update(overrides)
@@ -1461,7 +1470,7 @@ def test_pipeline_writes_what_its_steps_compute(tmp_path):
     x = standardize(mio.read_timeseries_csv(record))
     columns = x.axis_channel_indices(Axis.LATERAL)
     sub = x.select([columns[s] for s in sorted(columns)])
-    omii_cfg = OmiiConfig(cfg.family, cfg.theta, cfg.n_shuffles, derive_seed(99, "omii", label))
+    omii_cfg = dataclasses.replace(cfg.omii, seed=derive_seed(99, "omii", label))
     edges = mio.read_network_json(scen_dir / "omii_network.json").edges
     assert edges and edges == infer_network(sub, omii_cfg).edges
 
@@ -1498,10 +1507,7 @@ def test_pipeline_rejects_duplicate_labels(tmp_path):
             scenarios=(("x", str(dam)),),
             grid_path=str(grid),
             axis=Axis.LATERAL,
-            family="gaussian",
-            theta=0.1,
-            n_shuffles=10,
-            seed=1,
+            omii=OmiiConfig("gaussian", theta=0.1, n_shuffles=10, seed=1),
             out_dir=str(tmp_path / "o"),
         )
 
@@ -1678,9 +1684,116 @@ def test_pipeline_missing_file_rejected(tmp_path):
             scenarios=(),
             grid_path=str(grid),
             axis=Axis.LATERAL,
-            family="gaussian",
-            theta=0.1,
-            n_shuffles=10,
-            seed=1,
+            omii=OmiiConfig("gaussian", theta=0.1, n_shuffles=10, seed=1),
             out_dir=str(tmp_path / "o"),
         )
+
+
+# ------------------------------------------------------------ provenance
+
+# Where each verb writes; the one argument its config_hash leaves out.
+OUTPUT_OPTIONS = {"generate": "--out", "fit-report": "--out", "pairwise-mi": "--out",
+                  "omii": "--out-prefix", "diff": "--out", "pipeline": "--out"}
+OMII_VERBS = ("omii", "pipeline")
+ESTIMATOR = ["--family", "gaussian", "--seed", "1"]
+# argv templates over the files of `verb_files`
+BASE_ARGV = {
+    "generate": ["--spec", "{spec}"],
+    "fit-report": ["--input", "{a}"],
+    "pairwise-mi": ["--input", "{a}", "--grid", "{grid}", "--axis", "lateral", *ESTIMATOR],
+    "omii": ["--input", "{a}", "--axis", "lateral", "--n-shuffles", "20", *ESTIMATOR],
+    "diff": ["--kind", "mi-map", "--baseline", "{map_a}", "--comparison", "{map_b}"],
+    "pipeline": ["--baseline", "h={a}", "--scenario", "d={b}", "--grid", "{grid}",
+                 "--axis", "lateral", "--n-shuffles", "20", *ESTIMATOR],
+}
+# Per verb that hashes its config, each argument outside `OmiiConfig` and argv that
+# changes it, appended to the base (the last value given wins). `--kind` needs inputs
+# of its kind. The `OmiiConfig` fields of `OMII_VERBS` are changed by `omii_change`.
+CHANGES = {
+    "fit-report": {"input": ["--input", "{b}"], "seed": ["--seed", "2"]},
+    "pairwise-mi": {"input": ["--input", "{b}"], "grid": ["--grid", "{grid2}"],
+                    "axis": ["--axis", "vertical"], "scenario": ["--scenario", "d"],
+                    "family": ["--family", "laplace"], "seed": ["--seed", "2"]},
+    "omii": {"input": ["--input", "{b}"], "axis": ["--axis", "vertical"],
+             "grid": ["--grid", "{grid}"]},
+    "diff": {"kind": ["--kind", "network", "--baseline", "{net_a}", "--comparison", "{net_b}"],
+             "baseline": ["--baseline", "{map_b}"], "comparison": ["--comparison", "{map_a}"]},
+    "pipeline": {"baseline": ["--baseline", "h={b}"], "scenario": ["--scenario", "e={a}"],
+                 "grid": ["--grid", "{grid2}"], "axis": ["--axis", "vertical"]},
+}
+HASHED = [(verb, f.name) for verb in OMII_VERBS for f in dataclasses.fields(OmiiConfig)]
+HASHED += [(verb, name) for verb, changes in CHANGES.items() for name in changes]
+
+
+@pytest.fixture(scope="module")
+def verb_files(tmp_path_factory):
+    """Two 4-sensor records on both axes, two copies of their grid, a generator
+    spec, and the MI maps and networks of both records."""
+    d = tmp_path_factory.mktemp("verbs")
+    rng = np.random.default_rng(8)
+    channels = tuple(ChannelId(s, axis) for axis in Axis for s in range(1, 5))
+    files = {"grid": str(small_grid_csv(d)), "spec": str(generator_json(d))}
+    files["grid2"] = str(write(d / "grid2.csv", Path(files["grid"]).read_text()))
+    for name in ("a", "b"):
+        data = rng.standard_normal((800, 8))
+        data[:, 1:4] += 0.7 * data[:, :3]
+        files[name] = str(d / f"{name}.csv")
+        mio.write_timeseries_csv(TimeSeriesMatrix(data, channels), files[name])
+        files[f"map_{name}"], files[f"net_{name}"] = str(d / f"{name}_mi.csv"), str(d / f"{name}.json")
+        assert main(["pairwise-mi", *fill(BASE_ARGV["pairwise-mi"], files, a=files[name]),
+                     "--out", files[f"map_{name}"]]) == 0
+        assert main(["omii", *fill(BASE_ARGV["omii"], files, a=files[name]),
+                     "--out-prefix", str(d / name)]) == 0
+    return files
+
+
+def fill(argv, files, **more):
+    return [token.format(**{**files, **more}) for token in argv]
+
+
+def parsed(verb, argv) -> argparse.Namespace:
+    return build_parser().parse_args([verb, *argv, OUTPUT_OPTIONS[verb], "out"])
+
+
+def omii_change(verb, argv, name) -> list[str]:
+    """argv giving `OmiiConfig` field `name` another value than `argv` gives it."""
+    value = getattr(_omii_config(parsed(verb, argv)), name)
+    if isinstance(value, enum.Enum):
+        other = next(member.value for member in type(value) if member is not value)
+    else:
+        other = value + 1 if isinstance(value, int) else value / 2
+    return ["--" + name.replace("_", "-"), str(other)]
+
+
+def written_hash(verb, argv, out) -> str:
+    assert main([verb, *argv, OUTPUT_OPTIONS[verb], str(out)]) == 0
+    path = {"omii": f"{out}.json", "pipeline": out / "run_config.json"}.get(verb, out)
+    return re.search(r"config_hash\W+([0-9a-f]{64})", Path(path).read_text()).group(1)
+
+
+@pytest.mark.parametrize("verb", sorted(CHANGES))
+def test_every_argument_but_the_output_has_a_hash_case(verb):
+    omii_fields = {f.name for f in dataclasses.fields(OmiiConfig)} if verb in OMII_VERBS else set()
+    output = OUTPUT_OPTIONS[verb].lstrip("-").replace("-", "_")
+    assert set(vars(parsed(verb, BASE_ARGV[verb]))) - {"verb", "func", output} == {
+        *CHANGES[verb], *omii_fields}
+
+
+@pytest.mark.parametrize("verb, name", HASHED)
+def test_config_hash_changes_with_any_argument(tmp_path, verb_files, verb, name):
+    argv = fill(BASE_ARGV[verb], verb_files)
+    change = fill(CHANGES[verb][name], verb_files) if name in CHANGES[verb] else None
+    changed = argv + (change or omii_change(verb, argv, name))
+    assert getattr(parsed(verb, argv), name) != getattr(parsed(verb, changed), name)
+    assert written_hash(verb, argv, tmp_path / "one") != written_hash(verb, changed, tmp_path / "two")
+
+
+@pytest.mark.parametrize("verb", sorted(OUTPUT_OPTIONS))
+def test_output_path_changes_no_written_byte(tmp_path, verb_files, verb):
+    trees = []
+    for run in (tmp_path / "one", tmp_path / "two"):
+        run.mkdir()
+        argv = [verb, *fill(BASE_ARGV[verb], verb_files), OUTPUT_OPTIONS[verb], str(run / "out")]
+        assert main(argv) == 0
+        trees.append({p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()})
+    assert trees[0] and trees[0] == trees[1]
