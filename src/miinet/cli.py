@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -258,21 +259,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="miinet",
         description="Interaction-network inference from multivariate sensor time series",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="verb", required=True)
+    verb = functools.partial(sub.add_parser, allow_abbrev=False)  # no option by a prefix
 
-    p = sub.add_parser("generate", help="write synthetic data from a generator spec")
+    p = verb("generate", help="write synthetic data from a generator spec")
     p.add_argument("--spec", required=True, help="generator description JSON")
     p.add_argument("--out", required=True, help="output scenario CSV")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("fit-report", help="per-channel l1 fit errors vs both baselines")
+    p = verb("fit-report", help="per-channel l1 fit errors vs both baselines")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_fit_report)
 
-    p = sub.add_parser("pairwise-mi", help="MI map over grid-adjacent sensor pairs")
+    p = verb("pairwise-mi", help="MI map over grid-adjacent sensor pairs")
     p.add_argument("--input", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--axis", choices=["lateral", "vertical"], required=True)
@@ -281,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_args(p)
     p.set_defaults(func=_cmd_pairwise_mi)
 
-    p = sub.add_parser("omii", help="infer the direct-interaction network")
+    p = verb("omii", help="infer the direct-interaction network")
     p.add_argument("--input", required=True)
     p.add_argument("--axis", choices=["lateral", "vertical"], required=True)
     p.add_argument("--grid", default=None, help="optional layout for DOT positions")
@@ -289,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_estimator_args(p, omii=True)
     p.set_defaults(func=_cmd_omii)
 
-    p = sub.add_parser("diff", help="diff two MI maps or two networks")
+    p = verb("diff", help="diff two MI maps or two networks")
     p.add_argument("--kind", choices=["mi-map", "network"], required=True)
     p.add_argument("--baseline", required=True)
     p.add_argument("--comparison", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_diff)
 
-    p = sub.add_parser("pipeline", help="full per-scenario analysis plus diffs")
+    p = verb("pipeline", help="full per-scenario analysis plus diffs")
     p.add_argument("--baseline", required=True, help="label=path of the baseline CSV")
     p.add_argument("--scenario", action="append", help="label=path, repeatable")
     p.add_argument("--grid", required=True)

@@ -5,12 +5,12 @@ digits before any exponent (repr's forms, and printf's %d, %e, %f and %g): the
 digits make an integer m, checked and converted with byte-parallel (SWAR)
 arithmetic on 64-bit words (Lemire 2021, "Number Parsing at a Gigabyte per
 Second"), and m / 10^f, f = (digits after the point) - (exponent), is rounded
-once, exactly, when 0 <= f <= 22, or -22 <= f < 0 and m <= 2^53 (Clinger 1990,
-"How to read floating point numbers accurately"). Any other cell goes to
-`float` itself. It is a module of its own, apart from the formatter, because a
-process compiles each module from source when bytecode is not cached, and one
-module of both halves raised the peak RSS of the laplace-mc benchmark run by
-about 0.3 MB.
+once, exactly, when m < 2^64 and 0 <= f <= 22, or -22 <= f < 0 and m <= 2^53
+(Clinger 1990, "How to read floating point numbers accurately"). Any other
+cell goes to `float` itself. It is a module of its own, apart from the
+formatter, because a process compiles each module from source when bytecode
+is not cached, and one module of both halves raised the peak RSS of the
+laplace-mc benchmark run by about 0.3 MB.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import csv
 
 import numpy as np
 
-from .floatrepr import _SLOT_WORDS, _TEN, _U, _columns, _mul128
+from .floatrepr import _SLOT_WORDS, _TEN, _U, _columns
 
 # Reading: CSV lines of numbers are parsed a block of whole lines at a time, held in a
 # buffer after PAD bytes. Blocks of 256 KB read no faster than 64 KB ones, and raise
@@ -161,7 +161,8 @@ def _decimal_cells(buf, end, text, dots, starts, stops, values) -> np.ndarray:
     the bytes before them count as "0", and SWAR arithmetic checks and converts
     the three words to m (Lemire 2021). m / 10^f is rounded once (Clinger 1990):
     for m <= 2^53, in one float64 division by 10^f when f >= 0 and one product
-    with 10^-f when f < 0, both exact; for m > 2^53 and f >= 0, by _nearest.
+    with 10^-f when f < 0, both exact; for 2^53 < m < 2^64 and f >= 0, by
+    _nearest. A cell of m >= 2^64 is left to `float`.
     """
     mantissa_end, powered, formed = stops, None, True
     if buf.find(b"e", PAD, end) >= 0 or buf.find(b"E", PAD, end) >= 0:
@@ -202,14 +203,11 @@ def _decimal_cells(buf, end, text, dots, starts, stops, values) -> np.ndarray:
     chunks = _eight_digits(words).reshape(-1, _SLOT_WORDS)
     m = chunks[:, 0] * _U(10**16)
     m += chunks[:, 1] * _U(10**8)
-    m += chunks[:, 2]  # mod 2^64
-    wide = (chunks[:, 0] >= 1844) & sure  # m may reach 2^64
-    big = wide | (m > _U(1 << 53))
-    x = m.astype(np.float64)  # rounded once if not wide
-    if wide.any():
-        wide = np.flatnonzero(wide)
-        x[wide] = _wide_float(chunks[wide].T)
+    m += chunks[:, 2]  # mod 2^64: an m from 2^64 to 1845 10^16 wraps below 10^16
+    sure &= (chunks[:, 0] < 1844) | ((chunks[:, 0] == 1844) & (m >= _U(1844 * 10**16)))
     del chunks, words
+    big = m > _U(1 << 53)
+    x = m.astype(np.float64)  # rounded once
     signed = shift + negative * (2 * _MAX_F + 1)
     if powered is not None:  # f < 0 too: m 10^-f, rounded once if m <= 2^53, else float's
         low = np.flatnonzero(shift < _MAX_F)
@@ -279,34 +277,17 @@ def _eight_digits(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _wide_float(chunks: np.ndarray) -> np.ndarray:
-    """m = chunks[0] 10^16 + chunks[1] 10^8 + chunks[2] < 10^24 rounded once to float64.
-
-    m is held in 128 bits; its top 64 bits, with a sticky bit for any below them,
-    round as m does.
-    """
-    high, low = _mul128(chunks[0], _U(10**16))
-    rest = chunks[1] * _U(10**8) + chunks[2]
-    low += rest
-    high += low < rest
-    shift = np.frexp(high.astype(np.float64))[1]  # the bit length of high
-    s = shift.astype(np.uint64)
-    top = ((high << _U(1)) << (_U(63) - s)) | (low >> s)
-    top |= (low & ((_U(1) << s) - _U(1))) != 0
-    return np.ldexp(top.astype(np.float64), shift)
-
-
 def _nearest(m: np.ndarray, guess: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Round guess in place to m / 5^f, to nearest, ties to even; whether that is certain.
 
     guess, float64 m / 5^f with m rounded once, lies within 1.5 ulp of the
     quotient. For guess = M 2^(k+2), 2^52 <= M < 2^53, the residual
     m 2^-k - 4 M 5^f (both sides shifted up to whole numbers) is below 2^56, so
-    that m mod 2^64 gives it exactly. It says on which side of the midpoints to
-    the neighbours the quotient lies, and the guess moves at most one ulp: up
-    past M + 1/2, down past M - 1/2, or past M - 1/4 when M = 2^52 and the ulp
-    below is half as wide. At 1.5 ulp or more the result is not certain, and
-    `float` reads that cell.
+    that uint64 arithmetic mod 2^64 gives it exactly. It says on which side of
+    the midpoints to the neighbours the quotient lies, and the guess moves at
+    most one ulp: up past M + 1/2, down past M - 1/2, or past M - 1/4 when
+    M = 2^52 and the ulp below is half as wide. At 1.5 ulp or more the result
+    is not certain, and `float` reads that cell.
     """
     p = _POW5[f]
     bits = guess.view(np.uint64)

@@ -109,7 +109,8 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
 # against 66-104 ms. Splitting 1.7 MB records loses in the long-running benchmark worker
 # too, which runs BLAS between reads: at a 1 MiB floor, laplace-mc's `bundle_s` median
 # was 0.079 s against 0.064 s (6/6 pairs) and gaussian-paper's 0.162 against 0.134 s
-# (5/6). The cause was not traced.
+# (5/6): after a threaded matrix product, OpenBLAS's second thread spins (about 120 ms
+# of CPU) before it sleeps, and a child forked meanwhile shares its core.
 SPLIT_BYTES = 1 << 21
 # a float64 repr and its comma: the writer's estimate of body bytes per cell
 _CELL_BYTES = 20

@@ -112,14 +112,15 @@ def generate_var(spec: GeneratorSpec) -> TimeSeriesMatrix:
     x[0] = eta[0]
     a_t = spec.coupling.T
     with np.errstate(over="raise", invalid="raise"):
-        for t in range(1, total):
+        for prev, row, e in zip(x, x[1:], eta[1:]):  # row = a_t @ prev + e, in place
             try:
-                x[t] = a_t @ x[t - 1] + eta[t]
+                np.matmul(a_t, prev, out=row)
+                row += e
             except FloatingPointError:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    j = int(np.argmin(np.isfinite(a_t @ x[t - 1] + eta[t])))
+                    j = int(np.argmin(np.isfinite(a_t @ prev + e)))
                 raise _overflow(spec, j) from None
-        del eta
+        del eta, e  # the view e would keep eta
         try:
             return _standardized(x[BURN_IN:], spec)
         except FloatingPointError:  # squares past float64 in the variance

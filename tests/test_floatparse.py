@@ -73,7 +73,7 @@ def test_parser_reads_repr_cells_as_float_does(name):
 
 
 def test_parser_reads_long_fixed_cells_as_float_does():
-    """Up to 24 digits, up to 22 after the point: the 128-bit rounding path."""
+    """Up to 24 digits, up to 22 after the point: _nearest below 2^64, `float` from there."""
     rng = np.random.default_rng(21)
     digits = rng.integers(0, 10, (CELLS, 24)).astype(np.uint8) + ord("0")
     total = rng.integers(18, 25, CELLS)
@@ -84,8 +84,9 @@ def test_parser_reads_long_fixed_cells_as_float_does():
         text = bytes(row[:n]).decode()
         cells.append(f"{sign}{text[:n - f]}.{text[n - f:]}")
     values, decimal = parse(cells)
-    assert decimal.all()
     assert values.tobytes() == float_bits(cells)
+    expected = np.array([in_parser_range(c) for c in cells])
+    assert expected.mean() > 0.05 and (decimal == expected).all()
 
 
 def float_bits(cells: list[str]) -> bytes:
@@ -101,14 +102,13 @@ DECIMAL = re.compile(r"-?([0-9]+)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]{1,8}))?")
 
 def in_parser_range(cell: str) -> bool:
     """Whether parse_block reads the cell in numpy: a decimal of at most 24 digits with
-    |f| <= 22, and m <= 2^53 when f < 0, for m / 10^f its value."""
+    m < 2^64 and |f| <= 22, and m <= 2^53 when f < 0, for m / 10^f its value."""
     match = DECIMAL.fullmatch(cell)
     if match is None:
         return False
     whole, fraction, exponent = match.group(1), match.group(2) or "", match.group(3) or "0"
-    f = len(fraction) - int(exponent)
-    return (len(whole + fraction) <= 24 and abs(f) <= 22
-            and (f >= 0 or int(whole + fraction) <= 2**53))
+    f, m = len(fraction) - int(exponent), int(whole + fraction)
+    return len(whole + fraction) <= 24 and m < 2**64 and abs(f) <= 22 and (f >= 0 or m <= 2**53)
 
 
 # printf exports, as np.savetxt writes them, by format
@@ -130,6 +130,25 @@ def test_parser_reads_printf_cells_as_float_does(form):
     assert values.tobytes() == float_bits(cells)
     expected = np.array([in_parser_range(c) for c in cells])
     assert expected.mean() > 0.05 and (decimal == expected).all()
+
+
+# 2^64 - 1, 2^64, 2^64 + 1, and the largest 19-digit string
+BOUNDARY = ["18446744073709551615", "18446744073709551616", "18446744073709551617",
+            "9999999999999999999"]
+
+
+@pytest.mark.parametrize("digits", BOUNDARY)
+def test_parser_rounds_in_numpy_only_digit_integers_below_2_64(digits):
+    """Whole, with a point inside, with e-n or e+n, signed or not: each cell as `float`
+    reads it, and in numpy exactly when m < 2^64 and f >= 0 (e+2 makes f < 0)."""
+    pointed = f"{digits[:-1]}.{digits[-1]}"
+    forms = [digits, pointed, f"{digits}e-5", f"{pointed}e+1", f"{pointed}E-21", f"{digits}e+2"]
+    cells = [sign + form for form in forms for sign in ("", "-")]
+    values, decimal = parse(cells)
+    assert values.tobytes() == float_bits(cells)
+    below = int(digits) < 2**64
+    assert decimal.tolist() == [below and not c.endswith("e+2") for c in cells]
+    assert decimal.tolist() == [in_parser_range(c) for c in cells]
 
 
 def test_parser_reads_mixed_cells_as_float_does():

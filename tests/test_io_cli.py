@@ -1797,3 +1797,21 @@ def test_output_path_changes_no_written_byte(tmp_path, verb_files, verb):
         assert main(argv) == 0
         trees.append({p.relative_to(run): p.read_bytes() for p in run.rglob("*") if p.is_file()})
     assert trees[0] and trees[0] == trees[1]
+
+
+# (verb, a unique prefix of one of its options, that option): each output option less
+# its last letter, and the prefixes that argparse's allow_abbrev used to take
+PREFIXES = [(verb, option[:-1], option) for verb, option in OUTPUT_OPTIONS.items()]
+PREFIXES += [("omii", "--out", "--out-prefix"), ("omii", "--n", "--n-shuffles"),
+             ("pipeline", "--the", "--theta")]
+
+
+@pytest.mark.parametrize("verb, prefix, option", PREFIXES)
+def test_an_option_is_taken_only_when_spelled_in_full(verb, prefix, option):
+    argv = [*BASE_ARGV[verb], OUTPUT_OPTIONS[verb], "out"]
+    if option not in argv:
+        argv += [option, "0.2"]
+    assert getattr(build_parser().parse_args([verb, *argv]), option[2:].replace("-", "_"))
+    with pytest.raises(SystemExit) as raised:
+        main([verb, *(prefix if token == option else token for token in argv)])
+    assert raised.value.code == 2

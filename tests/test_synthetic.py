@@ -6,6 +6,8 @@ import pytest
 from miinet import standardize
 from miinet.errors import CyclicGraph, UnstableSpec
 from miinet.estimators import Family, cmi_offset, mutual_information
+from miinet.io import load_bundled_grid
+from miinet.spatial import neighbor_pairs
 from miinet.synthetic import (
     GeneratorSpec,
     chain_coupling,
@@ -171,6 +173,18 @@ def test_generators_match_the_out_of_place_reference_bit_for_bit(
     x = generate(spec)
     assert x.data.tobytes() == reference(spec).tobytes()
     assert not x.data.flags.writeable
+
+
+@pytest.mark.parametrize("generate, reference", _GENERATORS, ids=["var", "contemporaneous"])
+@pytest.mark.parametrize("innovation", [Family.GAUSSIAN, Family.LAPLACE])
+def test_generators_on_the_deck_grid_match_the_out_of_place_reference(
+    generate, reference, innovation
+):
+    """The bundled 6 x 5 deck's neighbours coupled low -> high, 30 channels."""
+    grid = neighbor_pairs(load_bundled_grid())
+    spec = GeneratorSpec(30, 700, coupling_from_edges(30, [(a - 1, b - 1, 0.3) for a, b in grid]),
+                         innovation, seed=11)
+    assert generate(spec).data.tobytes() == reference(spec).tobytes()
 
 
 def test_var_with_a_cycle_matches_the_out_of_place_reference_bit_for_bit():
