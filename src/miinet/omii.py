@@ -14,13 +14,17 @@ batch that fails fails every target it carried.
 
 Each call builds one private design from the matrix: its regularized
 covariance, T, the config, one bank of Ns permutations fixed by (seed, Ns, T),
-and the centred columns. Every shuffle test of the call takes its nulls from
-that bank, so target order changes no result and each test is still an exact
-permutation test. Only j is shuffled, so a test needs just the covariances of
-j and of j's Ns shuffled copies with (*K, i): columns of one (1 + Ns) x N row
-block per tested channel, cov[j] on top of j's null table, built on j's first
-test and freed with the call. The nulls' variance is j's ridged diagonal
-entry, so they read the same regularized covariance as the actual CMI.
+and the centred columns. The bank holds the smallest unsigned type that holds
+T - 1 (uint16 up to T = 65,536). Every shuffle test of the call takes its
+nulls from that bank, so target order changes no result and each test is
+still an exact permutation test. Only j is shuffled, so a test needs just the
+covariances of j and of j's Ns shuffled copies with (*K, i): columns of one
+(1 + Ns) x N row block per tested channel, cov[j] on top of j's null table,
+built on j's first test and freed with the call. The table is gathered and
+multiplied in ceil(Ns/N) near-equal blocks of at most N shuffles, so beside
+the bank no temporary outgrows the centred columns. The nulls' variance is
+j's ridged diagonal entry, so they read the same regularized covariance as
+the actual CMI.
 
 Both families share one numeric path: a family's CMI given |K| = k is the
 Gaussian CMI plus the constant delta(k), and every test of a batch has the
@@ -121,18 +125,34 @@ class InteractionNetwork:
 
 
 def _permutations(seed: int, n_shuffles: int, t: int) -> np.ndarray:
-    """A read-only (Ns, T) bank of permutations of 0..T-1, drawn from the seed."""
+    """A read-only (Ns, T) bank of permutations of 0..T-1, drawn from the seed.
+
+    Entries take the smallest unsigned type that holds T - 1: uint16 up to
+    T = 65,536, a quarter of `intp`.
+    """
     rng = np.random.default_rng(derive_seed(seed, "shuffle-perm"))
-    perms = np.empty((n_shuffles, t), dtype=np.intp)
+    perms = np.empty((n_shuffles, t), dtype=np.min_scalar_type(t - 1))
     for row in perms:
         row[:] = rng.permutation(t)
     perms.flags.writeable = False
     return perms
 
 
-def _null_table(centered: np.ndarray, j: int, bank: np.ndarray) -> np.ndarray:
-    """(Ns, N) covariances of channel j's Ns shuffled copies with every channel."""
-    return centered[:, j].copy()[bank] @ centered / (centered.shape[0] - 1)
+def _null_table(centered: np.ndarray, j: int, bank: np.ndarray, out: np.ndarray) -> None:
+    """Fill `out`, (Ns, N), with the covariances of j's Ns shuffled copies with every channel.
+
+    j's column is gathered in ceil(Ns/N) near-equal blocks of at most N
+    shuffles, so no gathered block, nor the intp copy of its indices, is
+    larger than `centered`. Near-equal, not N and a remainder: a small last
+    block takes another BLAS path, which can move the last bits of its rows.
+    """
+    column = centered[:, j].copy()
+    n_shuffles = bank.shape[0]
+    blocks = math.ceil(n_shuffles / centered.shape[1])
+    for b in range(blocks):
+        block = slice(b * n_shuffles // blocks, (b + 1) * n_shuffles // blocks)
+        np.matmul(column.take(bank[block]), centered, out=out[block])
+    out /= centered.shape[0] - 1
 
 
 class _Design:
@@ -157,7 +177,10 @@ class _Design:
         """
         for j in partners.tolist():
             if j not in self.rows:
-                self.rows[j] = np.vstack((self.cov[j], _null_table(self.centered, j, self.bank)))
+                rows = np.empty((1 + self.bank.shape[0], self.cov.shape[0]))
+                rows[0] = self.cov[j]
+                _null_table(self.centered, j, self.bank, rows[1:])
+                self.rows[j] = rows
         block = np.stack([self.rows[j][:, order] for j, order in zip(partners.tolist(), orders)])
         return gaussian_cmi(factor, block, self.cov[partners, partners][:, None])
 

@@ -13,6 +13,8 @@ import pytest
 
 from miinet import io as mio
 from miinet.core import standardize
+from miinet.estimators import Family
+from miinet.omii import OmiiConfig, infer_network
 from miinet.synthetic import (
     GeneratorSpec,
     chain_coupling,
@@ -102,3 +104,12 @@ def test_generating_a_record_holds_at_most_two_and_three_quarter_records(generat
     generate(GeneratorSpec(N, 50, coupling, seed=3))
     spec = GeneratorSpec(N, T, coupling, seed=3)
     assert traced_peak(lambda: generate(spec)) <= 2.75
+
+
+@pytest.mark.parametrize("n_shuffles, bound", [(100, 4.5), (500, 10)])
+def test_infer_network_holds_its_bank_and_one_block_of_shuffles(record, n_shuffles, bound):
+    cfg = OmiiConfig(Family.GAUSSIAN, n_shuffles=n_shuffles, seed=3)
+    small = generate_contemporaneous(GeneratorSpec(N, 500, chain_coupling(N, 0.5), seed=3))
+    infer_network(small, cfg)
+    x = record[2]
+    assert traced_peak(lambda: infer_network(x, cfg)) <= bound

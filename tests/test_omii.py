@@ -14,6 +14,7 @@ from miinet import core, omii, standardize
 from miinet.errors import MiinetError, NetworkInferenceError, SingularCovariance
 from miinet.estimators import Family, cmi_offset, conditional_mutual_information
 from miinet.omii import InteractionNetwork, OmiiConfig, ParentSet, Edge
+from miinet.seeding import derive_seed
 from miinet.synthetic import (
     GeneratorSpec,
     chain_coupling,
@@ -421,6 +422,12 @@ def test_infer_network_regularizes_covariance_once(monkeypatch):
     assert calls == [(6, 6)]
 
 
+def permutation_rows(seed, n_shuffles, t):
+    """The bank's rows as `intp`, each drawn by `rng.permutation(t)` from the seed's stream."""
+    rng = np.random.default_rng(derive_seed(seed, "shuffle-perm"))
+    return np.stack([rng.permutation(t) for _ in range(n_shuffles)])
+
+
 def test_infer_network_draws_one_permutation_bank(monkeypatch):
     banks = []
     draw = omii._permutations
@@ -434,10 +441,33 @@ def test_infer_network_draws_one_permutation_bank(monkeypatch):
     infer_network(x, OmiiConfig(GAUSS, theta=0.1, n_shuffles=50, seed=37))
     assert len(banks) == 1
     bank = banks[0]
-    assert bank.shape == (50, 2000) and bank.dtype == np.intp
+    assert bank.shape == (50, 2000) and bank.dtype == np.min_scalar_type(1999) == np.uint16
     assert not bank.flags.writeable
     assert np.array_equal(draw(37, 50, 2000), bank)
     assert np.array_equal(np.sort(bank, axis=1), np.tile(np.arange(2000), (50, 1)))
+    assert np.array_equal(bank, permutation_rows(37, 50, 2000))
+    wide = draw(37, 2, 70000)
+    assert wide.dtype == np.uint32
+    assert np.array_equal(wide, permutation_rows(37, 2, 70000))
+
+
+@pytest.mark.parametrize("compact", [True, False], ids=["compact", "intp"])
+@pytest.mark.parametrize("shuffles", ["1", "N-1", "N", "N+1", "2N+1", "100"])
+@pytest.mark.parametrize("n", [2, 30])
+def test_null_table_blocks_fill_every_row_once(n, shuffles, compact):
+    counts = {"1": 1, "N-1": n - 1, "N": n, "N+1": n + 1, "2N+1": 2 * n + 1, "100": 100}
+    n_shuffles = counts[shuffles]
+    t = 300
+    data = np.random.default_rng(n_shuffles).standard_normal((t, n))
+    centered = data - data.mean(axis=0)
+    bank = omii._permutations(7, n_shuffles, t)
+    if not compact:
+        bank = bank.astype(np.intp)
+    j = n - 1
+    table = np.full((n_shuffles, n), np.nan)  # a row that no block writes stays NaN
+    omii._null_table(centered, j, bank, table)
+    reference = centered[:, j].copy()[bank] @ centered / (t - 1)
+    assert np.max(np.abs(table - reference)) < 1e-12
 
 
 def test_discover_admits_lower_index_of_identical_candidates():
@@ -512,9 +542,9 @@ def test_infer_network_builds_one_table_per_tested_channel(monkeypatch):
     built, tested = [], set()
     build, test_cmis = omii._null_table, omii._Design.cmis
 
-    def counting_build(centered, j, bank):
+    def counting_build(centered, j, bank, out):
         built.append(j)
-        return build(centered, j, bank)
+        build(centered, j, bank, out)
 
     def recording_tests(design, orders, partners, factor):
         tested.update(partners.tolist())
