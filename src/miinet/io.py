@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import csv
 import functools
-import gc
 import hashlib
 import itertools
 import json
 import math
 import numbers
 import os
-import signal
 import sys
 from importlib import resources
 from pathlib import Path
@@ -42,7 +40,7 @@ def _number(cell: str, line_no: int, col: int, parse=float):
     try:
         value = parse(cell)
         finite = math.isfinite(value)
-    except ValueError:
+    except (ValueError, OverflowError):  # OverflowError: an int past float's range
         finite = False
     if not finite:
         _check_utf8(cell, line_no, col)
@@ -62,16 +60,14 @@ def _check_utf8(cell: str, line_no: int, col: int) -> None:
 def read_timeseries_csv(path) -> TimeSeriesMatrix:
     """Parse a scenario CSV: header of s<index>_<lat|vert> names, one row per sample.
 
-    The body is read in blocks of whole lines by `floatparse.parse_block`: by the
-    caller and one forked child, one half of the bytes each, when the body has
-    SPLIT_BYTES and `_can_fork` allows, else in one process. A split that does
-    not finish is read again in one process. It parses decimal cells,
-    -?D+(.D*)?([eE][+-]?D+)?, in numpy, exactly as `float` reads them, and
-    hands the rest to `float`. A body it rejects (quotes, interior blank lines,
-    lone CRs, ragged rows, bytes that are not UTF-8, a cell `float` rejects,
-    ...) goes to the cell parser, which alone raises `ParseError`, so errors
-    keep line and column. A byte that is not UTF-8 is a ParseError at its cell
-    or header name. The parsed array becomes the matrix's data without a copy.
+    The body is read in blocks of whole lines by `floatparse.parse_block`. It
+    parses decimal cells, -?D+(.D*)?([eE][+-]?D+)?, in numpy, exactly as
+    `float` reads them, and hands the rest to `float`. A body it rejects
+    (quotes, interior blank lines, lone CRs, ragged rows, bytes that are not
+    UTF-8, a cell `float` rejects, ...) goes to the cell parser, which alone
+    raises `ParseError`, so errors keep line and column. A byte that is not
+    UTF-8 is a ParseError at its cell or header name. The parsed array becomes
+    the matrix's data without a copy.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as fh:
@@ -100,100 +96,12 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
     return TimeSeriesMatrix(data, tuple(channels))
 
 
-# Bodies of this many bytes or more are written, and read, by the caller and one forked
-# child, one half each. On a shared 2-core Xeon, forking, copy-on-write faults and
-# reaping cost 5-10 ms, and more in a fresh process: a `miinet` call writes and reads a
-# 60 x 1,442 record (1.7 MB) in 33-47 / 22-29 ms in one process against 39-62 / 26-46 ms
-# split, and 60 x 3,500 (4.1 MB) or 30 x 5,900 (3.5 MB) records still lose split, while
-# a 30 x 11,536 one (6.8 MB) writes in 131-184 ms against 92-145 ms and reads in 73-101
-# against 66-104 ms. Splitting 1.7 MB records loses in the long-running benchmark worker
-# too, which runs BLAS between reads: at a 1 MiB floor, laplace-mc's `bundle_s` median
-# was 0.079 s against 0.064 s (6/6 pairs) and gaussian-paper's 0.162 against 0.134 s
-# (5/6): after a threaded matrix product, OpenBLAS's second thread spins (about 120 ms
-# of CPU) before it sleeps, and a child forked meanwhile shares its core.
-SPLIT_BYTES = 1 << 21
-# a float64 repr and its comma: the writer's estimate of body bytes per cell
-_CELL_BYTES = 20
-
-
-def _can_fork() -> bool:
-    """True when one forked child can share the work on this host.
-
-    That needs os.fork, at least two usable cores and Python before 3.12, which
-    warns on a fork while other threads (a BLAS pool) run.
-    """
-    return (
-        sys.version_info < (3, 12)
-        and hasattr(os, "fork")
-        and hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-    )
-
-
-def _in_two(theirs, mine, take) -> bool:
-    """Run theirs(pipe) in a forked child while the caller runs mine(), then take(read_fd).
-
-    The child imports nothing, collects no garbage (whose file objects could flush
-    the caller's buffers) and leaves by os._exit: 0 if `theirs` returned, 1 if it
-    raised. The caller kills the child unless mine() and take() both returned
-    true, and always reaps it. True only when all three succeeded; False, with
-    nothing run, when os.fork fails.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException as exc:
-        os.close(read_fd)
-        os.close(write_fd)
-        if isinstance(exc, OSError):
-            return False
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            gc.disable()
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                theirs(pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    done = False
-    try:
-        done = mine() and take(read_fd)
-    finally:
-        os.close(read_fd)
-        try:
-            if not done:
-                os.kill(pid, signal.SIGKILL)
-            done = os.waitpid(pid, 0)[1] == 0 and done
-        except (ProcessLookupError, ChildProcessError):  # SIGCHLD ignored: reaped unseen
-            done = False
-    return done
-
-
-def _read_into(fd: int, array: np.ndarray) -> bool:
-    """Fill `array` from fd; False if the pipe ends first."""
-    view = memoryview(array.reshape(-1).view(np.uint8))
-    while view:
-        n = os.readv(fd, [view])
-        if not n:
-            return False
-        view = view[n:]
-    return True
-
-
 def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
     """The bytes of the file from `body` on, parsed by parse_block; None leaves them to _cell_rows.
 
     The CRs and LFs that end the body, blank lines that csv skips, are left out,
-    and the lines are counted first, so that the array is allocated once. When
-    `_can_fork` allows, a forked child parses the bytes after the first line end
-    past the midpoint into its copy of the array and sends those rows through a
-    pipe, while the caller parses the bytes before. A split that does not finish
-    is parsed again in one process, which returns None when a block is rejected
-    or the file changes while it is read.
+    and the lines are counted first, so that the array is allocated once. None
+    when a block is rejected or the file changes while it is read.
     """
     with path.open("rb", buffering=0) as raw:
         size = os.fstat(raw.fileno()).st_size
@@ -202,29 +110,11 @@ def _block_rows(path: Path, body: int, n_cols: int) -> np.ndarray | None:
         size = tail + len(raw.read(max(size - tail, 0)).rstrip(b"\r\n"))
         if size <= body:  # no body, or a file (in /proc, say) whose size is not its length
             return None
-        mid = _midline(raw, body, size) if size - body >= SPLIT_BYTES and _can_fork() else size
-        ours, theirs = fp.count_lines(raw, body, mid), fp.count_lines(raw, mid, size)
-        if ours is None or theirs is None:
+        lines = fp.count_lines(raw, body, size)
+        if lines is None:
             return None
-        data = np.empty((ours + theirs, n_cols))
-
-        def parse_rest(pipe):
-            with path.open("rb", buffering=0) as own:
-                if fp.parse_lines(own, mid, size, data[ours:]):
-                    pipe.write(data[ours:].data)
-
-        if mid < size and _in_two(parse_rest, lambda: fp.parse_lines(raw, body, mid, data[:ours]),
-                                  lambda read_fd: _read_into(read_fd, data[ours:])):
-            return data
+        data = np.empty((lines, n_cols))
         return data if fp.parse_lines(raw, body, size, data) else None
-
-
-def _midline(raw, body: int, size: int) -> int:
-    """The offset after the first line end at or past the middle of bytes [body, size), or size."""
-    middle = (body + size) // 2
-    raw.seek(middle)
-    found = raw.read(fp.BLOCK_BYTES).find(b"\n")
-    return size if found < 0 else middle + found + 1
 
 
 def _csv_rows(lines, first_line: int):
@@ -260,36 +150,11 @@ def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
     """Header plus one row per sample, cells as float repr, CRLF line ends.
 
     The bytes of `csv.writer(fh).writerows(x.data.tolist())`, formatted a block
-    of rows at a time by `_csv_lines`. When `_can_fork` allows, a forked child
-    formats the second half of the rows while the caller writes the first, and
-    the caller copies the child's bytes after its own. A split that does not
-    finish is cut back to the header, and the caller writes every row itself.
+    of rows at a time by `_csv_lines`.
     """
-    rows = x.data
-    half = len(rows) // 2
-
-    def format_rest(pipe):
-        # all of it before the first write, which blocks until the caller reads
-        pipe.write(b"".join(_csv_lines(rows[half:])))
-
-    def write_first():
-        fh.writelines(_csv_lines(rows[:half]))
-        return True
-
-    def copy_rest(read_fd):
-        while chunk := os.read(read_fd, 1 << 16):  # a pipe's capacity
-            fh.write(chunk)
-        return True
-
     with Path(path).open("wb") as fh:
         fh.write((",".join(ch.name for ch in x.channels) + "\r\n").encode())
-        if fh.seekable() and rows.size * _CELL_BYTES >= SPLIT_BYTES and _can_fork():
-            start = fh.tell()
-            if _in_two(format_rest, write_first, copy_rest):
-                return
-            fh.seek(start)
-            fh.truncate()
-        fh.writelines(_csv_lines(rows))
+        fh.writelines(_csv_lines(x.data))
 
 
 def load_grid_csv(path) -> SensorGrid:
@@ -376,6 +241,8 @@ _LIST = ("a list", lambda v: isinstance(v, list))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
 _TEXT = ("text", lambda v: isinstance(v, str))
 _INDEX = ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool))
+_COUNT = ("a positive integer", lambda v: _INDEX[1](v) and v >= 1)
+_SEED = ("a non-negative integer", lambda v: _INDEX[1](v) and v >= 0)
 _NUMBER = ("a finite number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
            and abs(v) <= sys.float_info.max)
 _MISSING = object()
@@ -464,7 +331,7 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     kind = field(raw, "kind", top, default="contemporaneous")
     if kind not in ("contemporaneous", "var"):
         raise ValueError(f"unknown generator kind {kind!r}")
-    n = field(raw, "n_channels", top, _INDEX)
+    n = field(raw, "n_channels", top, _COUNT)
     if sum(key in raw for key in ("edges", "grid_layout", "random_dag")) != 1:
         raise ValueError("specify exactly one of edges / grid_layout / random_dag")
     if "edges" in raw:
@@ -488,7 +355,7 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     else:
         block, where = raw["random_dag"], "random_dag"
         density, weight = (field(block, key, where, _NUMBER) for key in ("density", "weight"))
-        graph_seed = field(block, "graph_seed", where, _INDEX)
+        graph_seed = field(block, "graph_seed", where, _SEED)
         coupling = random_dag_coupling(n, density, weight, graph_seed)
     return kind, GeneratorSpec(
         n_channels=n,
@@ -496,7 +363,7 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
         coupling=coupling,
         innovation=Family(field(raw, "innovation", top, default="gaussian")),
         noise_scale=float(field(raw, "noise_scale", top, _NUMBER, default=1.0)),
-        seed=field(raw, "seed", top, _INDEX),
+        seed=field(raw, "seed", top, _SEED),
         axis=Axis(field(raw, "axis", top, default="lateral")),
     )
 

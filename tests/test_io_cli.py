@@ -1,16 +1,12 @@
 import argparse
-import contextlib
 import copy
 import csv
 import dataclasses
 import enum
-import errno
 import io
 import json
 import os
 import re
-import signal
-import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -26,7 +22,6 @@ from miinet.cli import (
     RunConfig, _omii_config, build_fit_report, build_parser, load_generator_spec, main, run_pipeline,
 )
 from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetError, ParseError
-from miinet import floatparse as fp
 from miinet import io as mio
 from miinet.omii import Edge, InteractionNetwork, OmiiConfig, infer_network
 from miinet.seeding import derive_seed
@@ -185,13 +180,11 @@ def test_ingest_from_a_pipe():
 
 
 def assert_written_as_csv_writer(x: TimeSeriesMatrix, path: Path, label=""):
-    """The serial writer and the split one (floor 0) both write what csv.writer does."""
+    """The writer writes what csv.writer does."""
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows([[ch.name for ch in x.channels]] + x.data.tolist())
-    for split_bytes in (float("inf"), 0):
-        with mock.patch.object(mio, "SPLIT_BYTES", split_bytes):
-            mio.write_timeseries_csv(x, path)
-        assert path.read_bytes() == expected.getvalue().encode(), (label, split_bytes)
+    mio.write_timeseries_csv(x, path)
+    assert path.read_bytes() == expected.getvalue().encode(), label
 
 
 def test_timeseries_csv_bytes_match_csv_writer(tmp_path):
@@ -355,7 +348,7 @@ ODD_BODIES = [
     "s1_lat,s2_lat\n1,-0\n007,5.\n123456789012345678901234,1234567890123456789012345\n"
     "9007199254740993,9007199254740991\n1e22,1e23\n1e-400,1e+308\n"
     "1.7976931348623157e308,-1E+0005\n",
-    # 41 and 42 of 100 cells in e-notation, and 42 spread over both shares of a split
+    # 41 and 42 of 100 cells in e-notation, and 42 spread over the body
     "s1_lat\n" + "1e-05\n" * 41 + "0.5\n" * 59,
     "s1_lat\n" + "1e-05\n" * 42 + "0.5\n" * 58,
     "s1_lat\n" + "0.5\n1e-05\n" * 42 + "0.5\n" * 16,
@@ -385,266 +378,26 @@ def test_bulk_reader_agrees_with_cell_parser(tmp_path_factory, text):
     assert read_outcome(path) == cell_parser
 
 
-needs_fork = pytest.mark.skipif(
-    not mio._can_fork(), reason="the split path needs os.fork and two cores"
-)
-
-
-def after_lines(m: int):
-    """A stand-in for _midline that splits after the body's first m LF line ends."""
-    def midline(raw, body, size):
-        raw.seek(body)
-        ends = [body] + [body + k + 1 for k, byte in enumerate(raw.read(size - body))
-                         if byte == ord("\n")]
-        return ends[m] if m < len(ends) else size
-
-    return midline
-
-
-@needs_fork
-@pytest.mark.parametrize("m", [0, 1, 2, 100])
-@settings(max_examples=40, deadline=None)
-@given(text=scenario_csv_text())
-@odd_bodies
-def test_split_reader_agrees_with_cell_parser(tmp_path_factory, m, text):
-    """Caller lines [0, m), child the rest: what the cell parser gives, and a split
-    that succeeds exactly when the block parser in one process does."""
-    path = tmp_path_factory.mktemp("split") / "x.csv"
-    path.write_bytes(text.encode("utf-8"))
-    with no_block_parser():
-        cell_parser = read_outcome(path)
-    real_block_rows, one_process, splits = mio._block_rows, [], []
-
-    def recording(results):
-        def block_rows(*args):
-            results.append(real_block_rows(*args))
-            return results[-1]
-
-        return mock.patch.object(mio, "_block_rows", block_rows)
-
-    with recording(one_process):
-        read_outcome(path)
-    with mock.patch.object(mio, "SPLIT_BYTES", 0), \
-            mock.patch.object(mio, "_midline", after_lines(m)), recording(splits):
-        assert read_outcome(path) == cell_parser
-    assert [split is not None for split in splits] == [rows is not None for rows in one_process]
-    assert_no_children()
-
-
-def test_split_read_halves_the_bytes_at_a_line_end(tmp_path):
-    """A first line far longer than the rest does not skew the shares: the split falls at
-    the first line end past the body's byte midpoint."""
-    header = ",".join(f"s{k}_lat" for k in range(1, 41))
-    narrow = ",".join(["1.5"] * 40) + "\n"
-    path = write(tmp_path / "x.csv", header + "\n" + ",".join(["-123456789012.34567890123"] * 40)
-                 + "\n" + narrow * 300)
-    body, size = len(header) + 1, path.stat().st_size
-    with path.open("rb") as raw:
-        mid = mio._midline(raw, body, size)
-    assert path.read_bytes()[mid - 1] == ord("\n")
-    assert 0 <= (mid - body) - (size - mid) < 2 * len(narrow)
-    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
-        serial = read_outcome(path)
-    with mock.patch.object(mio, "SPLIT_BYTES", 0):
-        assert read_outcome(path) == serial
-    assert serial[:2] == ("ok", (301, 40))
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@needs_fork
-def test_paper_scale_record_round_trips_the_same_through_both_paths(tmp_path):
-    """30 channels x 11,536 samples, 90 s at 128 Hz: the size `miinet generate` writes."""
+def test_paper_scale_record_round_trips_bit_identical(tmp_path):
+    """30 channels x 11,536 samples, 90 s at 128 Hz: the size `miinet generate` writes.
+    Written as csv.writer writes it and read back bit for bit by the block parser."""
     x = make_matrix(np.random.default_rng(11).standard_normal((11_536, 30)))
-    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
-    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
-        mio.write_timeseries_csv(x, serial)
-        serial_back = mio.read_timeseries_csv(serial).data
-    with mock.patch.object(fp, "parse_lines", wraps=fp.parse_lines) as share, \
-            mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
-        mio.write_timeseries_csv(x, split)
-        split_back = mio.read_timeseries_csv(split).data
-    assert share.call_count == 1  # the caller's share; the child's call is not seen here
-    assert split.read_bytes() == serial.read_bytes()
-    assert split_back.tobytes() == serial_back.tobytes() == x.data.tobytes()
-    assert_no_children()
-
-
-def big_body(tmp_path, bad_line=None) -> Path:
-    """A 4-channel, 3,000-row CSV with a bad cell in column 2 of `bad_line`."""
-    rows = [f"{k}.0,{k + 0.5},{-k / 3},{k / 7}" for k in range(3000)]
-    if bad_line is not None:
-        rows[bad_line - 2] = rows[bad_line - 2].replace(",", ",x", 1)
-    return write(tmp_path / "big.csv", "s1_lat,s2_lat,s3_lat,s4_lat\n" + "\n".join(rows) + "\n")
-
-
-def child_exits_3(function):
-    """`function`, except that in a forked child it leaves at once by os._exit(3)."""
-    parent = os.getpid()
-
-    def wrapper(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(3)
-        return function(*args, **kwargs)
-
-    return wrapper
-
-
-@contextlib.contextmanager
-def ignored_sigchld():
-    """SIGCHLD set to SIG_IGN, under which the kernel reaps children before waitpid can."""
-    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGCHLD, previous)
-
-
-CHILD_FATES = ["works", "exits 3", "dies mid-pipe", "is reaped unseen"]
-
-
-@needs_fork
-@pytest.mark.parametrize("bad_line", [None, 10, 2900])
-@pytest.mark.parametrize("child", CHILD_FATES)
-def test_split_read_leaves_no_child_and_matches_serial(tmp_path, bad_line, child):
-    path = big_body(tmp_path, bad_line)
-    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
-        serial = read_outcome(path)
-    patches = {
-        "works": contextlib.nullcontext(),
-        "exits 3": mock.patch.object(fp, "parse_lines", child_exits_3(fp.parse_lines)),
-        "dies mid-pipe": mock.patch.object(mio, "_in_two", dying_fork),
-        "is reaped unseen": ignored_sigchld(),
-    }
-    with mock.patch.object(mio, "SPLIT_BYTES", 0), patches[child]:
-        assert read_outcome(path) == serial
-    assert_no_children()
-    assert serial[0] == "ok" if bad_line is None else serial == ("ParseError", bad_line, 2)
-
-
-@needs_fork
-def test_split_read_kills_a_child_whose_rows_are_not_wanted(tmp_path):
-    """The caller's share is rejected, so it does not wait for a child that stalls."""
-    path = big_body(tmp_path, bad_line=10)
-    parent, parse_lines = os.getpid(), fp.parse_lines
-
-    def stalling(*args):
-        if os.getpid() != parent:
-            time.sleep(60)
-        return parse_lines(*args)
-
-    start = time.perf_counter()
-    with mock.patch.object(mio, "SPLIT_BYTES", 0), \
-            mock.patch.object(fp, "parse_lines", stalling):
-        assert read_outcome(path) == ("ParseError", 10, 2)
-    assert time.perf_counter() - start < 30
-    assert_no_children()
-
-
-@needs_fork
-@pytest.mark.parametrize("wanted", [False, True])
-def test_reap_takes_a_child_that_was_reaped_unseen(wanted):
-    """With SIGCHLD ignored, a child that exits before the caller reaps it is gone:
-    neither the kill nor the wait finds it, and _in_two says the split failed."""
-    def until_reaped_unseen():
-        deadline = time.monotonic() + 30
-        while True:
-            try:
-                os.waitpid(-1, os.WNOHANG)
-            except ChildProcessError:
-                return wanted
-            assert time.monotonic() < deadline
-            time.sleep(0.001)
-
-    with ignored_sigchld():
-        assert mio._in_two(lambda pipe: None, until_reaped_unseen, lambda read_fd: True) is False
-    assert_no_children()
-
-
-real_in_two = mio._in_two
-
-
-def dying_fork(theirs, mine, take):
-    """_in_two with a child that sends the first half of what `theirs` writes, then exits 3."""
-    def first_half(pipe):
-        sent = io.BytesIO()
-        theirs(sent)
-        pipe.write(sent.getvalue()[: sent.tell() // 2])
-        pipe.flush()
-        os._exit(3)
-
-    return real_in_two(first_half, mine, take)
-
-
-@needs_fork
-@pytest.mark.parametrize("child", CHILD_FATES)
-def test_split_write_leaves_no_child_and_matches_serial(tmp_path, child):
-    x = make_matrix(np.random.default_rng(6).standard_normal((2001, 5)))
-    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
-    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
-        mio.write_timeseries_csv(x, serial)
-    patches = {
-        "works": contextlib.nullcontext(),
-        "exits 3": mock.patch.object(mio, "_csv_lines", child_exits_3(mio._csv_lines)),
-        "dies mid-pipe": mock.patch.object(mio, "_in_two", dying_fork),
-        "is reaped unseen": ignored_sigchld(),
-    }
-    with mock.patch.object(mio, "SPLIT_BYTES", 0), patches[child]:
-        mio.write_timeseries_csv(x, split)
-    assert_no_children()
-    assert split.read_bytes() == serial.read_bytes()
-
-
-@pytest.mark.parametrize("no_split", ["one core", "no os.fork"])
-def test_no_fork_without_a_second_core_or_os_fork(tmp_path, monkeypatch, no_split):
-    x = make_matrix(np.random.default_rng(7).standard_normal((3000, 4)))
     path = tmp_path / "x.csv"
-    monkeypatch.setattr(mio, "SPLIT_BYTES", 0)
-    if no_split == "one core":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
-    else:
-        monkeypatch.delattr(os, "fork", raising=False)
-    mio.write_timeseries_csv(x, path)
-    np.testing.assert_array_equal(mio.read_timeseries_csv(path).data, x.data)
+    assert_written_as_csv_writer(x, path)
+    with mock.patch.object(mio, "_cell_rows", side_effect=AssertionError("cell parser ran")):
+        back = mio.read_timeseries_csv(path).data
+    assert back.tobytes() == x.data.tobytes()
 
 
-def test_split_runs_in_one_process_when_fork_fails(tmp_path, monkeypatch):
-    """os.fork raising EAGAIN: the serial bytes and array, and both ends of the pipe closed."""
-    x = make_matrix(np.random.default_rng(8).standard_normal((3000, 4)))
-    serial, split = tmp_path / "serial.csv", tmp_path / "split.csv"
-    with mock.patch.object(mio, "SPLIT_BYTES", float("inf")):
-        mio.write_timeseries_csv(x, serial)
-        serial_back = mio.read_timeseries_csv(serial).data
-    pipes, real_pipe = [], os.pipe
-
-    def recording_pipe():
-        pipes.append(real_pipe())
-        return pipes[-1]
-
-    monkeypatch.setattr(mio, "SPLIT_BYTES", 0)
-    monkeypatch.setattr(mio, "_can_fork", lambda: True)
-    monkeypatch.setattr(os, "pipe", recording_pipe)
-    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=OSError(errno.EAGAIN, "no fork")),
+def test_scenario_csv_io_never_forks(tmp_path, monkeypatch):
+    """With os.fork raising, a paper-scale record still writes csv.writer's bytes and
+    reads back bit for bit."""
+    x = make_matrix(np.random.default_rng(7).standard_normal((11_536, 30)))
+    path = tmp_path / "x.csv"
+    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")),
                         raising=False)
-
-    def assert_pipe_closed():
-        assert len(pipes) == 1
-        for fd in pipes.pop():
-            with pytest.raises(OSError) as err:
-                os.fstat(fd)
-            assert err.value.errno == errno.EBADF
-
-    mio.write_timeseries_csv(x, split)
-    assert_pipe_closed()
-    assert split.read_bytes() == serial.read_bytes()
-    back = mio.read_timeseries_csv(split)
-    assert_pipe_closed()
-    assert back.data.tobytes() == serial_back.tobytes()
-    assert os.fork.call_count == 2
+    assert_written_as_csv_writer(x, path)
+    assert mio.read_timeseries_csv(path).data.tobytes() == x.data.tobytes()
 
 
 # ------------------------------------------------------------------ grid
@@ -662,6 +415,10 @@ def test_grid_csv_errors(tmp_path):
         mio.load_grid_csv(write(tmp_path / "g2.csv", "sensor_index,row,col\n1,0,0\n1,1,1\n"))
     with pytest.raises(EmptyFile):
         mio.load_grid_csv(write(tmp_path / "g3.csv", "sensor_index,row,col\n"))
+    # an integer past float's range is a ParseError at its cell, not an OverflowError
+    with pytest.raises(ParseError) as err:
+        mio.load_grid_csv(write(tmp_path / "g4.csv", f"sensor_index,row,col\n{'9' * 400},0,0\n"))
+    assert (err.value.line, err.value.col) == (2, 1)
 
 
 def test_grid_csv_accepts_utf8_bom_and_crlf(tmp_path):
@@ -841,7 +598,9 @@ def test_readers_ignore_trailing_blank_lines(tmp_path, read, text, newline):
     "row, col",
     [("x,3,0.1,0.1", 1), ("2,3.5,0.1,0.1", 2), ("2,3,0.1,abc", 4), ("2,3,0.1,nan", 4),
      ("2,3,0.1,inf", 4), ("2,3,0.1,1e999", 4), ("2,3,oops,0.1", 3), ("2,3,0.5,0.1", 3),
-     ("2,3,0.1,-0.2", 3)],
+     ("2,3,0.1,-0.2", 3),
+     pytest.param("9" * 400 + ",3,0.1,0.1", 1, id="400-digit sensor_a"),
+     pytest.param("2," + "9" * 400 + ",0.1,0.1", 2, id="400-digit sensor_b")],
 )
 def test_mi_map_csv_bad_cell_position(tmp_path, row, col):
     p = write(tmp_path / "map.csv", MI_MAP_HEAD + row + "\n")
@@ -959,7 +718,11 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
       "edge 0 'source' must be a sensor in 1..4, got 0"),
      ({"edges": [{"source": 1, "target": 2, "weight": 0.5},
                  {"source": 2, "target": 2, "weight": 0.5}]},
-      "edge 1 is a self-loop on sensor 2")],
+      "edge 1 is a self-loop on sensor 2"),
+     ({"n_channels": -1}, "'n_channels' must be a positive integer"),
+     ({"seed": -5}, "'seed' must be a non-negative integer"),
+     ({"edges": None, "random_dag": {"density": 0.3, "weight": 0.4, "graph_seed": -5}},
+      "'graph_seed' must be a non-negative integer")],
 )
 def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     spec = json.loads(generator_json(tmp_path).read_text())

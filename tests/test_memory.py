@@ -5,7 +5,6 @@ every T x N array it holds at once. Each function runs once on a small input
 first, so that one-time allocations (imports, caches) stay out of the count.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -49,14 +48,8 @@ def record(tmp_path_factory):
     return out / "record.csv", out / "small.csv", x
 
 
-@pytest.mark.parametrize("split_bytes", [math.inf, 0], ids=["serial", "split"])
-def test_reading_a_record_holds_at_most_one_and_three_quarter_records(
-    record, monkeypatch, split_bytes
-):
+def test_reading_a_record_holds_at_most_one_and_three_quarter_records(record):
     path, small, _ = record
-    monkeypatch.setattr(mio, "SPLIT_BYTES", split_bytes)
-    if split_bytes == 0 and not mio._can_fork():
-        pytest.skip("this host parses a body in one process")
     mio.read_timeseries_csv(small)
     assert traced_peak(lambda: mio.read_timeseries_csv(path)) <= 1.75
 
@@ -75,13 +68,7 @@ def exports(record, tmp_path_factory):
 
 
 @pytest.mark.parametrize("export", ["%.6e", "%d", "repr + blank lines"])
-@pytest.mark.parametrize("split_bytes", [math.inf, 0], ids=["serial", "split"])
-def test_reading_an_export_holds_at_most_one_and_three_quarter_records(
-    record, exports, monkeypatch, split_bytes, export
-):
-    monkeypatch.setattr(mio, "SPLIT_BYTES", split_bytes)
-    if split_bytes == 0 and not mio._can_fork():
-        pytest.skip("this host parses a body in one process")
+def test_reading_an_export_holds_at_most_one_and_three_quarter_records(record, exports, export):
     mio.read_timeseries_csv(record[1])
     assert traced_peak(lambda: mio.read_timeseries_csv(exports[export])) <= 1.75
 
