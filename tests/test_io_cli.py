@@ -389,13 +389,18 @@ def test_paper_scale_record_round_trips_bit_identical(tmp_path):
     assert back.tobytes() == x.data.tobytes()
 
 
-def test_scenario_csv_io_never_forks(tmp_path, monkeypatch):
-    """With os.fork raising, a paper-scale record still writes csv.writer's bytes and
-    reads back bit for bit."""
+@pytest.mark.parametrize("no_split", ["one core", "no os.fork"])
+def test_no_fork_without_a_second_core_or_os_fork(tmp_path, monkeypatch, no_split):
+    """On one core with os.fork raising, or with no os.fork at all, a paper-scale record
+    still writes csv.writer's bytes and reads back bit for bit."""
     x = make_matrix(np.random.default_rng(7).standard_normal((11_536, 30)))
     path = tmp_path / "x.csv"
-    monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")),
-                        raising=False)
+    if no_split == "one core":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")),
+                            raising=False)
+    else:
+        monkeypatch.delattr(os, "fork", raising=False)
     assert_written_as_csv_writer(x, path)
     assert mio.read_timeseries_csv(path).data.tobytes() == x.data.tobytes()
 
