@@ -12,13 +12,13 @@ from pathlib import Path
 
 from miinet import Axis, OmiiConfig
 from miinet.cli import RunConfig, run_pipeline
-from miinet.io import bundled_grid_path, load_bundled_grid, write_timeseries_csv
+from miinet.io import bundled_grid_path, load_grid_csv, write_timeseries_csv
 from miinet.spatial import neighbor_pairs
 from miinet.synthetic import GeneratorSpec, coupling_from_edges, generate_contemporaneous
 
 
 def build_scenario(weight: float, seed: int, n_samples: int):
-    grid = load_bundled_grid()
+    grid = load_grid_csv(bundled_grid_path())
     pairs = neighbor_pairs(grid)
     coupling = coupling_from_edges(30, [(a - 1, b - 1, weight) for a, b in pairs])
     spec = GeneratorSpec(30, n_samples, coupling, noise_scale=1.0, seed=seed)

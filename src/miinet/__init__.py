@@ -15,7 +15,7 @@ from .core import (
     TimeSeriesMatrix,
     standardize,
 )
-from .distributions import bessel_k, fit_errors, log_bessel_k
+from .distributions import log_bessel_k
 from .estimators import (
     Family,
     conditional_mutual_information,
@@ -71,14 +71,12 @@ __all__ = [
     "SensorGrid",
     "ShuffleTestResult",
     "TimeSeriesMatrix",
-    "bessel_k",
     "chain_coupling",
     "conditional_mutual_information",
     "coupling_from_edges",
     "degree_distribution",
     "discover",
     "entropy",
-    "fit_errors",
     "generate_contemporaneous",
     "generate_var",
     "infer_network",

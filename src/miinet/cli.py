@@ -3,8 +3,8 @@
 Verbs: generate, fit-report, pairwise-mi, omii, diff, pipeline. Every verb
 is synchronous and deterministic given its arguments; reruns with the same
 config produce byte-identical outputs. Every file format, the generator
-spec included, is read and written by `io`. A failing verb prints one JSON
-error record and exits 1.
+spec included, is read and written by `io`. A failing verb, one that runs out
+of memory included, prints one JSON error record and exits 1.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MiinetError, ValueError, OSError) as exc:
+    except (MiinetError, ValueError, OSError, MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 1

@@ -16,7 +16,6 @@ N(0, 1) and the unit-variance Laplace: `column_fit_errors` sorts each block
 of whole columns of a matrix once, at most 16,384 cells unless one column is
 longer, counts each column's bins by `np.searchsorted` on its sorted samples,
 and returns the relative l1 error of each density on each column's bins.
-`fit_errors` is its one-column case.
 """
 
 from __future__ import annotations
@@ -52,12 +51,16 @@ _K_TAIL = 750.0
 _K_BLOCK = 64
 
 
-def _log_scaled_k(order: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """(x, log(e^x K_order(x))) as float64 arrays of x's shape; DomainError
-    unless every x is finite and > 0. Each term is shifted by psi's peak."""
+def log_bessel_k(order: float, x):
+    """log K_order(x), taken in log space: finite for large x and for large
+    orders at small x, where K itself underflows or overflows.
+
+    A float64 array of x's shape; DomainError unless every x is finite and
+    > 0. The sum is of e^x K_order(x), each term shifted by psi's peak.
+    """
     x_arr = np.asarray(x, dtype=np.float64)
     if np.any(~np.isfinite(x_arr)) or np.any(x_arr <= 0.0):
-        raise DomainError("bessel_k requires finite x > 0")
+        raise DomainError("log_bessel_k requires finite x > 0")
     nu = abs(float(order))
     flat = x_arr.ravel()
     out = np.empty_like(flat)
@@ -78,25 +81,7 @@ def _log_scaled_k(order: float, x) -> tuple[np.ndarray, np.ndarray]:
         fold[:, 0] = 1.0  # halved at t = 0, the rule's end weight
         total = np.sum(np.exp(psi - top) * fold, axis=1, keepdims=True)
         out[start:start + _K_BLOCK] = (top + np.log(0.5 * h * total))[:, 0]
-    return x_arr, out.reshape(x_arr.shape)
-
-
-def bessel_k(order: float, x, scaled: bool = False):
-    """Modified Bessel function of the second kind K_order(x).
-
-    Vectorized over x (scalar order). With scaled=True returns e^x K_order(x),
-    which never underflows for large arguments. K_{-v} = K_v.
-    """
-    x_arr, log_scaled = _log_scaled_k(order, x)
-    result = np.exp(log_scaled if scaled else log_scaled - x_arr)
-    return float(result) if np.ndim(x) == 0 else result
-
-
-def log_bessel_k(order: float, x):
-    """log K_order(x), taken in log space: finite for large x and for large
-    orders at small x, where K itself underflows or overflows."""
-    x_arr, log_scaled = _log_scaled_k(order, x)
-    return log_scaled - x_arr
+    return out.reshape(x_arr.shape) - x_arr
 
 
 # The density is finite only for r > 0; clamping r^2 at 1e-18 keeps sums of
@@ -152,21 +137,10 @@ _MAX_BINS = 256
 _BLOCK = 16_384
 
 
-def fit_errors(values) -> tuple[int, float, float]:
-    """(n_bins, l1_normal, l1_laplace) of a standardized channel's histogram.
-
-    The histogram has a Freedman-Diaconis bin count clipped to [24, 256]; the
-    errors are those of N(0, 1) and of the unit-variance Laplace against it.
-    The one-column case of `column_fit_errors`.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n_bins, normal, laplace = column_fit_errors(values.reshape(-1, 1))
-    return int(n_bins[0]), float(normal[0]), float(laplace[0])
-
-
 def column_fit_errors(data) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`fit_errors` of every column of a (T, N) matrix: three length-N arrays.
+    """(n_bins, l1_normal, l1_laplace) of every column of a (T, N) matrix: length-N arrays.
 
+    Each histogram has a Freedman-Diaconis bin count clipped to [24, 256].
     Bit for bit what `np.percentile` and `np.histogram` give column by column.
     Each block of whole columns, at most `_BLOCK` cells unless one column is
     longer, is sorted once. A column's range is its first and last sorted

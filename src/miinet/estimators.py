@@ -7,11 +7,11 @@ with regularized covariance Sigma is therefore
 (d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d), with e_gaussian(d) = 0
 and e_laplace(d) = c_d - (d/2) ln(2 pi e), where c_d is the entropy of the
 standard d-dimensional Laplace. The covariance-level estimators take Sigma
-itself: `entropy_of_covariance` is a Cholesky log-det (`log_det`) plus that
-constant, and `cmi_of_covariance` is the Gaussian CMI of a partial
-correlation (`gaussian_cmi`) plus a constant that depends only on the family
-and |K|. The matrix-level estimators pass them slices of the matrix's one
-regularized covariance. Values are in nats and deterministic.
+itself: `entropy_of_covariance` is a Cholesky log-det plus that constant,
+and `cmi_of_covariance` is the Gaussian CMI of a partial correlation
+(`gaussian_cmi`) plus a constant that depends only on the family and |K|.
+The matrix-level estimators pass them slices of the matrix's one regularized
+covariance. Values are in nats and deterministic.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ def cholesky(cov: np.ndarray) -> np.ndarray:
         raise SingularCovariance("covariance not positive definite") from None
 
 
-def log_det(cov: np.ndarray) -> float:
-    """ln det of a positive-definite covariance, by Cholesky."""
-    return 2.0 * float(np.log(np.diag(cholesky(cov))).sum())
-
-
 def gaussian_cmi(factor: np.ndarray, cross: np.ndarray, var: np.ndarray) -> np.ndarray:
     """Gaussian I(i; v | K) for every row v of `cross`, from one factorization.
 
@@ -90,7 +85,8 @@ def entropy_of_covariance(cov: np.ndarray, family: Family) -> float:
     """(d/2) ln(2 pi e) + (1/2) ln det Sigma + e_family(d) of a d x d covariance."""
     cov = np.asarray(cov, dtype=np.float64)
     d = cov.shape[0]
-    return 0.5 * d * _LN_2PIE + 0.5 * log_det(cov) + entropy_offset(family, d)
+    log_det = 2.0 * float(np.log(np.diag(cholesky(cov))).sum())
+    return 0.5 * d * _LN_2PIE + 0.5 * log_det + entropy_offset(family, d)
 
 
 def cmi_of_covariance(cov: np.ndarray, family: Family) -> float:
@@ -100,9 +96,20 @@ def cmi_of_covariance(cov: np.ndarray, family: Family) -> float:
     return float(cmi[0]) + cmi_offset(family, cov.shape[0] - 2)
 
 
+def check_channels(x: TimeSeriesMatrix, channels: Sequence[int]) -> None:
+    """ValueError unless every index names a channel of x."""
+    if not all(0 <= c < x.n_channels for c in channels):
+        raise ValueError(f"channel indices {list(channels)} outside 0..{x.n_channels - 1}")
+
+
+def check_condition_size(k: int, t: int) -> None:
+    """ConditionSetTooLarge unless |K| = k leaves T = t > k+2 samples."""
+    if k + 2 >= t:
+        raise ConditionSetTooLarge(f"|K|+2 = {k + 2} >= T = {t}")
+
+
 def _covariance_slice(x: TimeSeriesMatrix, idx: Sequence[int]) -> np.ndarray:
-    if any(i < 0 or i >= x.n_channels for i in idx):
-        raise ValueError(f"channel indices {list(idx)} outside 0..{x.n_channels - 1}")
+    check_channels(x, idx)
     return x.covariance[np.ix_(idx, idx)]
 
 
@@ -143,10 +150,7 @@ def conditional_mutual_information(
         raise ValueError("i and j must differ")
     if i in cond or j in cond:
         raise ValueError("i and j must not be in the conditioning set")
-    if len(cond) + 2 >= x.n_samples:
-        raise ConditionSetTooLarge(
-            f"|K|+2 = {len(cond) + 2} >= T = {x.n_samples}"
-        )
+    check_condition_size(len(cond), x.n_samples)
     return cmi_of_covariance(_covariance_slice(x, (*cond, min(i, j), max(i, j))), family)
 
 

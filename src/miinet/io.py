@@ -192,10 +192,6 @@ def bundled_grid_path() -> Path:
     return Path(resources.files("miinet") / "data" / "grid_6x5.csv")
 
 
-def load_bundled_grid() -> SensorGrid:
-    return load_grid_csv(bundled_grid_path())
-
-
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
@@ -454,7 +450,7 @@ def write_mi_map_diff_csv(diff: MIMapDiff, prov: dict, path) -> None:
     rows = ((a, b, delta) for (a, b), delta in zip(diff.edges, diff.deltas))
     _write_csv(path, prov, "sensor_a,sensor_b,delta_mi", rows,
                axis=diff.axis.value, baseline=diff.baseline_scenario,
-               comparison=diff.comparison_scenario, sign_convention=diff.sign_convention)
+               comparison=diff.comparison_scenario, sign_convention="comparison_minus_baseline")
 
 
 def _edge_dict(e: Edge) -> dict:

@@ -40,8 +40,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import TimeSeriesMatrix, as_integer
-from .errors import ConditionSetTooLarge, MiinetError, NetworkInferenceError
-from .estimators import Family, cholesky, cmi_offset, gaussian_cmi
+from .errors import MiinetError, NetworkInferenceError
+from .estimators import (
+    Family, check_channels, check_condition_size, cholesky, cmi_offset, gaussian_cmi,
+)
 from .seeding import derive_seed
 
 
@@ -194,8 +196,7 @@ def _shuffle_tests(
     floor((1-theta)*Ns)-th smallest of its nulls.
     """
     k = orders.shape[1] - 1
-    if k + 2 >= design.t:
-        raise ConditionSetTooLarge(f"|K|+2 = {k + 2} >= T = {design.t}")
+    check_condition_size(k, design.t)
     cmis = design.cmis(orders, partners, factor) + cmi_offset(design.cfg.family, k)
     actual = cmis[:, 0]
     thresholds = np.sort(cmis[:, 1:], axis=1)[:, design.cfg.threshold_rank - 1]
@@ -287,11 +288,6 @@ def _remove(
     return pruned, failures
 
 
-def _check_channels(x: TimeSeriesMatrix, channels: Sequence[int]) -> None:
-    if not all(0 <= c < x.n_channels for c in channels):
-        raise ValueError(f"channel indices {list(channels)} outside 0..{x.n_channels - 1}")
-
-
 def _raise_first(results: tuple[list[ParentSet], list[tuple[int, Exception]]]) -> ParentSet:
     parent_sets, failures = results
     if failures:
@@ -317,7 +313,7 @@ def shuffle_test(
     channels = (i, j, *cond)
     if len(set(channels)) != len(channels):
         raise ValueError("i, j and the conditioning channels must all differ")
-    _check_channels(x, channels)
+    check_channels(x, channels)
     orders = np.array([(*cond, i)], dtype=np.intp)
     design = _Design(x, cfg)
     passed, actual, thresholds = _shuffle_tests(
@@ -331,7 +327,7 @@ def discover(x: TimeSeriesMatrix, i: int, cfg: OmiiConfig) -> ParentSet:
 
     Ties in the argmax break toward the lowest channel index.
     """
-    _check_channels(x, [int(i)])
+    check_channels(x, [int(i)])
     return _raise_first(_discover(_Design(x, cfg), [int(i)]))
 
 
@@ -342,7 +338,7 @@ def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) 
     """
     if discovered.target != int(i):
         raise ValueError("parent set belongs to a different target")
-    _check_channels(x, [discovered.target, *discovered.parents])
+    check_channels(x, [discovered.target, *discovered.parents])
     return _raise_first(_remove(_Design(x, cfg), [discovered]))
 
 

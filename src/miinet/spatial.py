@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Axis, TimeSeriesMatrix
-from .errors import ConditionSetTooLarge, EdgeSetMismatch, MissingChannel, NodeSetMismatch
-from .estimators import Family, cholesky, cmi_offset, gaussian_cmi
+from .errors import EdgeSetMismatch, MissingChannel, NodeSetMismatch
+from .estimators import Family, check_condition_size, cholesky, cmi_offset, gaussian_cmi
 from .omii import Edge, InteractionNetwork
 
 
@@ -98,8 +98,7 @@ def pairwise_mi_map(
     edges = neighbor_pairs(grid)
     if not edges:
         return PairwiseMIMap(axis, scenario, (), ())
-    if x.n_samples <= 2:
-        raise ConditionSetTooLarge(f"|K|+2 = 2 >= T = {x.n_samples}")
+    check_condition_size(0, x.n_samples)
     lo, hi = np.array([sorted((columns[a], columns[b])) for a, b in edges]).T
     cov = x.covariance
     cmis = gaussian_cmi(
@@ -118,7 +117,6 @@ class MIMapDiff:
     comparison_scenario: str
     edges: tuple[tuple[int, int], ...]
     deltas: tuple[float, ...]
-    sign_convention: str = "comparison_minus_baseline"
 
 
 def mi_map_diff(baseline: PairwiseMIMap, comparison: PairwiseMIMap) -> MIMapDiff:

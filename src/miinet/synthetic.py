@@ -177,12 +177,10 @@ def chain_coupling(n: int, weight: float) -> np.ndarray:
     return a
 
 
-def star_coupling(n: int, weight: float, hub: int = 0) -> np.ndarray:
-    """Hub drives every other channel."""
+def star_coupling(n: int, weight: float) -> np.ndarray:
+    """Channel 0 drives every other channel."""
     a = np.zeros((n, n))
-    for j in range(n):
-        if j != hub:
-            a[hub, j] = weight
+    a[:1, 1:] = weight
     return a
 
 

@@ -205,6 +205,21 @@ def test_regularize_passthrough_when_pd():
     np.testing.assert_array_equal(out, cov)
 
 
+def test_regularize_escalates_past_the_first_ridge():
+    # 60 identical channels: 1e-10 tr/N is under the tolerance times the largest
+    # eigenvalue, 60; the next step, 1e-9 tr/N, clears it
+    out, ridge = regularize_covariance(np.ones((60, 60)))
+    assert ridge == 1e-10 * 10.0
+    np.testing.assert_array_equal(out, np.ones((60, 60)) + ridge * np.eye(60))
+
+
+def test_regularize_gives_up_at_the_largest_ridge():
+    # the largest ridge, 1e-4 tr/N = 49.95, cannot lift an eigenvalue of -1000
+    with pytest.raises(SingularCovariance, match=r"^not positive definite even with ridge "
+                       r"4\.995e\+01; duplicated channels\?$"):
+        regularize_covariance(np.diag([1e6, -1e3]))
+
+
 def test_regularize_makes_every_slice_factor():
     # a duplicated column makes the covariance singular; whether Cholesky of the
     # whole matrix happens to complete is up to rounding, so test every slice

@@ -7,7 +7,7 @@ import scipy.special as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from miinet import bessel_k, fit_errors, log_bessel_k
+from miinet import log_bessel_k
 from miinet.distributions import (
     _BLOCK,
     _l1_errors,
@@ -25,69 +25,66 @@ import oracles
 
 # ---------------------------------------------------------------- bessel K
 
+def k_nu(order, x):
+    """K_order(x) from the package's one Bessel routine, log K."""
+    return np.exp(log_bessel_k(order, x))
+
+
 def test_k_half_closed_form_at_one():
     # K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}
-    assert abs(bessel_k(0.5, 1.0) - 0.4610685044478946) < 1e-10 * 0.46
+    assert abs(k_nu(0.5, 1.0) - 0.4610685044478946) < 1e-10 * 0.46
 
 
 def test_k_half_closed_form_grid():
     xs = np.logspace(-2, np.log10(50.0), 60)
-    ours = bessel_k(0.5, xs)
+    ours = k_nu(0.5, xs)
     ref = np.array([oracles.k_half_closed_form(x) for x in xs])
     assert np.max(np.abs(ours / ref - 1.0)) < 1e-10
 
 
 def test_k_three_halves_closed_form_grid():
     xs = np.logspace(-2, np.log10(50.0), 40)
-    ours = bessel_k(1.5, xs)
+    ours = k_nu(1.5, xs)
     ref = np.array([oracles.k_three_halves_closed_form(x) for x in xs])
     assert np.max(np.abs(ours / ref - 1.0)) < 1e-10
 
 
 def test_k0_at_one_vs_quadrature_oracle():
     # frozen value computed from the integral representation
-    assert abs(bessel_k(0.0, 1.0) - 0.4210244382) < 1e-9
-    assert abs(bessel_k(0.0, 1.0) - oracles.bessel_k_quadrature(0.0, 1.0)) < 1e-10
+    assert abs(k_nu(0.0, 1.0) - 0.4210244382) < 1e-9
+    assert abs(k_nu(0.0, 1.0) - oracles.bessel_k_quadrature(0.0, 1.0)) < 1e-10
 
 
 def test_k0_k1_vs_quadrature_oracle_log_grid():
     xs = np.logspace(math.log10(0.01), math.log10(50.0), 40)
     for nu in (0.0, 1.0):
-        ours = bessel_k(nu, xs)
+        ours = k_nu(nu, xs)
         ref = np.array([oracles.bessel_k_quadrature(nu, x) for x in xs])
         rel = np.max(np.abs(ours / ref - 1.0))
         assert rel < 1e-8, (nu, rel)
 
 
 def test_order_symmetry():
-    assert bessel_k(-0.5, 1.0) == bessel_k(0.5, 1.0)
-    assert abs(bessel_k(-2.0, 3.7) - bessel_k(2.0, 3.7)) < 1e-14
+    assert k_nu(-0.5, 1.0) == k_nu(0.5, 1.0)
+    assert abs(k_nu(-2.0, 3.7) - k_nu(2.0, 3.7)) < 1e-14
 
 
 def test_recurrence_relation_grid():
     # K_{v+1}(x) = K_{v-1}(x) + (2v/x) K_v(x)
     xs = np.logspace(-1, np.log10(40.0), 25)
     for nu in (0.5, 1.0, 1.5, 2.0, 3.5):
-        lhs = bessel_k(nu + 1.0, xs)
-        rhs = bessel_k(nu - 1.0, xs) + (2.0 * nu / xs) * bessel_k(nu, xs)
+        lhs = k_nu(nu + 1.0, xs)
+        rhs = k_nu(nu - 1.0, xs) + (2.0 * nu / xs) * k_nu(nu, xs)
         assert np.max(np.abs(lhs / rhs - 1.0)) < 1e-8
 
 
 def test_bessel_domain_error():
+    with pytest.raises(DomainError, match=r"^log_bessel_k requires finite x > 0$"):
+        k_nu(0.0, 0.0)
     with pytest.raises(DomainError):
-        bessel_k(0.0, 0.0)
+        k_nu(1.0, -2.0)
     with pytest.raises(DomainError):
-        bessel_k(1.0, -2.0)
-    with pytest.raises(DomainError):
-        bessel_k(1.0, np.array([1.0, np.nan]))
-
-
-def test_scaled_and_log_variants():
-    x = 300.0
-    scaled = bessel_k(0.0, x, scaled=True)
-    assert abs(math.log(scaled) - x - log_bessel_k(0.0, x)) < 1e-12
-    # unscaled would underflow near x ~ 750; log path must not
-    assert np.isfinite(log_bessel_k(1.0, 5000.0))
+        k_nu(1.0, np.array([1.0, np.nan]))
 
 
 @pytest.mark.parametrize("nu", [30, 49])
@@ -175,20 +172,20 @@ def test_multivariate_gaussian_entropy_and_sampling():
 # ------------------------------------------------- empirical distributions
 
 def test_empirical_distribution_mass_and_bins(rng):
-    n_bins, _, _ = fit_errors(rng.standard_normal(20_000))
-    assert 24 <= n_bins <= 256
+    n_bins, _, _ = column_fit_errors(rng.standard_normal((20_000, 1)))
+    assert 24 <= n_bins[0] <= 256
 
 
 def test_empirical_distribution_bin_clipping(rng):
-    few, _, _ = fit_errors(rng.standard_normal(30))
-    assert few >= 24
-    many, _, _ = fit_errors(rng.standard_normal(5_000_000))
-    assert many <= 256
+    few, _, _ = column_fit_errors(rng.standard_normal((30, 1)))
+    assert few[0] >= 24
+    many, _, _ = column_fit_errors(rng.standard_normal((5_000_000, 1)))
+    assert many[0] <= 256
 
 
 def test_empirical_distribution_errors():
     with pytest.raises(EmptyHistogram):
-        fit_errors(np.ones(100))
+        column_fit_errors(np.ones((100, 1)))
 
 
 @pytest.mark.parametrize(
@@ -204,14 +201,14 @@ def test_fit_errors_range_too_narrow_for_its_bins(values):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EmptyHistogram):
-            fit_errors(values)
+            column_fit_errors(np.array(values)[:, None])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_fit_errors_non_finite_sample(bad):
     with pytest.raises(NonFinite) as info:
-        fit_errors([0.0, 1.0, bad, 2.0])
-    assert info.value.t == 2
+        column_fit_errors(np.array([[0.0], [1.0], [bad], [2.0]]))
+    assert (info.value.channel, info.value.t) == (0, 2)
 
 
 @pytest.mark.parametrize("t, n", [(50, 4), (1442, 13)], ids=["one-block", "second-block"])
@@ -262,7 +259,6 @@ def test_column_fit_errors_match_the_per_column_reference_bit_for_bit(seed, t, n
     assert n_bins.tolist() == [e[0] for e in expected]
     assert normal.tobytes() == np.array([e[1] for e in expected]).tobytes()
     assert laplace.tobytes() == np.array([e[2] for e in expected]).tobytes()
-    assert fit_errors(data[:, 0]) == expected[0]
     if kind == "iqr0" and t >= 50:
         assert set(n_bins.tolist()) == {256}
 
@@ -296,13 +292,13 @@ def test_univariate_pdfs_normalized():
 
 def test_fit_error_large_sample_self_consistency():
     rng = np.random.default_rng(7)
-    _, err, _ = fit_errors(rng.standard_normal(1_000_000))
-    assert err < 0.05
+    _, err, _ = column_fit_errors(rng.standard_normal((1_000_000, 1)))
+    assert err[0] < 0.05
 
 
 def test_fit_error_prefers_matching_family():
     rng = np.random.default_rng(8)
     b = math.sqrt(2.0) / 2.0
     draws = rng.laplace(0.0, b, size=1_000_000)
-    _, err_nrm, err_lap = fit_errors(draws)
-    assert err_lap < err_nrm
+    _, err_nrm, err_lap = column_fit_errors(draws[:, None])
+    assert err_lap[0] < err_nrm[0]

@@ -217,6 +217,11 @@ def test_condition_set_too_large(rng):
         conditional_mutual_information(x, 0, 1, (2, 3, 4), GAUSS)
 
 
+def test_cholesky_rejects_a_matrix_that_is_not_positive_definite():
+    with pytest.raises(SingularCovariance, match=r"^covariance not positive definite$"):
+        cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
 def test_mi_argument_validation(rng):
     x = make_matrix(rng.standard_normal((100, 3)))
     with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from miinet.cli import (
     RunConfig, _omii_config, build_fit_report, build_parser, load_generator_spec, main, run_pipeline,
 )
 from miinet.errors import DuplicateChannel, EmptyFile, MalformedNetwork, MiinetError, ParseError
-from miinet import io as mio
+from miinet import floatparse as fp, io as mio
 from miinet.omii import Edge, InteractionNetwork, OmiiConfig, infer_network
 from miinet.seeding import derive_seed
 from miinet.spatial import PairwiseMIMap
@@ -378,6 +378,46 @@ def test_bulk_reader_agrees_with_cell_parser(tmp_path_factory, text):
     assert read_outcome(path) == cell_parser
 
 
+def assert_left_to_cell_parser(path: Path) -> tuple:
+    """The block reader gives the body up, and the read is the cell parser's."""
+    header = path.read_bytes().index(b"\n") + 1
+    n_cols = path.read_bytes()[:header].count(b",") + 1
+    assert mio._block_rows(path, header, n_cols) is None
+    with no_block_parser():
+        cell_parser = read_outcome(path)
+    assert read_outcome(path) == cell_parser
+    return cell_parser
+
+
+def test_a_line_longer_than_a_block_is_left_to_the_cell_parser(tmp_path):
+    # 5,000 cells of about 19 bytes: each line is past a 64 KB block
+    x = make_matrix(np.random.default_rng(3).standard_normal((3, 5_000)))
+    path = tmp_path / "wide.csv"
+    mio.write_timeseries_csv(x, path)
+    assert len(path.read_bytes().splitlines()[1]) > fp.BLOCK_BYTES
+    assert assert_left_to_cell_parser(path) == ("ok", (3, 5_000), x.data.tobytes())
+
+
+def test_count_lines_of_a_stream_shorter_than_stop_is_none():
+    assert fp.count_lines(io.BytesIO(b"1,2\n3,4\n"), 0, 100) is None
+
+
+def test_a_lone_cr_in_a_crlf_body_is_left_to_the_cell_parser(tmp_path):
+    # csv ends a row at the lone CR, so the cell parser finds a short row
+    path = tmp_path / "cr.csv"
+    path.write_bytes(b"s1_lat,s2_lat\r\n1.5,2.5\r\n3.5\r,4.5\r\n")
+    assert assert_left_to_cell_parser(path) == ("ParseError", 3, 1)
+
+
+def test_a_cell_past_the_csv_field_limit_is_left_to_the_cell_parser(tmp_path):
+    path = write(tmp_path / "long.csv", "s1_lat,s2_lat\n1.5,2.5\n3.5,4.000000000000000000001\n")
+    old = csv.field_size_limit(16)
+    try:
+        assert assert_left_to_cell_parser(path) == ("ParseError", 3, 1)
+    finally:
+        csv.field_size_limit(old)
+
+
 def test_paper_scale_record_round_trips_bit_identical(tmp_path):
     """30 channels x 11,536 samples, 90 s at 128 Hz: the size `miinet generate` writes.
     Written as csv.writer writes it and read back bit for bit by the block parser."""
@@ -408,7 +448,7 @@ def test_no_fork_without_a_second_core_or_os_fork(tmp_path, monkeypatch, no_spli
 # ------------------------------------------------------------------ grid
 
 def test_bundled_grid():
-    grid = mio.load_bundled_grid()
+    grid = mio.load_grid_csv(mio.bundled_grid_path())
     assert len(grid.sensors) == 30
     assert len(neighbor_pairs(grid)) == 49
 
@@ -420,6 +460,11 @@ def test_grid_csv_errors(tmp_path):
         mio.load_grid_csv(write(tmp_path / "g2.csv", "sensor_index,row,col\n1,0,0\n1,1,1\n"))
     with pytest.raises(EmptyFile):
         mio.load_grid_csv(write(tmp_path / "g3.csv", "sensor_index,row,col\n"))
+    empty = write(tmp_path / "empty.csv", "")
+    with pytest.raises(EmptyFile, match=f"^{re.escape(str(empty))} is empty$"):
+        mio.load_grid_csv(empty)
+    with pytest.raises(ParseError, match=r"^line 3, column 1: expected 3 cells$"):
+        mio.load_grid_csv(write(tmp_path / "short.csv", "sensor_index,row,col\n1,0,0\n2,0\n"))
     # an integer past float's range is a ParseError at its cell, not an OverflowError
     with pytest.raises(ParseError) as err:
         mio.load_grid_csv(write(tmp_path / "g4.csv", f"sensor_index,row,col\n{'9' * 400},0,0\n"))
@@ -614,6 +659,17 @@ def test_mi_map_csv_bad_cell_position(tmp_path, row, col):
     assert (err.value.line, err.value.col) == (5, col)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# axis=lateral\nsensor_a,sensor_b,mi\n1,2,0.5\n", "line 2, column 1: unexpected MI map header"),
+    ("# axis=lateral\nsensor_a,sensor_b,mi,mi_raw\n1,2,0.5\n", "line 3, column 1: expected 4 cells"),
+    ("sensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n", "line 1, column 1: not a pairwise MI map file"),
+    ("# axis=lateral\n", "line 1, column 1: not a pairwise MI map file"),
+], ids=["header", "short-row", "no-axis", "no-header"])
+def test_mi_map_csv_names_a_file_of_another_shape(tmp_path, text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        mio.read_mi_map_csv(write(tmp_path / "map.csv", text))
+
+
 # ------------------------------------------------------------------ CLI
 
 def generator_json(tmp_path, **overrides) -> Path:
@@ -727,7 +783,11 @@ def test_generate_names_missing_spec_field(tmp_path, capsys, coupling, path):
      ({"n_channels": -1}, "'n_channels' must be a positive integer"),
      ({"seed": -5}, "'seed' must be a non-negative integer"),
      ({"edges": None, "random_dag": {"density": 0.3, "weight": 0.4, "graph_seed": -5}},
-      "'graph_seed' must be a non-negative integer")],
+      "'graph_seed' must be a non-negative integer"),
+     ({"kind": "ar"}, "unknown generator kind 'ar'"),
+     (COUPLING_BLOCKS["random_dag"], "specify exactly one of edges / grid_layout / random_dag"),
+     ({**COUPLING_BLOCKS["grid_layout"], "n_channels": 29, "edges": None},
+      "grid has more sensors than n_channels")],
 )
 def test_generate_rejects_mis_shaped_spec(tmp_path, capsys, shape, field):
     spec = json.loads(generator_json(tmp_path).read_text())
@@ -1132,6 +1192,37 @@ def test_cli_reports_an_os_error_as_one_record(tmp_path, capsys, directory):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err)["error"] == "IsADirectoryError"
+
+
+def assert_out_of_memory_record(capsys, code):
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    record = json.loads(err)
+    assert record["error"] == "MemoryError" and "Unable to allocate" in record["message"]
+
+
+# Both arrays are past 2^48 bytes, beyond any address space the allocator can map,
+# so each allocation fails at once, whatever the kernel's overcommit setting.
+def test_generate_out_of_memory_is_one_record(tmp_path, capsys):
+    # the 10^7 x 10^7 coupling matrix: 728 TiB of float64
+    spec = generator_json(tmp_path, n_channels=10_000_000,
+                          edges=[{"source": 1, "target": 2, "weight": 0.5}])
+    out = tmp_path / "data.csv"
+    assert_out_of_memory_record(capsys, main(["generate", "--spec", str(spec), "--out", str(out)]))
+    assert not out.exists()
+
+
+def test_omii_out_of_memory_is_one_record(tmp_path, capsys):
+    # the 10^13 x 200 permutation bank: 1.78 PiB of uint8
+    data = tmp_path / "d.csv"
+    assert main(["generate", "--spec", str(generator_json(tmp_path, n_samples=200)),
+                 "--out", str(data)]) == 0
+    prefix = tmp_path / "net"
+    code = main(["omii", "--input", str(data), "--axis", "lateral", "--family", "gaussian",
+                 "--n-shuffles", str(10**13), "--seed", "4", "--out-prefix", str(prefix)])
+    assert_out_of_memory_record(capsys, code)
+    assert not (tmp_path / "net.json").exists()
 
 
 # -------------------------------------------------------------- pipeline

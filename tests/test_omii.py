@@ -11,7 +11,9 @@ from miinet import (
     shuffle_test,
 )
 from miinet import core, omii, standardize
-from miinet.errors import MiinetError, NetworkInferenceError, SingularCovariance
+from miinet.errors import (
+    ConditionSetTooLarge, MiinetError, NetworkInferenceError, SingularCovariance,
+)
 from miinet.estimators import Family, cmi_offset, conditional_mutual_information
 from miinet.omii import InteractionNetwork, OmiiConfig, ParentSet, Edge
 from miinet.seeding import derive_seed
@@ -188,6 +190,17 @@ def test_remove_empty_is_empty():
     cfg = OmiiConfig(family=GAUSS, seed=2)
     empty = ParentSet(0, ())
     assert remove(x, 0, empty, cfg).parents == ()
+
+
+def test_remove_reports_a_failing_batch():
+    # T = 4: testing parent 1 given the other two, |K|+2 = 4, fails the whole batch
+    x = independent_matrix(5, t=4, n=4)
+    cfg = OmiiConfig(family=GAUSS, seed=3)
+    parents = ParentSet(0, tuple(Edge(j, 0, 0.5, 0.1) for j in (1, 2, 3)))
+    with pytest.raises(ConditionSetTooLarge, match=r"^\|K\|\+2 = 4 >= T = 4$"):
+        remove(x, 0, parents, cfg)
+    with pytest.raises(ValueError, match=r"^parent set belongs to a different target$"):
+        remove(x, 1, parents, cfg)
 
 
 def test_remove_prunes_redundant_summary_node():

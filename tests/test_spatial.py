@@ -149,7 +149,6 @@ def test_mi_map_diff_zero_and_antisymmetry():
     ab = mi_map_diff(a, b)
     ba = mi_map_diff(b, a)
     np.testing.assert_allclose(ab.deltas, [-d for d in ba.deltas], atol=0.0)
-    assert ab.sign_convention == "comparison_minus_baseline"
 
 
 def test_mi_map_diff_loosening_goes_negative():

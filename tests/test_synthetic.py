@@ -6,7 +6,7 @@ import pytest
 from miinet import standardize
 from miinet.errors import CyclicGraph, UnstableSpec
 from miinet.estimators import Family, cmi_offset, mutual_information
-from miinet.io import load_bundled_grid
+from miinet.io import bundled_grid_path, load_grid_csv
 from miinet.spatial import neighbor_pairs
 from miinet.synthetic import (
     GeneratorSpec,
@@ -181,7 +181,7 @@ def test_generators_on_the_deck_grid_match_the_out_of_place_reference(
     generate, reference, innovation
 ):
     """The bundled 6 x 5 deck's neighbours coupled low -> high, 30 channels."""
-    grid = neighbor_pairs(load_bundled_grid())
+    grid = neighbor_pairs(load_grid_csv(bundled_grid_path()))
     spec = GeneratorSpec(30, 700, coupling_from_edges(30, [(a - 1, b - 1, 0.3) for a, b in grid]),
                          innovation, seed=11)
     assert generate(spec).data.tobytes() == reference(spec).tobytes()
