@@ -5,7 +5,9 @@ here are pure. A matrix takes a read-only, C-ordered float64 array that owns its
 memory as it is, without a copy: the caller gives that array up. Any other
 input, a writeable array or a view among them, is copied. A matrix computes its
 regularized covariance once, on first use, and every entropy, MI, CMI and
-shuffle null is computed from slices of it.
+shuffle null is computed from slices of it. Every call that takes channel
+indices reads them through `channel_indices`, the one index rule: each must be
+an integer, not a bool or a float, name a column of the matrix and appear once.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class ChannelId:
     axis: Axis
 
     def __post_init__(self):
+        object.__setattr__(self, "sensor_index", as_integer("sensor_index", self.sensor_index))
         if self.sensor_index < 1:
             raise ValueError("sensor_index must be >= 1")
 
@@ -126,7 +129,7 @@ class TimeSeriesMatrix:
 
     def select(self, indices: Sequence[int]) -> "TimeSeriesMatrix":
         """New matrix restricted to the given columns, order preserved."""
-        idx = list(indices)
+        idx = channel_indices(self, indices)
         data = np.take(self.data, idx, axis=1)
         data.flags.writeable = False
         return TimeSeriesMatrix(data, tuple(self.channels[k] for k in idx))
@@ -137,6 +140,16 @@ def as_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def channel_indices(x: TimeSeriesMatrix, channels: Sequence[int]) -> list[int]:
+    """The channel indices as ints, in order; ValueError unless each names one column of x once."""
+    idx = [as_integer("channel index", c) for c in channels]
+    if not all(0 <= c < x.n_channels for c in idx):
+        raise ValueError(f"channel indices {idx} outside 0..{x.n_channels - 1}")
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"channel indices {idx} repeat a channel")
+    return idx
 
 
 def standardize(raw: TimeSeriesMatrix) -> TimeSeriesMatrix:

@@ -10,7 +10,8 @@ standard d-dimensional Laplace. The covariance-level estimators take Sigma
 itself: `entropy_of_covariance` is a Cholesky log-det plus that constant,
 and `cmi_of_covariance` is the Gaussian CMI of a partial correlation
 (`gaussian_cmi`) plus a constant that depends only on the family and |K|.
-The matrix-level estimators pass them slices of the matrix's one regularized
+The matrix-level estimators read their channel indices through
+`core.channel_indices` and pass them slices of the matrix's one regularized
 covariance. Values are in nats and deterministic.
 """
 
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TimeSeriesMatrix
+from .core import TimeSeriesMatrix, channel_indices
 from .distributions import laplace_entropy_constant
 from .errors import ConditionSetTooLarge, SingularCovariance
 
@@ -96,38 +97,20 @@ def cmi_of_covariance(cov: np.ndarray, family: Family) -> float:
     return float(cmi[0]) + cmi_offset(family, cov.shape[0] - 2)
 
 
-def check_channels(x: TimeSeriesMatrix, channels: Sequence[int]) -> None:
-    """ValueError unless every index names a channel of x."""
-    if not all(0 <= c < x.n_channels for c in channels):
-        raise ValueError(f"channel indices {list(channels)} outside 0..{x.n_channels - 1}")
-
-
 def check_condition_size(k: int, t: int) -> None:
     """ConditionSetTooLarge unless |K| = k leaves T = t > k+2 samples."""
     if k + 2 >= t:
         raise ConditionSetTooLarge(f"|K|+2 = {k + 2} >= T = {t}")
 
 
-def _covariance_slice(x: TimeSeriesMatrix, idx: Sequence[int]) -> np.ndarray:
-    check_channels(x, idx)
-    return x.covariance[np.ix_(idx, idx)]
-
-
-def _canonical_subset(subset: Sequence[int]) -> tuple[int, ...]:
-    canon = tuple(sorted(int(i) for i in subset))
-    if len(set(canon)) != len(canon):
-        raise ValueError(f"duplicate channel indices in {subset}")
-    return canon
-
-
 def entropy(x: TimeSeriesMatrix, subset: Sequence[int], family: Family) -> float:
     """Differential entropy of a channel subset, in nats; 0 for the empty set."""
-    canon = _canonical_subset(subset)
-    if not canon:
+    idx = sorted(channel_indices(x, subset))
+    if not idx:
         return 0.0
-    if x.n_samples <= len(canon):
+    if x.n_samples <= len(idx):
         raise ValueError("need more samples than subset dimensions")
-    return entropy_of_covariance(_covariance_slice(x, canon), family)
+    return entropy_of_covariance(x.covariance[np.ix_(idx, idx)], family)
 
 
 def conditional_mutual_information(
@@ -144,14 +127,10 @@ def conditional_mutual_information(
     slightly negative in finite samples) value; clamping to zero happens
     only at reporting boundaries.
     """
-    i, j = int(i), int(j)
-    cond = _canonical_subset(cond)
-    if i == j:
-        raise ValueError("i and j must differ")
-    if i in cond or j in cond:
-        raise ValueError("i and j must not be in the conditioning set")
+    i, j, *cond = channel_indices(x, (i, j, *cond))
     check_condition_size(len(cond), x.n_samples)
-    return cmi_of_covariance(_covariance_slice(x, (*cond, min(i, j), max(i, j))), family)
+    idx = (*sorted(cond), min(i, j), max(i, j))
+    return cmi_of_covariance(x.covariance[np.ix_(idx, idx)], family)
 
 
 def mutual_information(x: TimeSeriesMatrix, i: int, j: int, family: Family) -> float:

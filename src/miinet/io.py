@@ -1,9 +1,12 @@
 """Every file format the package reads or writes.
 
 Every JSON input field (generator specs, networks) goes through one typed
-reader, `_field`, and every output table through one writer, `_write_csv`.
-Every output file embeds (config_hash, seed, version) so a bundle can be
-reproduced exactly; nothing here reads clocks or environment entropy.
+reader, `_field`. Every input table (grid layouts, MI maps, and the scenario
+bodies that the block parser leaves to the cell parser) goes through one typed
+row loop, `_table_rows`, as every output table goes through one writer,
+`_write_csv`. A byte that is not UTF-8 in a CSV input is a ParseError at its
+line and column. Every output file embeds (config_hash, seed, version) so a
+bundle can be reproduced exactly; nothing here reads clocks or environment entropy.
 """
 
 from __future__ import annotations
@@ -43,18 +46,19 @@ def _number(cell: str, line_no: int, col: int, parse=float):
     except (ValueError, OverflowError):  # OverflowError: an int past float's range
         finite = False
     if not finite:
-        _check_utf8(cell, line_no, col)
+        _check_utf8([cell], line_no, col)
         raise ParseError(line_no, col, f"expected a finite {parse.__name__}, got {cell!r}")
     return value
 
 
-def _check_utf8(cell: str, line_no: int, col: int) -> None:
-    """ParseError if the cell holds a byte that is not UTF-8, read as a lone surrogate."""
-    try:
-        cell.encode()
-    except UnicodeEncodeError as exc:
-        byte = ord(cell[exc.start]) - 0xDC00
-        raise ParseError(line_no, col, f"byte 0x{byte:02x} is not UTF-8") from None
+def _check_utf8(cells, line_no: int, first_col: int = 1) -> None:
+    """ParseError at the first cell, from column `first_col` on, with a byte that is not UTF-8."""
+    for col, cell in enumerate(cells, start=first_col):
+        try:
+            cell.encode()
+        except UnicodeEncodeError as exc:
+            byte = ord(cell[exc.start]) - 0xDC00
+            raise ParseError(line_no, col, f"byte 0x{byte:02x} is not UTF-8") from None
 
 
 def read_timeseries_csv(path) -> TimeSeriesMatrix:
@@ -81,7 +85,7 @@ def read_timeseries_csv(path) -> TimeSeriesMatrix:
             try:
                 channels.append(ChannelId.from_name(name.strip()))
             except ValueError as exc:
-                _check_utf8(name, 1, col)
+                _check_utf8([name], 1, col)
                 raise ParseError(1, col, str(exc)) from None
         if len(set(channels)) != len(channels):
             raise DuplicateChannel(f"{path} repeats a channel name")
@@ -134,16 +138,23 @@ def _csv_rows(lines, first_line: int):
         yield line_no, row
 
 
-def _cell_rows(fh, n_cols: int) -> np.ndarray:
-    """The body cell by cell; the first bad row or cell raises ParseError(line, col)."""
-    rows = []
-    for line_no, row in _csv_rows(fh, 2):
+def _table_rows(rows, kinds):
+    """(line number, values) of each non-blank row of `rows`, cell k read by `_number` as kinds[k].
+
+    A row that is not len(kinds) cells wide raises ParseError at its line, column 1.
+    """
+    for line_no, row in rows:
         if not row:
             continue
-        if len(row) != n_cols:
-            raise ParseError(line_no, 1, f"expected {n_cols} cells, got {len(row)}")
-        rows.append([_number(cell, line_no, col) for col, cell in enumerate(row, start=1)])
-    return np.asarray(rows)
+        if len(row) != len(kinds):
+            raise ParseError(line_no, 1, f"expected {len(kinds)} cells, got {len(row)}")
+        cells = enumerate(zip(row, kinds), start=1)
+        yield line_no, [_number(cell, line_no, col, kind) for col, (cell, kind) in cells]
+
+
+def _cell_rows(fh, n_cols: int) -> np.ndarray:
+    """The body cell by cell; the first bad row or cell raises ParseError(line, col)."""
+    return np.asarray([values for _, values in _table_rows(_csv_rows(fh, 2), (float,) * n_cols)])
 
 
 def write_timeseries_csv(x: TimeSeriesMatrix, path) -> None:
@@ -167,18 +178,10 @@ def load_grid_csv(path) -> SensorGrid:
         except StopIteration:
             raise EmptyFile(f"{path} is empty") from None
         if [h.strip().lower() for h in header] != ["sensor_index", "row", "col"]:
-            for col, name in enumerate(header, start=1):
-                _check_utf8(name, 1, col)
+            _check_utf8(header, 1)
             raise ParseError(1, 1, "expected header sensor_index,row,col")
         positions = {}
-        for line_no, row in rows:
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ParseError(line_no, 1, "expected 3 cells")
-            sensor, r, c = (
-                _number(cell, line_no, col, int) for col, cell in enumerate(row, start=1)
-            )
+        for line_no, (sensor, r, c) in _table_rows(rows, (int, int, int)):
             if sensor in positions:
                 raise ParseError(line_no, 1, f"sensor {sensor} listed twice")
             positions[sensor] = (r, c)
@@ -364,6 +367,10 @@ def load_generator_spec(path) -> tuple[str, GeneratorSpec]:
     )
 
 
+_LATERAL_SPACING_M = 2.13  # metres between grid columns on the deck
+_LONGITUDINAL_SPACING_M = 1.96  # metres between grid rows
+
+
 def write_network_dot(
     net: InteractionNetwork, prov: dict, path, grid: SensorGrid | None = None
 ) -> None:
@@ -376,8 +383,8 @@ def write_network_dot(
             sensor = ChannelId.from_name(name).sensor_index
             if sensor in grid.positions:
                 r, c = grid.positions[sensor]
-                x_m = c * grid.lateral_spacing_m
-                y_m = -r * grid.longitudinal_spacing_m
+                x_m = c * _LATERAL_SPACING_M
+                y_m = -r * _LONGITUDINAL_SPACING_M
                 attrs.append(f'pos="{x_m:.2f},{y_m:.2f}!"')
         lines.append(f"  n{idx} [{', '.join(attrs)}];")
     for e in net.edges:
@@ -407,42 +414,32 @@ def write_mi_map_csv(mi_map: PairwiseMIMap, prov: dict, path) -> None:
 
 
 def read_mi_map_csv(path) -> PairwiseMIMap:
-    """A map written by write_mi_map_csv; a byte that is not UTF-8 is a ParseError there."""
-    path = Path(path)
-    axis = None
-    scenario = ""
-    edges, values = [], []
-    header_seen = False
-    text = path.read_text(encoding="utf-8-sig", errors="surrogateescape")
+    """A map written by write_mi_map_csv; notes and header are read raw: labels keep their text."""
+    axis, scenario, header_seen, table = None, "", False, []
+    text = Path(path).read_text(encoding="utf-8-sig", errors="surrogateescape")
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line:
-            continue
+        table.append(line if header_seen and not line.startswith("#") else "")
         if line.startswith("#"):
-            _check_utf8(raw, line_no, 1)
+            _check_utf8([raw], line_no)
             body = line[1:].strip()
             if body.startswith("axis="):
                 axis = Axis(body.split("=", 1)[1])
             elif body.startswith("scenario="):
                 scenario = raw.split("=", 1)[1]  # unstripped: a label may end in whitespace
-            continue
-        if not header_seen:
+        elif line and not header_seen:
             if line != _MI_MAP_HEADER:
-                for col, name in enumerate(line.split(","), start=1):
-                    _check_utf8(name, line_no, col)
+                _check_utf8(line.split(","), line_no)
                 raise ParseError(line_no, 1, "unexpected MI map header")
             header_seen = True
-            continue
-        cells = line.split(",")
-        if len(cells) != 4:
-            raise ParseError(line_no, 1, "expected 4 cells")
-        edges.append(tuple(_number(cells[k], line_no, k + 1, int) for k in (0, 1)))
-        clamped, raw_mi = (_number(cells[k], line_no, k + 1) for k in (2, 3))
-        if clamped != max(raw_mi, 0.0):
-            raise ParseError(line_no, 3, f"mi {clamped!r} is not max(mi_raw, 0)")
-        values.append(raw_mi)
     if axis is None or not header_seen:
         raise ParseError(1, 1, "not a pairwise MI map file")
+    edges, values = [], []
+    for line_no, (a, b, mi, mi_raw) in _table_rows(_csv_rows(table, 1), (int, int, float, float)):
+        if mi != max(mi_raw, 0.0):
+            raise ParseError(line_no, 3, f"mi {mi!r} is not max(mi_raw, 0)")
+        edges.append((a, b))
+        values.append(mi_raw)
     return PairwiseMIMap(axis, scenario, tuple(edges), tuple(values))
 
 

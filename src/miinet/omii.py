@@ -39,11 +39,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TimeSeriesMatrix, as_integer
+from .core import TimeSeriesMatrix, as_integer, channel_indices
 from .errors import MiinetError, NetworkInferenceError
-from .estimators import (
-    Family, check_channels, check_condition_size, cholesky, cmi_offset, gaussian_cmi,
-)
+from .estimators import Family, check_condition_size, cholesky, cmi_offset, gaussian_cmi
 from .seeding import derive_seed
 
 
@@ -214,7 +212,7 @@ def _discover(
     n = cov.shape[0]
     if n < 2:
         raise ValueError("need at least 2 channels")
-    found: dict[int, list[Edge]] = {int(i): [] for i in targets}
+    found: dict[int, list[Edge]] = {i: [] for i in targets}
     failures: list[tuple[int, Exception]] = []
     active = np.array(list(found), dtype=np.intp)
     conds = np.empty((active.size, 0), dtype=np.intp)  # each active target's sorted parents
@@ -234,9 +232,9 @@ def _discover(
             best = candidates[index, np.argmax(cmis, axis=1)]
             passed, actual, thresholds = _shuffle_tests(design, orders, best, factor)
         except MiinetError as exc:  # the batch fails every target it carried
-            failures.extend((int(i), exc) for i in active)
-            for i in active:
-                del found[int(i)]
+            for i in active.tolist():
+                failures.append((i, exc))
+                del found[i]
             break
         for i, j, value, threshold in zip(
             active[passed].tolist(), best[passed].tolist(),
@@ -308,13 +306,8 @@ def shuffle_test(
     floor((1-theta)*Ns)-th smallest null value and the test passes iff the
     actual CMI, j's given (*K, i), strictly exceeds S.
     """
-    i, j = int(i), int(j)
-    cond = tuple(sorted(int(c) for c in cond))
-    channels = (i, j, *cond)
-    if len(set(channels)) != len(channels):
-        raise ValueError("i, j and the conditioning channels must all differ")
-    check_channels(x, channels)
-    orders = np.array([(*cond, i)], dtype=np.intp)
+    i, j, *cond = channel_indices(x, (i, j, *cond))
+    orders = np.array([(*sorted(cond), i)], dtype=np.intp)
     design = _Design(x, cfg)
     passed, actual, thresholds = _shuffle_tests(
         design, orders, np.array([j]), design.factor(orders)
@@ -327,8 +320,8 @@ def discover(x: TimeSeriesMatrix, i: int, cfg: OmiiConfig) -> ParentSet:
 
     Ties in the argmax break toward the lowest channel index.
     """
-    check_channels(x, [int(i)])
-    return _raise_first(_discover(_Design(x, cfg), [int(i)]))
+    targets = channel_indices(x, [i])
+    return _raise_first(_discover(_Design(x, cfg), targets))
 
 
 def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) -> ParentSet:
@@ -336,9 +329,9 @@ def remove(x: TimeSeriesMatrix, i: int, discovered: ParentSet, cfg: OmiiConfig) 
 
     The conditioning set shrinks as parents are removed within the pass.
     """
-    if discovered.target != int(i):
+    if [discovered.target] != channel_indices(x, [i]):
         raise ValueError("parent set belongs to a different target")
-    check_channels(x, [discovered.target, *discovered.parents])
+    channel_indices(x, (i, *discovered.parents))
     return _raise_first(_remove(_Design(x, cfg), [discovered]))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Axis, TimeSeriesMatrix
+from .core import Axis, TimeSeriesMatrix, as_integer
 from .errors import EdgeSetMismatch, MissingChannel, NodeSetMismatch
 from .estimators import Family, check_condition_size, cholesky, cmi_offset, gaussian_cmi
 from .omii import Edge, InteractionNetwork
@@ -14,19 +14,13 @@ from .omii import Edge, InteractionNetwork
 
 @dataclass(frozen=True)
 class SensorGrid:
-    """Sensor index -> (row, col) integer grid coordinates.
-
-    The grid may have gaps; spacings are carried for physical layout export.
-    """
+    """Sensor index -> (row, col) integer grid coordinates; the grid may have gaps."""
 
     positions: dict[int, tuple[int, int]]
-    lateral_spacing_m: float = 2.13
-    longitudinal_spacing_m: float = 1.96
 
     def __post_init__(self):
-        positions = {
-            int(s): (int(r), int(c)) for s, (r, c) in self.positions.items()
-        }
+        positions = {as_integer("sensor", s): (as_integer("row", r), as_integer("col", c))
+                     for s, (r, c) in self.positions.items()}
         if any(s < 1 for s in positions):
             raise ValueError("sensor indices must be >= 1")
         if len(set(positions.values())) != len(positions):
@@ -38,12 +32,9 @@ class SensorGrid:
         return tuple(sorted(self.positions))
 
     @classmethod
-    def full(cls, rows: int, cols: int, **kwargs) -> "SensorGrid":
+    def full(cls, rows: int, cols: int) -> "SensorGrid":
         """Row-major rectangular layout, sensors numbered from 1."""
-        positions = {
-            r * cols + c + 1: (r, c) for r in range(rows) for c in range(cols)
-        }
-        return cls(positions, **kwargs)
+        return cls({r * cols + c + 1: (r, c) for r in range(rows) for c in range(cols)})
 
 
 def neighbor_pairs(grid: SensorGrid) -> list[tuple[int, int]]:

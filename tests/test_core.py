@@ -122,6 +122,14 @@ def test_channel_names_round_trip():
     assert ChannelId.from_name("s3_lat") == ChannelId(3, Axis.LATERAL)
 
 
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_channel_id_takes_an_integer_sensor_index(bad):
+    """A channel named s1.5_lat would head a record that from_name cannot read back."""
+    with pytest.raises(ValueError, match="sensor_index must be an integer"):
+        ChannelId(bad, Axis.LATERAL)
+    assert ChannelId(np.int64(3), Axis.LATERAL).name == "s3_lat"
+
+
 # The test_estimate_stats_* names predate the per-matrix covariance: they now
 # check `TimeSeriesMatrix.covariance`, the one covariance every estimate slices.
 

@@ -463,12 +463,26 @@ def test_grid_csv_errors(tmp_path):
     empty = write(tmp_path / "empty.csv", "")
     with pytest.raises(EmptyFile, match=f"^{re.escape(str(empty))} is empty$"):
         mio.load_grid_csv(empty)
-    with pytest.raises(ParseError, match=r"^line 3, column 1: expected 3 cells$"):
+    with pytest.raises(ParseError, match=r"^line 3, column 1: expected 3 cells, got 2$"):
         mio.load_grid_csv(write(tmp_path / "short.csv", "sensor_index,row,col\n1,0,0\n2,0\n"))
     # an integer past float's range is a ParseError at its cell, not an OverflowError
     with pytest.raises(ParseError) as err:
         mio.load_grid_csv(write(tmp_path / "g4.csv", f"sensor_index,row,col\n{'9' * 400},0,0\n"))
     assert (err.value.line, err.value.col) == (2, 1)
+
+
+def test_network_dot_places_the_bundled_grid_at_the_deck_spacings(tmp_path):
+    """Column c, row r of the grid is drawn at (2.13 c, -1.96 r) metres."""
+    names = tuple(f"s{s}_lat" for s in range(1, 31))
+    net = InteractionNetwork(tuple(range(30)), names, (), {})
+    path = tmp_path / "net.dot"
+    grid = mio.load_grid_csv(mio.bundled_grid_path())
+    mio.write_network_dot(net, mio.provenance({}, 1), path, grid=grid)
+    pos = dict(re.findall(r'(n\d+) \[label="s\d+_lat", pos="([^"]*)"\]', path.read_text()))
+    assert len(pos) == 30
+    assert [pos[n] for n in ("n0", "n4", "n5", "n29")] == [
+        "0.00,0.00!", "8.52,0.00!", "0.00,-1.96!", "8.52,-9.80!"]
+    assert all(pos[f"n{k}"] == f"{k % 5 * 2.13:.2f},{-(k // 5) * 1.96:.2f}!" for k in range(30))
 
 
 def test_grid_csv_accepts_utf8_bom_and_crlf(tmp_path):
@@ -543,7 +557,8 @@ def test_mi_map_csv_round_trip(tmp_path):
     assert text.endswith("sensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n2,3,0.0,-0.001\n")
 
 
-@pytest.mark.parametrize("scenario", [" a", "a\t", "a ", "a b", "\u3000a\xa0"])
+@pytest.mark.parametrize(
+    "scenario", [" a", "a\t", "a ", "a b", "\u3000a\xa0", "a,b", "a=b", "#a", 'a"b', '"a,b"'])
 def test_mi_map_csv_round_trips_a_scenario_with_whitespace(tmp_path, scenario):
     mi_map = PairwiseMIMap(Axis.VERTICAL, scenario, ((1, 2),), (0.25,))
     p = tmp_path / "map.csv"
@@ -627,6 +642,12 @@ def test_mi_map_csv_reports_a_byte_that_is_not_utf8(tmp_path, old, new, position
     assert "is not UTF-8" in str(err.value)
 
 
+def test_mi_map_csv_reads_a_quoted_cell(tmp_path):
+    """A data row is a CSV row, as in a grid file: "0.5" is the number 0.5."""
+    p = write(tmp_path / "map.csv", MI_MAP_HEAD.replace("1,2,0.5,0.5", '1,"2",0.5,"0.5"'))
+    assert mio.read_mi_map_csv(p) == PairwiseMIMap(Axis.LATERAL, "base", ((1, 2),), (0.5,))
+
+
 @pytest.mark.parametrize(
     "read, text",
     [
@@ -661,7 +682,7 @@ def test_mi_map_csv_bad_cell_position(tmp_path, row, col):
 
 @pytest.mark.parametrize("text, message", [
     ("# axis=lateral\nsensor_a,sensor_b,mi\n1,2,0.5\n", "line 2, column 1: unexpected MI map header"),
-    ("# axis=lateral\nsensor_a,sensor_b,mi,mi_raw\n1,2,0.5\n", "line 3, column 1: expected 4 cells"),
+    ("# axis=lateral\nsensor_a,sensor_b,mi,mi_raw\n1,2,0.5\n", "line 3, column 1: expected 4 cells, got 3"),
     ("sensor_a,sensor_b,mi,mi_raw\n1,2,0.5,0.5\n", "line 1, column 1: not a pairwise MI map file"),
     ("# axis=lateral\n", "line 1, column 1: not a pairwise MI map file"),
 ], ids=["header", "short-row", "no-axis", "no-header"])

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,9 @@ from miinet import core, omii, standardize
 from miinet.errors import (
     ConditionSetTooLarge, MiinetError, NetworkInferenceError, SingularCovariance,
 )
-from miinet.estimators import Family, cmi_offset, conditional_mutual_information
+from miinet.estimators import (
+    Family, cmi_offset, conditional_mutual_information, entropy, mutual_information,
+)
 from miinet.omii import InteractionNetwork, OmiiConfig, ParentSet, Edge
 from miinet.seeding import derive_seed
 from miinet.synthetic import (
@@ -89,7 +93,7 @@ def test_shuffle_test_argument_validation():
 
 
 @pytest.mark.parametrize("bad", [-1, 3])
-@pytest.mark.parametrize("call", ["shuffle_test", "discover", "remove"])
+@pytest.mark.parametrize("call", ["shuffle_test", "discover", "remove", "select"])
 def test_channel_indices_outside_the_matrix_are_rejected(call, bad):
     """-1 must not wrap round to channel N-1, and N must not escape as an IndexError."""
     x = independent_matrix(1, n=3)
@@ -98,9 +102,34 @@ def test_channel_indices_outside_the_matrix_are_rejected(call, bad):
         "shuffle_test": lambda: shuffle_test(x, 0, bad, (), cfg),
         "discover": lambda: discover(x, bad, cfg),
         "remove": lambda: remove(x, 0, ParentSet(0, (Edge(bad, 0, 0.1, 0.05),)), cfg),
+        "select": lambda: x.select([0, bad]),
     }
     with pytest.raises(ValueError, match=rf"channel indices \[.*{bad}.*\] outside 0\.\.2"):
         calls[call]()
+
+
+_ONE_INDEX_CALLS = {
+    "select": lambda x, cfg, v: x.select([0, v]).data.tobytes(),
+    "entropy": lambda x, cfg, v: entropy(x, [v, 0], GAUSS),
+    "mutual_information": lambda x, cfg, v: mutual_information(x, 0, v, GAUSS),
+    "conditional_mutual_information":
+        lambda x, cfg, v: conditional_mutual_information(x, 0, 2, (v,), GAUSS),
+    "shuffle_test": lambda x, cfg, v: shuffle_test(x, v, 0, (), cfg),
+    "discover": lambda x, cfg, v: discover(x, v, cfg),
+    "remove": lambda x, cfg, v: remove(x, v, ParentSet(1, (Edge(0, 1, 0.5, 0.1),)), cfg),
+}
+
+
+@pytest.mark.parametrize("bad", [1.7, True, np.float64(1.0)], ids=["1.7", "True", "float64"])
+@pytest.mark.parametrize("call", list(_ONE_INDEX_CALLS))
+def test_every_call_takes_channel_indices_that_are_integers(call, bad):
+    """1.7 must not run channel 1, nor True; np.int64(1) is channel 1."""
+    x = independent_matrix(1, n=3)
+    cfg = OmiiConfig(family=GAUSS, n_shuffles=20, seed=1)
+    run = functools.partial(_ONE_INDEX_CALLS[call], x, cfg)
+    with pytest.raises(ValueError, match=r"^channel index must be an integer, got "):
+        run(bad)
+    assert run(np.int64(1)) == run(1)
 
 
 def test_shuffle_test_deterministic():

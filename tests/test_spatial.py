@@ -59,10 +59,14 @@ def test_grid_validation():
         SensorGrid({0: (0, 0)})
 
 
-def test_default_spacings_match_deployment():
-    grid = SensorGrid.full(2, 2)
-    assert grid.lateral_spacing_m == pytest.approx(2.13)
-    assert grid.longitudinal_spacing_m == pytest.approx(1.96)
+@pytest.mark.parametrize("positions", [
+    {1.7: (0.9, 2.2)}, {1: (0.0, 1)}, {True: (0, 0)}, {1: (0, False)},
+], ids=["float-sensor", "float-row", "bool-sensor", "bool-col"])
+def test_grid_takes_integer_sensors_and_coordinates(positions):
+    """{1.7: (0.9, 2.2)} must not become {1: (0, 2)}, nor True sensor 1."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        SensorGrid(positions)
+    assert SensorGrid({np.int64(2): (np.int64(0), 1)}).positions == {2: (0, 1)}
 
 
 def grid_coupled_matrix(grid, weight, seed, t=4000, noise=1.0):
